@@ -54,12 +54,10 @@ print(f"500k words vs 2921/1024 at 1%  : pass={good.passed} (dev {good.rel_devia
 print(f"10 words vs 2921/1024 at 0.01% : pass={tiny.passed} (dev {tiny.rel_deviation:.5%})")
 print()
 
-# sharded runs derive one child seed per shard, so worker count cannot
-# change the result
+# sharded runs derive one child seed per shard, so a fixed (seed, shards)
+# replays exactly; another shard count is another stream
 cfg = TraceConfig(spec=spec, trace_length=200_000, seed=99, shards=4)
-serial = run_trace(cfg, jobs=1)
-threaded = run_trace(cfg, jobs=4)
-print("4-shard trace, 1 worker vs 4 workers identical:", serial == threaded)
+print("4-shard trace replays identically:", run_trace(cfg) == run_trace(cfg))
 
 # DBI has no simple closed form, but the exhaustive average is exact
 print()

@@ -185,11 +185,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if family is None:
         raise ValueError("--family is required (or pass the family positionally)")
     spec = _spec_for(family, args.k, args.b)
-    cfg = TraceConfig(
-        spec=spec, trace_length=args.length, seed=args.seed, shards=max(args.jobs, 1)
-    )
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    cfg = TraceConfig(spec=spec, trace_length=args.length, seed=args.seed, shards=args.jobs)
     start = time.perf_counter()
-    stats = run_trace(cfg, jobs=args.jobs)
+    stats = run_trace(cfg)
     elapsed = time.perf_counter() - start
     mean = stats.mean_transitions
     reference = _exact_reference(spec)
@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--length", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="shard count (default 1)")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

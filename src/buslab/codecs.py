@@ -4,7 +4,9 @@ All families share one contract: given the previous bus word and the current
 info word, produce the next bus word; decoding inverts it. The differential
 families (optimal, ppm0, coset) map the info word to a low-weight
 differential d and transmit x = d XOR x_prev, so each step toggles exactly
-weight(d) lines. DBI and the uncoded bus are handled directly.
+weight(d) lines. DBI and the uncoded bus are handled directly. Each codec
+also has a vectorized step_weights kernel that counts the lines every step
+of a chunk of info words toggles, without forming the bus words.
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -17,6 +19,8 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from .combinatorics import (
     BinomialTable,
@@ -452,6 +456,14 @@ class Codec:
     def is_differential(self) -> bool:
         return False
 
+    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
+        """Lines toggled by each step of a chunk of uint64 info words.
+
+        prev is the info word sent just before the chunk (0 at trace start,
+        where the bus is all-zero); differential families ignore it.
+        """
+        raise NotImplementedError
+
     def encode(self, state: Word, u: Word) -> Word:
         self._check_state(state)
         if u.length != self.spec.k:
@@ -503,6 +515,9 @@ class UncodedCodec(Codec):
     def decode_int(self, state: int, x: int) -> int:
         return x
 
+    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
+        return _xor_weights(us, prev)
+
 
 class DbiCodec(Codec):
     """Send the word or its complement, whichever is nearer the bus state.
@@ -526,6 +541,12 @@ class DbiCodec(Codec):
         data = x >> 1
         return data ^ self._mask if x & 1 else data
 
+    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
+        # Whichever form the previous word took, the two candidates differ
+        # from it in w and n - w lines, w counted on the info words alone.
+        w = _xor_weights(us, prev)
+        return np.minimum(w, self.spec.n - w)
+
 
 class Ppm0Codec(_DifferentialCodec):
     """Single pulse positioned by the info value, plus the all-zero word."""
@@ -542,6 +563,9 @@ class Ppm0Codec(_DifferentialCodec):
                 f"ppm0 differential must have weight <= 1, got weight {d.bit_count()}"
             )
         return d.bit_length()
+
+    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
+        return (us != 0).view(np.uint8)
 
     def _check_info(self, u: int) -> None:
         if not 0 <= u < (1 << self.spec.k):
@@ -570,6 +594,8 @@ class OptimalCodec(_DifferentialCodec):
             sums.append(sums[-1] + self.table.binom(n, m))
         self.d_max = m
         self.tier_sums: tuple[int, ...] = tuple(sums)
+        # every tier sum but the last is below 2^k, so uint64 holds them all
+        self._thresholds = np.array(sums[:-1], dtype=np.uint64)
         self._diffs: dict[int, int] = {}
 
     def pulse_count(self, u: int) -> int:
@@ -579,6 +605,13 @@ class OptimalCodec(_DifferentialCodec):
             if total > u:
                 return m
         raise AssertionError("unreachable: tier sums cover the info range")
+
+    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
+        # pulse_count over the chunk: the number of tier sums <= u
+        w = np.zeros(us.shape, dtype=np.uint8)
+        for t in self._thresholds:
+            w += us >= t
+        return w
 
     def differential_int(self, u: int) -> int:
         d = self._diffs.get(u)
@@ -619,6 +652,9 @@ class CosetCodec(_DifferentialCodec):
         assert spec.code is not None
         self.code = spec.code
         self.leader_table = build_coset_leader_table(spec.code)
+        self._leader_weights = np.array(
+            [l.bit_count() for l in self.leader_table.leaders], dtype=np.uint8
+        )
 
     def differential_int(self, u: int) -> int:
         if not 0 <= u < (1 << self.spec.k):
@@ -627,6 +663,17 @@ class CosetCodec(_DifferentialCodec):
 
     def info_int(self, d: int) -> int:
         return self.code.syndrome(d)
+
+    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
+        return self._leader_weights[us]
+
+
+def _xor_weights(us: np.ndarray, prev: int) -> np.ndarray:
+    """Popcount of each info word XOR the one before it (prev for the first)."""
+    before = np.empty_like(us)
+    before[:1] = prev
+    before[1:] = us[:-1]
+    return np.bitwise_count(us ^ before)
 
 
 _FAMILY_CODECS = {

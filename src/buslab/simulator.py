@@ -1,15 +1,15 @@
 """Monte Carlo traces, exhaustive averages, and modulator cost accounting.
 
 Traces drive a codec with uniform random info words from the all-zero bus
-state and count line transitions per step. Randomness comes from numpy's
-PCG64 seeded through SeedSequence, so runs are reproducible and a trace can
-be split into shards with independently derived child seeds; merging shard
-stats is exact and order-fixed, so a sharded run equals its serial replay
-no matter how many workers execute it.
+state and count line transitions per step. Each shard draws its words in
+chunks of 2^17 and hands every chunk to the codec's vectorized step_weights
+kernel, so no bus word is formed and no per-word Python code runs.
+Randomness comes from numpy's PCG64 seeded through SeedSequence, so runs are
+reproducible and a trace can be split into shards with independently derived
+child seeds; shards run one after another and merge exactly in a fixed order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,9 +32,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-# Differential maps are materialized once per run when the info space is
-# small enough; larger codecs fall back to per-word encoding.
-_TABLE_INFO_BITS = 20
 _EXHAUSTIVE_INFO_BITS = 20
 # state-dependent averages enumerate 2^n states x 2^k inputs
 _EXHAUSTIVE_STATE_LINES = 24
@@ -129,77 +126,31 @@ class ConvergenceReport:
         return self.tolerance - self.rel_deviation
 
 
-def _popcounts(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
-
-
 def _draw_words(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
     if k <= 63:
         return rng.integers(0, 1 << k, size=count, dtype=np.uint64)
     return rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
 
 
-def _differential_weights(codec: Codec) -> np.ndarray | None:
-    k = codec.spec.k
-    if k > _TABLE_INFO_BITS:
-        return None
-    weights = np.empty(1 << k, dtype=np.uint8)
-    for u in range(1 << k):
-        weights[u] = codec.differential_int(u).bit_count()  # type: ignore[attr-defined]
-    return weights
-
-
 def _run_shard(codec: Codec, length: int, seed: np.random.SeedSequence) -> TransitionStats:
     spec = codec.spec
     rng = np.random.Generator(np.random.PCG64(seed))
-    stats = TransitionStats(n_lines=spec.n)
     hist = np.zeros(spec.n + 1, dtype=np.int64)
-    total = 0
-    if codec.is_differential:
-        weights = _differential_weights(codec)
-        done = 0
-        while done < length:
-            count = min(_CHUNK, length - done)
-            us = _draw_words(rng, spec.k, count)
-            if weights is not None:
-                w = weights[us]
-            else:
-                w = np.fromiter(
-                    (codec.differential_int(int(v)).bit_count() for v in us),  # type: ignore[attr-defined]
-                    dtype=np.uint8,
-                    count=count,
-                )
-            hist += np.bincount(w, minlength=spec.n + 1)
-            total += int(w.sum(dtype=np.int64))
-            done += count
-    elif spec.family is Family.UNCODED:
-        prev = np.uint64(0)
-        done = 0
-        while done < length:
-            count = min(_CHUNK, length - done)
-            xs = _draw_words(rng, spec.k, count)
-            diffs = xs ^ np.concatenate(([prev], xs[:-1]))
-            w = _popcounts(diffs)
-            hist += np.bincount(w.astype(np.int64), minlength=spec.n + 1)
-            total += int(w.sum(dtype=np.int64))
-            prev = xs[-1]
-            done += count
-    else:  # DBI walks its state word by word
-        assert isinstance(codec, DbiCodec)
-        state = 0
-        done = 0
-        while done < length:
-            count = min(_CHUNK, length - done)
-            for u in _draw_words(rng, spec.k, count).tolist():
-                x = codec.encode_int(state, u)
-                w = (x ^ state).bit_count()
-                hist[w] += 1
-                total += w
-                state = x
-            done += count
-    stats.words_sent = length
-    stats.total_transitions = total
-    stats.weight_histogram = [int(c) for c in hist]
+    prev = 0
+    done = 0
+    while done < length:
+        count = min(_CHUNK, length - done)
+        us = _draw_words(rng, spec.k, count)
+        hist += np.bincount(codec.step_weights(us, prev), minlength=spec.n + 1)
+        prev = us[-1]
+        done += count
+    total = int(hist @ np.arange(spec.n + 1, dtype=np.int64))
+    stats = TransitionStats(
+        n_lines=spec.n,
+        words_sent=length,
+        total_transitions=total,
+        weight_histogram=hist.tolist(),
+    )
     if spec.family is Family.OPTIMAL_MPPM:
         # one clock per pulse; n comparisons and 2 additions per pulse, plus
         # d_max + 1 comparisons per word to pick the pulse count
@@ -211,34 +162,22 @@ def _run_shard(codec: Codec, length: int, seed: np.random.SeedSequence) -> Trans
     return stats
 
 
-def run_trace(cfg: TraceConfig, jobs: int = 1) -> TransitionStats:
+def run_trace(cfg: TraceConfig) -> TransitionStats:
     """Feed trace_length uniform info words through the codec and count.
 
     The trace is split into cfg.shards shards with SeedSequence-derived
-    child seeds; jobs only controls how many shards run concurrently, so
-    the result is identical for any jobs value.
+    child seeds, each starting from the all-zero bus; the shard stats merge
+    in shard order.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     codec = make_codec(cfg.spec)
     base, extra = divmod(cfg.trace_length, cfg.shards)
     lengths = [base + (1 if i < extra else 0) for i in range(cfg.shards)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.shards)
-    if jobs == 1 or cfg.shards == 1:
-        parts = [_run_shard(codec, ln, sq) for ln, sq in zip(lengths, seeds)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(jobs, cfg.shards)) as pool:
-            parts = list(pool.map(_run_shard, [codec] * cfg.shards, lengths, seeds))
+    parts = [_run_shard(codec, ln, sq) for ln, sq in zip(lengths, seeds)]
     merged = parts[0]
     for part in parts[1:]:
         merged = merged.merge(part)
     return merged
-
-
-def _exact_differential_mean(codec: Codec) -> Fraction:
-    k = codec.spec.k
-    total = sum(codec.differential_int(u).bit_count() for u in range(1 << k))  # type: ignore[attr-defined]
-    return Fraction(total, 1 << k)
 
 
 def exact_average_distance(
@@ -254,8 +193,11 @@ def exact_average_distance(
     if codec.is_differential:
         if spec.k > _EXHAUSTIVE_INFO_BITS:
             raise ValueError(f"k={spec.k} too large for exhaustive average")
+        weights = codec.step_weights(np.arange(1 << spec.k, dtype=np.uint64), 0)
         return ExactAverageReport(
-            spec=spec, exact_mean=_exact_differential_mean(codec), state_dependent=False
+            spec=spec,
+            exact_mean=Fraction(int(weights.sum(dtype=np.int64)), 1 << spec.k),
+            state_dependent=False,
         )
     n, k = spec.n, spec.k
     if n > _EXHAUSTIVE_STATE_LINES or k > _EXHAUSTIVE_STATE_INFO_BITS:
@@ -263,7 +205,7 @@ def exact_average_distance(
             f"k={k}, n={n} too large for the exhaustive state average "
             f"(needs k <= {_EXHAUSTIVE_STATE_INFO_BITS} and n <= {_EXHAUSTIVE_STATE_LINES})"
         )
-    pop = _popcounts(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     total = 0
     per_state: list[Fraction] | None = [] if include_per_state else None
     if spec.family is Family.UNCODED:
@@ -313,14 +255,14 @@ def word_cost(spec: CodecSpec, u: Word) -> tuple[int, int]:
 
 
 def convergence_check(
-    cfg: TraceConfig, reference: Fraction, tolerance: float, jobs: int = 1
+    cfg: TraceConfig, reference: Fraction, tolerance: float
 ) -> ConvergenceReport:
     """Run the trace and compare its mean against an exact reference."""
     if reference <= 0:
         raise ValueError("reference mean must be positive")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    stats = run_trace(cfg, jobs=jobs)
+    stats = run_trace(cfg)
     mean = stats.mean_transitions
     rel = abs(float((mean - reference) / reference))
     return ConvergenceReport(

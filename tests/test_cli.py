@@ -3,6 +3,8 @@ import json
 import pytest
 
 from buslab.cli import main
+from buslab.codecs import dbi_spec
+from buslab.simulator import TraceConfig, run_trace
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +157,20 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "fancy", "--k", "4"])
         assert exc.value.code == 2
+
+    def test_zero_jobs_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "uncoded", "--k", "4", "--jobs", "0")
+        assert code == 2
+        assert "--jobs" in err
+
+    def test_jobs_sets_the_shard_count(self, capsys):
+        # --jobs is the shard count and stays in the JSON output
+        args = ["simulate", "dbi", "--k", "6", "--length", "5000", "--seed", "9", "--json"]
+        assert main(args + ["--jobs", "2"]) == 0
+        two = json.loads(capsys.readouterr().out)
+        cfg = TraceConfig(spec=dbi_spec(6), trace_length=5000, seed=9, shards=2)
+        assert two["jobs"] == 2
+        assert two["weight_histogram"] == run_trace(cfg).weight_histogram
 
 
 class TestVerify:

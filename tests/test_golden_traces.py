@@ -1,0 +1,74 @@
+"""run_trace against traces frozen before the vectorized step-weight kernels.
+
+golden_traces.json was recorded at commit cdff843, when traces still came
+from 2^k differential tables, per-word unranking and a word-by-word DBI
+loop. It must never be regenerated from the current code: it is the proof
+that a (spec, seed, shards) input still gives the same trace. Every trace
+is 270,001 words, so with one or two shards each shard spans more than one
+2^17-word chunk and the carry of the last word across chunks is covered.
+Histograms are stored sparsely as [weight, count] pairs.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from buslab.codecs import (
+    coset_spec,
+    dbi_spec,
+    make_golay23,
+    make_hamming,
+    make_repetition,
+    optimal_spec,
+    ppm0_spec,
+    uncoded_spec,
+)
+from buslab.simulator import TraceConfig, run_trace
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_traces.json").read_text())
+
+
+def _spec(entry):
+    family, k, b, code = entry["family"], entry["k"], entry["b"], entry["code"]
+    if family == "uncoded":
+        return uncoded_spec(k)
+    if family == "dbi":
+        return dbi_spec(k)
+    if family == "ppm0":
+        return ppm0_spec(k)
+    if family == "optimal":
+        return optimal_spec(k, b)
+    if code == "golay23":
+        return coset_spec(make_golay23())
+    if code == "hamming":
+        return coset_spec(make_hamming(k))
+    return coset_spec(make_repetition(k + b))
+
+
+def _label(entry):
+    return f"{entry['family']}-{entry['code'] or entry['k']}-{entry['b']}-s{entry['seed']}x{entry['shards']}"
+
+
+def test_fixture_covers_the_edge_geometries():
+    cells = {(e["family"], e["k"], e["b"]) for e in GOLDEN}
+    edges = {("uncoded", 64, 0), ("dbi", 1, 1), ("dbi", 8, 1), ("dbi", 63, 1),
+             ("ppm0", 1, 0), ("ppm0", 16, (1 << 16) - 17), ("optimal", 1, 0),
+             ("optimal", 11, 12), ("optimal", 24, 16), ("optimal", 64, 0),
+             ("coset", 11, 12), ("coset", 4, 11), ("coset", 16, 1)}
+    assert edges <= cells
+    assert {(e["seed"], e["shards"]) for e in GOLDEN} >= {(1, 1), (1, 2)}
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=_label)
+def test_trace_reproduces_the_golden_record(entry):
+    spec = _spec(entry)
+    assert spec.b == entry["b"]
+    stats = run_trace(TraceConfig(spec, entry["length"], entry["seed"], entry["shards"]))
+    hist = [0] * (spec.n + 1)
+    for w, c in entry["weight_histogram"]:
+        hist[w] = c
+    assert stats.total_transitions == entry["total_transitions"]
+    assert stats.weight_histogram == hist
+    assert stats.clock_cycles_total == entry["clock_cycles_total"]
+    assert stats.comparisons_total == entry["comparisons_total"]
+    assert stats.additions_total == entry["additions_total"]

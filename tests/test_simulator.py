@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from buslab.codecs import (
 from buslab.combinatorics import Word
 from buslab.simulator import (
     TraceConfig,
+    _run_shard,
     clock_model,
     convergence_check,
     exact_average_distance,
@@ -33,10 +36,14 @@ class TestRunTrace:
         assert a == b
 
     def test_sharded_merge_equals_serial(self):
-        cfg = TraceConfig(spec=optimal_spec(8, 8), trace_length=30_000, seed=3, shards=4)
-        serial = run_trace(cfg, jobs=1)
-        parallel = run_trace(cfg, jobs=4)
-        assert serial == parallel
+        # replay the documented shard contract: lengths split by divmod,
+        # one spawned child seed per shard, stats merged in shard order
+        cfg = TraceConfig(spec=optimal_spec(8, 8), trace_length=30_002, seed=3, shards=4)
+        codec = make_codec(cfg.spec)
+        seeds = np.random.SeedSequence(3).spawn(4)
+        parts = [_run_shard(codec, ln, sq) for ln, sq in zip((7_501, 7_501, 7_500, 7_500), seeds)]
+        serial = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
+        assert run_trace(cfg) == serial
 
     def test_histogram_accounts_for_every_word(self):
         for spec in (uncoded_spec(9), dbi_spec(6), optimal_spec(7, 5)):
@@ -99,8 +106,8 @@ class TestRunTrace:
         assert stats.clock_cycles_total == 0
         assert stats.comparisons_total == 0
 
-    def test_wide_info_falls_back_to_per_word_encoding(self):
-        # k = 21 skips the differential table; mean stays near k/2 at b = 0
+    def test_wide_info_mean_near_half_k(self):
+        # past the exhaustive-average cap the mean stays near k/2 at b = 0
         cfg = TraceConfig(spec=optimal_spec(21, 0), trace_length=2_000, seed=4)
         stats = run_trace(cfg)
         assert 10.0 < float(stats.mean_transitions) < 11.0
@@ -111,7 +118,7 @@ class TestRunTrace:
         with pytest.raises(ValueError):
             TraceConfig(spec=uncoded_spec(4), trace_length=10, seed=1, shards=11)
         with pytest.raises(ValueError):
-            run_trace(TraceConfig(spec=uncoded_spec(4), trace_length=10, seed=1), jobs=0)
+            TraceConfig(spec=uncoded_spec(4), trace_length=10, seed=1, shards=0)
 
 
 class TestEstimatorConsistency:
@@ -227,3 +234,37 @@ class TestConvergence:
             convergence_check(cfg, Fraction(0), 0.01)
         with pytest.raises(ValueError):
             convergence_check(cfg, Fraction(1), 0)
+
+
+class TestBudgets:
+    # Bounds sit 10x or more above what a 2-CPU x86 host measured (0.04 s,
+    # 0.008 s, 0.15 s and a 2.1 MiB peak), because such hosts swing 2x.
+    def _timed(self, cfg):
+        start = time.perf_counter()
+        stats = run_trace(cfg)
+        return stats, time.perf_counter() - start
+
+    def test_cold_ppm0_at_the_widest_bus(self):
+        make_codec.cache_clear()
+        stats, elapsed = self._timed(TraceConfig(spec=ppm0_spec(20), trace_length=2_000, seed=1))
+        assert len(stats.weight_histogram) == 1 << 20
+        assert elapsed < 2.0
+
+    def test_optimal_at_64_lines(self):
+        stats, elapsed = self._timed(
+            TraceConfig(spec=optimal_spec(64, 0), trace_length=100_000, seed=1)
+        )
+        assert stats.words_sent == 100_000
+        assert elapsed < 1.0
+
+    def test_ten_million_words_in_bounded_memory(self):
+        cfg = TraceConfig(spec=optimal_spec(24, 16), trace_length=10_000_000, seed=1)
+        tracemalloc.start()
+        try:
+            stats, elapsed = self._timed(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.words_sent == 10_000_000
+        assert elapsed < 3.0
+        assert peak < 16 * 2**20
