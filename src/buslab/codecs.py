@@ -16,20 +16,14 @@ a 1 (line 0 printed rightmost).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .combinatorics import (
-    BinomialTable,
-    Word,
-    build_binomial_table,
-    mppm_rank,
-    mppm_unrank,
-    word_to_positions,
-)
+from .combinatorics import BinomialTable, Word, build_binomial_table
 
 __all__ = [
     "MAX_OPTIMAL_LINES",
@@ -312,13 +306,20 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
             f"{code.name}: {bits} syndrome bits exceed the {MAX_SYNDROME_BITS}-bit table cap"
         )
     total = 1 << bits
+    # the syndrome is linear: each pattern's is the XOR of its lines' syndromes
+    line_syndromes = [code.syndrome(1 << i) for i in range(code.length)]
     leaders: list[int | None] = [None] * total
     filled = 0
     for w in range(code.length + 1):
         if filled == total:
             break
         for e in words_of_weight(code.length, w):
-            s = code.syndrome(e)
+            s = 0
+            v = e
+            while v:
+                low = v & -v
+                s ^= line_syndromes[low.bit_length() - 1]
+                v ^= low
             if leaders[s] is None:
                 leaders[s] = e
                 filled += 1
@@ -558,7 +559,8 @@ class Ppm0Codec(_DifferentialCodec):
     def info_int(self, d: int) -> int:
         if d == 0:
             return 0
-        if d.bit_count() != 1:
+        # a power-of-two test, not a popcount, because at k = 20 d has 2^20 bits
+        if d != 1 << (d.bit_length() - 1):
             raise CorruptedWordError(
                 f"ppm0 differential must have weight <= 1, got weight {d.bit_count()}"
             )
@@ -579,7 +581,8 @@ class OptimalCodec(_DifferentialCodec):
     exceeding u) and the colex rank u minus the previous tier sum within
     that tier. Within the top tier only the first 2^k - (tier sum below)
     patterns in rank order are ever emitted; the decoder rejects anything
-    past that bound as corrupted.
+    past that bound as corrupted. Every call ranks or unranks afresh through
+    the binomial table; nothing is kept per info word.
     """
 
     def __init__(self, spec: CodecSpec):
@@ -596,15 +599,11 @@ class OptimalCodec(_DifferentialCodec):
         self.tier_sums: tuple[int, ...] = tuple(sums)
         # every tier sum but the last is below 2^k, so uint64 holds them all
         self._thresholds = np.array(sums[:-1], dtype=np.uint64)
-        self._diffs: dict[int, int] = {}
 
     def pulse_count(self, u: int) -> int:
         """Smallest m whose tier sum exceeds the info value."""
         self._check_info(u)
-        for m, total in enumerate(self.tier_sums):
-            if total > u:
-                return m
-        raise AssertionError("unreachable: tier sums cover the info range")
+        return bisect_right(self.tier_sums, u)
 
     def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
         # pulse_count over the chunk: the number of tier sums <= u
@@ -614,16 +613,9 @@ class OptimalCodec(_DifferentialCodec):
         return w
 
     def differential_int(self, u: int) -> int:
-        d = self._diffs.get(u)
-        if d is None:
-            m = self.pulse_count(u)
-            offset = u - (self.tier_sums[m - 1] if m else 0)
-            p = mppm_unrank(self.table, offset, m, self.spec.n)
-            d = 0
-            for s in p:
-                d |= 1 << s
-            self._diffs[u] = d
-        return d
+        m = self.pulse_count(u)
+        offset = u - (self.tier_sums[m - 1] if m else 0)
+        return self.table.unrank(offset, m, self.spec.n)
 
     def info_int(self, d: int) -> int:
         m = d.bit_count()
@@ -631,7 +623,7 @@ class OptimalCodec(_DifferentialCodec):
             raise CorruptedWordError(
                 f"differential weight {m} exceeds d_max={self.d_max}"
             )
-        rank = mppm_rank(self.table, word_to_positions(Word(d, self.spec.n)))
+        rank = self.table.rank(d)
         u = (self.tier_sums[m - 1] if m else 0) + rank
         if u >= (1 << self.spec.k):
             raise CorruptedWordError(

@@ -3,14 +3,17 @@
 Pulse patterns on a bus are m-subsets of the n line indices. The rank of a
 subset (s_1 < ... < s_m) is C(s_1,1) + C(s_2,2) + ... + C(s_m,m), which
 enumerates all m-subsets of {0..n-1} in colexicographic order as the rank
-runs over 0 .. C(n,m)-1. Unranking scans line indices downward, mirroring a
-bank of parallel comparators against pre-stored binomial coefficients.
+runs over 0 .. C(n,m)-1. The table stores one column C(0..n_max, l) per
+pulse index l; unranking places each pulse with one binary search of the
+remainder in its column, the software form of a bank of parallel comparators
+against the stored coefficients followed by a priority select.
 
 Conventions used across the package: bit i of a word is bus line i, line 0
 is the least significant bit, and printed words show line 0 rightmost.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -116,9 +119,14 @@ class PulsePositions:
 
 
 class BinomialTable:
-    """Dense triangular table of exact C(i, j) for 0 <= j <= i <= n_max."""
+    """Exact C(i, j) for 0 <= j <= i <= n_max, stored by column.
 
-    __slots__ = ("n_max", "max_value", "_rows")
+    Column j lists C(i, j) for i = 0..n_max: zero below the diagonal, then
+    strictly increasing, so it is sorted and a comparator bank can search it.
+    rank and unrank work on bitmask words (bit s set for a pulse on line s).
+    """
+
+    __slots__ = ("n_max", "max_value", "_cols")
 
     def __init__(self, n_max: int, max_value: int = DEFAULT_CAPACITY):
         if n_max < 0:
@@ -127,7 +135,7 @@ class BinomialTable:
             raise ValueError(f"max_value must be >= 1, got {max_value}")
         self.n_max = n_max
         self.max_value = max_value
-        rows: list[tuple[int, ...]] = [(1,)]
+        rows: list[list[int]] = [[1] + [0] * n_max]  # zero-padded to n_max + 1
         for i in range(1, n_max + 1):
             prev = rows[i - 1]
             row = [1]
@@ -137,8 +145,8 @@ class BinomialTable:
                     raise CapacityError(i, j, v, max_value)
                 row.append(v)
             row.append(1)
-            rows.append(tuple(row))
-        self._rows = tuple(rows)
+            rows.append(row + [0] * (n_max - i))
+        self._cols = tuple(zip(*rows))
 
     def binom(self, n: int, k: int) -> int:
         """C(n, k); zero when k > n, error when out of the table's range."""
@@ -148,7 +156,7 @@ class BinomialTable:
             raise ValueError(f"k must be >= 0, got {k}")
         if k > n:
             return 0
-        return self._rows[n][k]
+        return self._cols[k][n]
 
     def cumulative(self, n: int, m: int) -> int:
         """Sum of C(n, i) for i = 0..m."""
@@ -156,8 +164,45 @@ class BinomialTable:
             raise ValueError(f"n={n} out of table range 0..{self.n_max}")
         if not 0 <= m <= n:
             raise ValueError(f"m={m} out of range 0..{n}")
-        row = self._rows[n]
-        return sum(row[i] for i in range(m + 1))
+        return sum(self._cols[i][n] for i in range(m + 1))
+
+    def unrank(self, x: int, m: int, n: int) -> int:
+        """Bitmask of the m-subset of {0..n-1} with colex rank x.
+
+        For l = m down to 1, pulse l sits on the largest line i with
+        C(i, l) <= remainder: one bisect of column l, bounded by the line
+        of pulse l + 1, since the remainder is then below C(that line, l).
+        """
+        if not 0 <= m <= n:
+            raise ValueError(f"m={m} out of range 0..{n}")
+        if n > self.n_max:
+            raise ValueError(f"n={n} exceeds table range (n_max={self.n_max})")
+        cols = self._cols
+        if not 0 <= x < cols[m][n]:
+            raise ValueError(f"rank {x} out of range for C({n},{m})={cols[m][n]}")
+        d = 0
+        i = n
+        for col in cols[m:0:-1]:
+            i = bisect_right(col, x, 0, i) - 1
+            d |= 1 << i
+            x -= col[i]
+        return d
+
+    def rank(self, d: int) -> int:
+        """Colex rank of the pulse pattern d among the subsets of its weight."""
+        if d < 0 or d.bit_length() > self.n_max:
+            raise ValueError(
+                f"pulse pattern must be a nonnegative word of at most {self.n_max} lines"
+            )
+        cols = self._cols
+        x = 0
+        l = d.bit_count()
+        while d:
+            i = d.bit_length() - 1
+            x += cols[l][i]
+            l -= 1
+            d ^= 1 << i
+        return x
 
 
 def build_binomial_table(n_max: int, max_value: int = DEFAULT_CAPACITY) -> BinomialTable:
@@ -171,37 +216,18 @@ def cumulative_binomial(table: BinomialTable, n: int, m: int) -> int:
 
 def mppm_rank(table: BinomialTable, p: PulsePositions) -> int:
     """Colex rank of a pulse pattern: sum over l of C(s_l, l)."""
-    positions = p.positions
-    if positions and positions[-1] > table.n_max - 1:
-        raise ValueError(
-            f"position {positions[-1]} outside table range (n_max={table.n_max})"
-        )
-    return sum(table.binom(s, l) for l, s in enumerate(positions, start=1))
+    return table.rank(sum(1 << s for s in p.positions))
 
 
 def mppm_unrank(table: BinomialTable, x: int, m: int, n: int) -> PulsePositions:
     """Pulse pattern with colex rank x among the m-subsets of {0..n-1}.
 
-    For l = m down to 1, s_l is the largest i < n with C(i, l) <= remainder;
-    the scan walks i downward from n-1, the software analog of comparing the
-    remainder against every stored coefficient at once and priority-selecting
-    the last satisfied comparison.
+    Each pulse costs one bisect of the remainder in the table's stored
+    column for its index, the software analog of comparing the remainder
+    against every stored coefficient at once and priority-selecting the last
+    satisfied comparison.
     """
-    if not 0 <= m <= n:
-        raise ValueError(f"m={m} out of range 0..{n}")
-    if n > table.n_max:
-        raise ValueError(f"n={n} exceeds table range (n_max={table.n_max})")
-    if not 0 <= x < table.binom(n, m):
-        raise ValueError(f"rank {x} out of range for C({n},{m})={table.binom(n, m)}")
-    positions = [0] * m
-    rem = x
-    for l in range(m, 0, -1):
-        i = n - 1
-        while table.binom(i, l) > rem:
-            i -= 1
-        positions[l - 1] = i
-        rem -= table.binom(i, l)
-    return PulsePositions(tuple(positions))
+    return PulsePositions(tuple(_set_bits(table.unrank(x, m, n))))
 
 
 def positions_to_word(p: PulsePositions, n: int) -> Word:
@@ -216,4 +242,12 @@ def positions_to_word(p: PulsePositions, n: int) -> Word:
 
 def word_to_positions(w: Word) -> PulsePositions:
     """Inverse of positions_to_word: indices of the set bits, ascending."""
-    return PulsePositions(tuple(i for i in range(w.length) if (w.value >> i) & 1))
+    return PulsePositions(tuple(_set_bits(w.value)))
+
+
+def _set_bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of v >= 0, ascending; O(weight) steps."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low

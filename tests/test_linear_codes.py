@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from buslab.codecs import (
@@ -138,6 +140,22 @@ class TestCosetLeaderTable:
         table = build_coset_leader_table(code)
         for s, leader in enumerate(table.leaders):
             assert code.syndrome(leader) == s
+
+    @pytest.mark.parametrize(
+        "code", [make_repetition(17), make_golay23(), make_hamming(4)], ids=lambda c: c.name
+    )
+    def test_leaders_match_a_per_pattern_syndrome_scan(self, code):
+        # reference: every pattern by weight, then by integer value, each
+        # syndrome computed from the parity rows
+        leaders = {}
+        for w in range(code.length + 1):
+            patterns = sorted(sum(1 << i for i in c) for c in combinations(range(code.length), w))
+            for e in patterns:
+                leaders.setdefault(code.syndrome(e), e)
+            if len(leaders) == 1 << code.syndrome_bits:
+                break
+        expected = tuple(leaders[s] for s in range(1 << code.syndrome_bits))
+        assert build_coset_leader_table(code).leaders == expected
 
     def test_tie_break_is_lowest_integer_in_tier(self):
         # repetition(6): syndrome 0b00111 has two weight-3 patterns,

@@ -1,0 +1,201 @@
+"""Property tests for the rank layer and the scalar codecs.
+
+Rank and unrank are checked against a colex oracle built from math.comb
+alone, over every n up to 64. Every family must invert its own encoding
+from random bus states, and every differential outside a codebook must be
+rejected as corrupted.
+"""
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from buslab.codecs import (
+    BusState,
+    CorruptedWordError,
+    coset_spec,
+    dbi_spec,
+    decode,
+    encode,
+    make_codec,
+    make_golay23,
+    make_hamming,
+    make_repetition,
+    optimal_spec,
+    ppm0_spec,
+    uncoded_spec,
+)
+from buslab.combinatorics import (
+    PulsePositions,
+    Word,
+    build_binomial_table,
+    mppm_rank,
+    mppm_unrank,
+)
+
+TABLE = build_binomial_table(64)
+
+
+def colex_rank(positions):
+    """Oracle: sum over l of C(s_l, l) for ascending positions s_1 < ... < s_m."""
+    return sum(math.comb(s, l) for l, s in enumerate(positions, start=1))
+
+
+def colex_unrank(x, m, n):
+    """Oracle: greedy inverse of colex_rank, highest pulse first."""
+    assert 0 <= x < math.comb(n, m)
+    positions = []
+    for l in range(m, 0, -1):
+        s = l - 1
+        while math.comb(s + 1, l) <= x:
+            s += 1
+        positions.append(s)
+        x -= math.comb(s, l)
+    return tuple(reversed(positions))
+
+
+def _mask(positions):
+    return sum(1 << s for s in positions)
+
+
+def _label(spec):
+    return f"{spec.family.value}-{spec.k}-{spec.b}"
+
+
+@st.composite
+def ranked_subsets(draw):
+    n = draw(st.integers(0, 64))
+    m = draw(st.integers(0, n))
+    x = draw(st.integers(0, math.comb(n, m) - 1))
+    return x, m, n
+
+
+class TestRankOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_subsets())
+    def test_unrank_matches_colex_oracle(self, xmn):
+        x, m, n = xmn
+        expected = colex_unrank(x, m, n)
+        assert mppm_unrank(TABLE, x, m, n).positions == expected
+        assert TABLE.unrank(x, m, n) == _mask(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(0, 63), max_size=64))
+    def test_rank_matches_colex_oracle(self, lines):
+        positions = tuple(sorted(lines))
+        expected = colex_rank(positions)
+        assert mppm_rank(TABLE, PulsePositions(positions)) == expected
+        assert TABLE.rank(_mask(positions)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_subsets())
+    def test_rank_inverts_unrank(self, xmn):
+        x, m, n = xmn
+        assert mppm_rank(TABLE, mppm_unrank(TABLE, x, m, n)) == x
+        assert TABLE.rank(TABLE.unrank(x, m, n)) == x
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 63, 64])
+    def test_rank_extremes(self, n):
+        for m in range(n + 1):
+            top = math.comb(n, m) - 1
+            assert TABLE.unrank(0, m, n) == (1 << m) - 1
+            assert TABLE.unrank(top, m, n) == ((1 << m) - 1) << (n - m)
+
+    def test_rank_rejects_words_wider_than_the_table(self):
+        table = build_binomial_table(8)
+        assert table.rank(0xFF) == 0
+        with pytest.raises(ValueError):
+            table.rank(1 << 8)
+        with pytest.raises(ValueError):
+            table.rank(-1)
+
+
+ROUNDTRIP_SPECS = (
+    uncoded_spec(1), uncoded_spec(64), dbi_spec(1), dbi_spec(8), dbi_spec(63),
+    ppm0_spec(1), ppm0_spec(8), ppm0_spec(18),
+    optimal_spec(1, 0), optimal_spec(4, 11), optimal_spec(11, 12), optimal_spec(24, 16),
+    optimal_spec(40, 24), optimal_spec(64, 0),
+    coset_spec(make_repetition(2)), coset_spec(make_repetition(17)),
+    coset_spec(make_hamming(4)), coset_spec(make_golay23()),
+)
+
+
+@pytest.mark.parametrize("spec", ROUNDTRIP_SPECS, ids=_label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_roundtrip_from_random_states(spec, data):
+    u = data.draw(st.integers(0, (1 << spec.k) - 1))
+    # wide states (ppm0 k = 18 has 262,143 lines) come from a drawn seed
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    state = BusState(Word(random.Random(seed).getrandbits(spec.n), spec.n))
+    x = encode(spec, state, Word(u, spec.k))
+    assert decode(spec, state, x) == Word(u, spec.k)
+
+
+# every geometry here has d_max < n
+HEAVY_OPTIMAL = (
+    optimal_spec(1, 1), optimal_spec(4, 11), optimal_spec(11, 12), optimal_spec(24, 16),
+    optimal_spec(40, 24), optimal_spec(63, 1),
+)
+# geometries whose top tier is only partly emitted ((4,11) and (11,12) fill it)
+TOP_TIER_GAPS = (
+    optimal_spec(1, 1), optimal_spec(3, 1), optimal_spec(24, 16), optimal_spec(40, 24),
+    optimal_spec(63, 1),
+)
+
+
+def _unused_top_ranks(codec):
+    """(first rank past the emitted codebook, tier size) of the top tier."""
+    k, m = codec.spec.k, codec.d_max
+    return (1 << k) - codec.tier_sums[m - 1], math.comb(codec.spec.n, m)
+
+
+@pytest.mark.parametrize("spec", HEAVY_OPTIMAL, ids=_label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_optimal_rejects_weight_above_d_max(spec, data):
+    codec = make_codec(spec)
+    n = spec.n
+    lines = data.draw(st.sets(st.integers(0, n - 1), min_size=codec.d_max + 1, max_size=n))
+    state = data.draw(st.integers(0, (1 << n) - 1))
+    with pytest.raises(CorruptedWordError, match="exceeds d_max"):
+        codec.decode_int(state, state ^ _mask(lines))
+
+
+@pytest.mark.parametrize("spec", TOP_TIER_GAPS, ids=_label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_optimal_rejects_top_tier_ranks_past_the_codebook(spec, data):
+    codec = make_codec(spec)
+    first, size = _unused_top_ranks(codec)
+    rank = data.draw(st.integers(first, size - 1))
+    d = _mask(colex_unrank(rank, codec.d_max, spec.n))
+    state = data.draw(st.integers(0, (1 << spec.n) - 1))
+    with pytest.raises(CorruptedWordError, match="outside the emitted codebook"):
+        codec.decode_int(state, state ^ d)
+
+
+@pytest.mark.parametrize("spec", TOP_TIER_GAPS, ids=_label)
+def test_optimal_top_tier_boundary(spec):
+    codec = make_codec(spec)
+    first, _ = _unused_top_ranks(codec)
+    last_emitted = _mask(colex_unrank(first - 1, codec.d_max, spec.n))
+    assert codec.info_int(last_emitted) == (1 << spec.k) - 1
+    with pytest.raises(CorruptedWordError):
+        codec.info_int(_mask(colex_unrank(first, codec.d_max, spec.n)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 18])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ppm0_rejects_weight_two_and_above(k, data):
+    spec = ppm0_spec(k)
+    codec = make_codec(spec)
+    lines = data.draw(st.sets(st.integers(0, spec.n - 1), min_size=2, max_size=8))
+    d = _mask(lines)
+    if data.draw(st.booleans()):
+        d |= random.Random(data.draw(st.integers(0, 2**32 - 1))).getrandbits(spec.n)
+    with pytest.raises(CorruptedWordError, match=f"weight {d.bit_count()}"):
+        codec.info_int(d)
