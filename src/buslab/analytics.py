@@ -7,8 +7,12 @@ dimensions holds at least 2^k words.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import add
+from typing import Iterator
 
 __all__ = [
     "MAX_INFO_BITS",
@@ -17,6 +21,7 @@ __all__ = [
     "d_unc",
     "d_max",
     "d_opt",
+    "sweep",
     "d_min",
     "energy_saving",
     "encoding_cost",
@@ -78,9 +83,27 @@ def d_opt(k: int, b: int) -> Fraction:
     """
     n = _check_kb(k, b)
     dm = d_max(k, b)
-    denom = 1 << k
-    shortfall = sum(Fraction((dm - i) * comb(n, i), denom) for i in range(dm))
-    return dm - shortfall
+    need = 1 << k
+    return Fraction(dm * need - sum((dm - i) * comb(n, i) for i in range(dm)), need)
+
+
+def sweep(k: int, b_max: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (b, d_max(k,b), 2^k * d_opt(k,b)) for b = 0..b_max, in integers.
+
+    Each added line updates the row C(n, 0..d_max) by Pascal's rule; d_max
+    only falls as n grows, and the shortfall of d_opt is the sum of the
+    partial row sums below d_max. (k, b_max) is checked before the first row.
+    """
+    _check_kb(k, b_max)
+    need = 1 << k
+    row = [comb(k, i) for i in range(k + 1)]
+    for b in range(b_max + 1):
+        if b:
+            row = [1, *map(add, row[1:], row)]
+        partial = list(accumulate(row))
+        dm = bisect_left(partial, need)
+        del row[dm + 1:]
+        yield b, dm, dm * need - sum(partial[:dm])
 
 
 def d_min(k: int) -> Fraction:

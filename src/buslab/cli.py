@@ -143,10 +143,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--b (maximum added lines) must be >= 0, got {b_max}")
     dunc = analytics.d_unc(k)
     bound = 1 - analytics.d_min(k) / dunc
-    rows = []
-    for b in range(b_max + 1):
-        dopt = analytics.d_opt(k, b)
-        rows.append((b, analytics.d_max(k, b), dopt, 1 - dopt / dunc))
+    # d_opt = num / 2^k and saving = 1 - d_opt / (k/2) = (k 2^k - 2 num) / (k 2^k);
+    # int / int is correctly rounded, the same float as float(Fraction)
+    need, den = 1 << k, k << k
+    rows = analytics.sweep(k, b_max)  # checks (k, b_max) before the first row
     if args.json:
         payload = {
             "k": k,
@@ -154,12 +154,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 {
                     "b": b,
                     "d_max": dm,
-                    "d_opt": fmt_frac(dopt),
-                    "d_opt_decimal": fmt_dec(dopt),
-                    "saving": fmt_frac(saving),
-                    "saving_decimal": fmt_dec(saving),
+                    "d_opt": fmt_frac(Fraction(num, need)),
+                    "d_opt_decimal": fmt_dec(num / need),
+                    "saving": fmt_frac(Fraction(den - 2 * num, den)),
+                    "saving_decimal": fmt_dec((den - 2 * num) / den),
                 }
-                for b, dm, dopt, saving in rows
+                for b, dm, num in rows
             ],
             "ppm_bound": fmt_frac(bound),
             "ppm_bound_decimal": fmt_dec(bound),
@@ -168,7 +168,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         lines = ["b,d_max,d_opt,saving"]
         lines += [
-            f"{b},{dm},{fmt_dec(dopt)},{fmt_dec(saving)}" for b, dm, dopt, saving in rows
+            f"{b},{dm},{fmt_dec(num / need)},{fmt_dec((den - 2 * num) / den)}"
+            for b, dm, num in rows
         ]
         lines.append(f"ppm_bound,,,{fmt_dec(bound)}")
         text = "\n".join(lines) + "\n"

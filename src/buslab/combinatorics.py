@@ -60,7 +60,7 @@ class Word:
     def __post_init__(self):
         if self.length < 0:
             raise ValueError(f"word length must be >= 0, got {self.length}")
-        if not 0 <= self.value < (1 << self.length):
+        if not (0 <= self.value and self.value.bit_length() <= self.length):
             raise ValueError(
                 f"value {self.value} does not fit in {self.length} bits"
             )

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytics import per_codeword_cost
-from .codecs import Codec, CodecSpec, DbiCodec, Family, OptimalCodec, make_codec
+from .codecs import Codec, CodecSpec, Family, OptimalCodec, make_codec
 from .combinatorics import Word
 
 __all__ = [
@@ -186,8 +186,14 @@ def exact_average_distance(
     """Exact mean transitions over uniform info words and uniform states.
 
     For differential families the state cancels and the mean is taken over
-    info words alone. For the uncoded bus and DBI every previous state is
-    enumerated.
+    info words alone. For the uncoded bus and DBI the candidate words form a
+    subgroup under XOR (all k-bit words; the plain words u << 1), so for a
+    state s the words candidate(u) ^ s run over the coset of s, and the
+    per-state sum is the bus cost (popcount, or min(w, n - w) for DBI)
+    summed over that coset. Uncoded has one coset; the two DBI cosets
+    (s & 1) swap under complementing every line, which keeps min(w, n - w).
+    So every state has the same sum, and the mean is the cost averaged over
+    all n-bit words.
     """
     codec = make_codec(spec)
     if codec.is_differential:
@@ -205,30 +211,15 @@ def exact_average_distance(
             f"k={k}, n={n} too large for the exhaustive state average "
             f"(needs k <= {_EXHAUSTIVE_STATE_INFO_BITS} and n <= {_EXHAUSTIVE_STATE_LINES})"
         )
-    pop = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    total = 0
-    per_state: list[Fraction] | None = [] if include_per_state else None
-    if spec.family is Family.UNCODED:
-        us = np.arange(1 << k, dtype=np.uint32)
-        for s in range(1 << n):
-            sub = int(pop[us ^ np.uint32(s)].sum(dtype=np.int64))
-            total += sub
-            if per_state is not None:
-                per_state.append(Fraction(sub, 1 << k))
-    else:
-        assert isinstance(codec, DbiCodec)
-        plain = np.arange(1 << k, dtype=np.uint32) << np.uint32(1)
-        for s in range(1 << n):
-            d0 = pop[plain ^ np.uint32(s)].astype(np.int64)
-            sub = int(np.minimum(d0, n - d0).sum(dtype=np.int64))
-            total += sub
-            if per_state is not None:
-                per_state.append(Fraction(sub, 1 << k))
+    cost = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    if spec.family is Family.DBI:
+        cost = np.minimum(cost, n - cost)
+    mean = Fraction(int(cost.sum(dtype=np.int64)), 1 << n)
     return ExactAverageReport(
         spec=spec,
-        exact_mean=Fraction(total, (1 << n) * (1 << k)),
+        exact_mean=mean,
         state_dependent=True,
-        per_state=tuple(per_state) if per_state is not None else None,
+        per_state=(mean,) * (1 << n) if include_per_state else None,
     )
 
 

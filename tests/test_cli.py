@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,15 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--k", "4", "--b", "-1")
         assert code == 2
         assert "-1" in err
+
+    def test_out_of_range_sweep_fails_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "sweep", "--k", "1", "--b", "4194304", "--out", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "n=4194305" in err
+        assert not out.exists()
 
 
 class TestSimulate:

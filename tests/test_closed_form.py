@@ -1,0 +1,130 @@
+"""The closed-form layer against output frozen before its integer rewrite.
+
+golden_closed_form.json was recorded at commit a772df5, when every sweep row
+still called d_max and a Fraction-summing d_opt, and the state-dependent
+exact averages looped over every bus state. It must never be regenerated
+from the current code. It holds:
+
+- sweep: byte count and sha256 of `buslab sweep` CSV and --json output;
+- analyze: the verbatim text, --csv and --json output of 32 (k, b) cells;
+- exact_average: for DBI k = 1..12 and uncoded k = 1..14, the exact mean
+  and the sha256 of the per_state tuple written one str(Fraction) per line.
+
+The per-row Fraction sum and the per-state loop are kept below as oracles
+for the incremental sweep and the coset sums.
+"""
+import hashlib
+import json
+import random
+from fractions import Fraction
+from math import comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from buslab import analytics
+from buslab.cli import main
+from buslab.codecs import Family, dbi_spec, uncoded_spec
+from buslab.simulator import exact_average_distance
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_closed_form.json").read_text())
+SPECS = {"dbi": dbi_spec, "uncoded": uncoded_spec}
+
+
+def _cli(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["sweep"], ids=lambda e: f"k{e['k']}-b{e['b_max']}-{e['format']}"
+)
+def test_sweep_reproduces_the_golden_output(capsys, entry):
+    out = _cli(capsys, "sweep", "--k", str(entry["k"]), "--b", str(entry["b_max"]),
+               f"--{entry['format']}")
+    assert len(out.encode()) == entry["bytes"]
+    assert _sha256(out) == entry["sha256"]
+
+
+@pytest.mark.parametrize("entry", GOLDEN["analyze"], ids=lambda e: f"k{e['k']}-b{e['b']}")
+def test_analyze_reproduces_the_golden_output(capsys, entry):
+    argv = ["analyze", "--k", str(entry["k"]), "--b", str(entry["b"])]
+    assert _cli(capsys, *argv) == entry["text"]
+    assert _cli(capsys, *argv, "--csv") == entry["csv"]
+    assert _cli(capsys, *argv, "--json") == entry["json"]
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["exact_average"], ids=lambda e: f"{e['family']}-{e['k']}"
+)
+def test_exact_average_reproduces_the_golden_record(entry):
+    spec = SPECS[entry["family"]](entry["k"])
+    rep = exact_average_distance(spec, include_per_state=True)
+    assert rep.state_dependent
+    assert str(rep.exact_mean) == entry["exact_mean"]
+    assert len(rep.per_state) == entry["per_state_count"]
+    assert {type(x) for x in rep.per_state} == {Fraction}
+    assert _sha256("".join(f"{x}\n" for x in rep.per_state)) == entry["per_state_sha256"]
+    plain = exact_average_distance(spec)
+    assert plain.exact_mean == rep.exact_mean and plain.per_state is None
+
+
+def d_opt_by_fractions(k, b):
+    """Oracle: the per-row Fraction sum that sweep rows used to be built from."""
+    n, dm, denom = k + b, analytics.d_max(k, b), 1 << k
+    return dm - sum(Fraction((dm - i) * comb(n, i), denom) for i in range(dm))
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_incremental_sweep_matches_the_per_b_closed_forms(k):
+    # past b = 2^k - 1 - k for small k, where d_max has fallen to 1
+    b_max = min((1 << k) + 4, 1500)
+    rows = list(analytics.sweep(k, b_max))
+    assert [row[0] for row in rows] == list(range(b_max + 1))
+    rnd = random.Random(k)
+    sample = set(range(min(b_max, 24) + 1)) | {b_max, *rnd.sample(range(b_max + 1), min(40, b_max + 1))}
+    for b in sorted(sample):
+        _, dm, num = rows[b]
+        assert dm == analytics.d_max(k, b), (k, b)
+        assert Fraction(num, 1 << k) == analytics.d_opt(k, b) == d_opt_by_fractions(k, b), (k, b)
+
+
+def test_sweep_rejects_its_range_before_the_first_row():
+    rows = analytics.sweep(1, analytics.MAX_LINES)
+    with pytest.raises(ValueError, match="exceeds the supported line count"):
+        next(rows)
+    with pytest.raises(ValueError):
+        next(analytics.sweep(65, 0))
+    assert next(analytics.sweep(1, analytics.MAX_LINES - 1)) == (0, 1, 1)  # d_opt(1, 0) = 1/2
+
+
+def state_loop(spec):
+    """Oracle: the per-state loop exact_average_distance used to run."""
+    n, k = spec.n, spec.k
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    candidates = np.arange(1 << k, dtype=np.uint32)
+    if spec.family is Family.DBI:
+        candidates <<= np.uint32(1)
+    per_state = []
+    for s in range(1 << n):
+        d0 = pop[candidates ^ np.uint32(s)].astype(np.int64)
+        if spec.family is Family.DBI:
+            d0 = np.minimum(d0, n - d0)
+        per_state.append(int(d0.sum(dtype=np.int64)))
+    return Fraction(sum(per_state), (1 << n) * (1 << k)), tuple(
+        Fraction(sub, 1 << k) for sub in per_state
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", [dbi_spec(k) for k in range(1, 10)] + [uncoded_spec(k) for k in range(1, 11)],
+    ids=lambda s: f"{s.family.value}-{s.k}",
+)
+def test_coset_sums_match_the_state_loop(spec):
+    rep = exact_average_distance(spec, include_per_state=True)
+    assert (rep.exact_mean, rep.per_state) == state_loop(spec)

@@ -2,8 +2,9 @@
 
 Rank and unrank are checked against a colex oracle built from math.comb
 alone, over every n up to 64. Every family must invert its own encoding
-from random bus states, and every differential outside a codebook must be
-rejected as corrupted.
+from random bus states, every differential outside a codebook must be
+rejected as corrupted, and DBI must toggle as many lines per step as the
+repetition coset past the exhaustive k <= 8 of the acceptance suite.
 """
 import math
 import random
@@ -34,6 +35,7 @@ from buslab.combinatorics import (
     mppm_rank,
     mppm_unrank,
 )
+from buslab.simulator import exact_average_distance
 
 TABLE = build_binomial_table(64)
 
@@ -199,3 +201,27 @@ def test_ppm0_rejects_weight_two_and_above(k, data):
         d |= random.Random(data.draw(st.integers(0, 2**32 - 1))).getrandbits(spec.n)
     with pytest.raises(CorruptedWordError, match=f"weight {d.bit_count()}"):
         codec.info_int(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dbi_step_equals_the_repetition_coset_step(data):
+    k = data.draw(st.integers(9, 16))
+    state = data.draw(st.integers(0, (1 << (k + 1)) - 1))
+    u = data.draw(st.integers(0, (1 << k) - 1))
+    dbi = make_codec(dbi_spec(k))
+    rep = make_codec(coset_spec(make_repetition(k + 1)))
+    # as in the acceptance check: the coset input is the DBI info XOR the
+    # info already on the wires
+    wire_info = (state >> 1) ^ ((1 << k) - 1 if state & 1 else 0)
+    x = dbi.encode_int(state, u)
+    assert (x ^ state).bit_count() == rep.differential_int(u ^ wire_info).bit_count()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_dbi_exact_average_equals_the_repetition_coset(k):
+    # the state-dependent coset sums against the differential step kernel
+    dbi = exact_average_distance(dbi_spec(k))
+    rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
+    assert dbi.state_dependent and not rep.state_dependent
+    assert dbi.exact_mean == rep.exact_mean
