@@ -14,7 +14,9 @@ printed as p/q next to decimals rounded to 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +33,12 @@ from .codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from .simulator import TraceConfig, exact_average_distance, run_trace
+from .simulator import (
+    _EXHAUSTIVE_STATE_INFO_BITS,
+    TraceConfig,
+    exact_average_distance,
+    run_trace,
+)
 from .verify import SCOPES, run_checks
 
 __all__ = ["main", "console_main"]
@@ -40,7 +47,13 @@ _FAMILY_NAMES = [f.value for f in Family]
 
 
 def fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return fmt_ratio(x.numerator, x.denominator)
+
+
+def fmt_ratio(p: int, q: int) -> str:
+    """p/q (q > 0) in lowest terms, as fmt_frac prints Fraction(p, q)."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def fmt_dec(x: Fraction | float) -> str:
@@ -81,7 +94,7 @@ def _exact_reference(spec: CodecSpec) -> Fraction | None:
         return analytics.d_min(spec.k)
     if spec.family is Family.COSET:
         return exact_average_distance(spec).exact_mean
-    if spec.family is Family.DBI and spec.k <= 12:
+    if spec.family is Family.DBI and spec.k <= _EXHAUSTIVE_STATE_INFO_BITS:
         return exact_average_distance(spec).exact_mean
     return None
 
@@ -148,23 +161,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     need, den = 1 << k, k << k
     rows = analytics.sweep(k, b_max)  # checks (k, b_max) before the first row
     if args.json:
-        payload = {
-            "k": k,
-            "rows": [
-                {
-                    "b": b,
-                    "d_max": dm,
-                    "d_opt": fmt_frac(Fraction(num, need)),
-                    "d_opt_decimal": fmt_dec(num / need),
-                    "saving": fmt_frac(Fraction(den - 2 * num, den)),
-                    "saving_decimal": fmt_dec((den - 2 * num) / den),
-                }
-                for b, dm, num in rows
-            ],
-            "ppm_bound": fmt_frac(bound),
-            "ppm_bound_decimal": fmt_dec(bound),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        # the bytes of json.dumps(payload, indent=2), without its pure-Python
+        # indenting encoder; every value is an int or a plain ASCII string
+        body = ",\n".join(
+            f'    {{\n      "b": {b},\n      "d_max": {dm},\n'
+            f'      "d_opt": "{fmt_ratio(num, need)}",\n'
+            f'      "d_opt_decimal": "{fmt_dec(num / need)}",\n'
+            f'      "saving": "{fmt_ratio(den - 2 * num, den)}",\n'
+            f'      "saving_decimal": "{fmt_dec((den - 2 * num) / den)}"\n    }}'
+            for b, dm, num in rows
+        )
+        text = (
+            f'{{\n  "k": {k},\n  "rows": [\n{body}\n  ],\n'
+            f'  "ppm_bound": "{fmt_frac(bound)}",\n'
+            f'  "ppm_bound_decimal": "{fmt_dec(bound)}"\n}}\n'
+        )
     else:
         lines = ["b,d_max,d_opt,saving"]
         lines += [
@@ -288,7 +299,10 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and shared by later
+    # calls: parse_args fills a fresh Namespace each time
     parser = argparse.ArgumentParser(
         prog="buslab",
         description="Low-weight differential bus encoding: analysis, codecs, simulation.",
@@ -341,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -7,11 +7,16 @@ kernel, so no bus word is formed and no per-word Python code runs.
 Randomness comes from numpy's PCG64 seeded through SeedSequence, so runs are
 reproducible and a trace can be split into shards with independently derived
 child seeds; shards run one after another and merge exactly in a fixed order.
+
+Exact averages are sums, not traces: a differential family's step kernel
+over all 2^k info words, or, for the state-dependent uncoded bus and DBI,
+n + 1 binomial terms C(n, w) * cost(w) over the weights of the n-bit words.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -189,17 +194,17 @@ def exact_average_distance(
     info words alone. For the uncoded bus and DBI the candidate words form a
     subgroup under XOR (all k-bit words; the plain words u << 1), so for a
     state s the words candidate(u) ^ s run over the coset of s, and the
-    per-state sum is the bus cost (popcount, or min(w, n - w) for DBI)
-    summed over that coset. Uncoded has one coset; the two DBI cosets
-    (s & 1) swap under complementing every line, which keeps min(w, n - w).
-    So every state has the same sum, and the mean is the cost averaged over
-    all n-bit words.
+    per-state sum is the bus cost summed over that coset. Uncoded has one
+    coset; the two DBI cosets (s & 1) swap under complementing every line,
+    which keeps min(w, n - w). So every state has the same sum, and the mean
+    is the cost averaged over all n-bit words, grouped by weight:
+    sum over w of C(n, w) * cost(w) / 2^n, with cost(w) = w for uncoded and
+    min(w, n - w) for DBI.
     """
-    codec = make_codec(spec)
-    if codec.is_differential:
+    if spec.family not in (Family.UNCODED, Family.DBI):
         if spec.k > _EXHAUSTIVE_INFO_BITS:
             raise ValueError(f"k={spec.k} too large for exhaustive average")
-        weights = codec.step_weights(np.arange(1 << spec.k, dtype=np.uint64), 0)
+        weights = make_codec(spec).step_weights(np.arange(1 << spec.k, dtype=np.uint64), 0)
         return ExactAverageReport(
             spec=spec,
             exact_mean=Fraction(int(weights.sum(dtype=np.int64)), 1 << spec.k),
@@ -211,10 +216,9 @@ def exact_average_distance(
             f"k={k}, n={n} too large for the exhaustive state average "
             f"(needs k <= {_EXHAUSTIVE_STATE_INFO_BITS} and n <= {_EXHAUSTIVE_STATE_LINES})"
         )
-    cost = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    if spec.family is Family.DBI:
-        cost = np.minimum(cost, n - cost)
-    mean = Fraction(int(cost.sum(dtype=np.int64)), 1 << n)
+    dbi = spec.family is Family.DBI
+    total = sum(comb(n, w) * (min(w, n - w) if dbi else w) for w in range(n + 1))
+    mean = Fraction(total, 1 << n)
     return ExactAverageReport(
         spec=spec,
         exact_mean=mean,

@@ -173,6 +173,12 @@ class TestSimulate:
         assert code == 2
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("k, has_reference", [(12, True), (13, True), (14, True), (15, False)])
+    def test_dbi_reference_up_to_the_exhaustive_cap(self, capsys, k, has_reference):
+        code, out, _ = run_cli(capsys, "simulate", "dbi", "--k", str(k), "--length", "1000")
+        assert code == 0
+        assert ("closed-form reference" in out) == has_reference
+
     def test_jobs_sets_the_shard_count(self, capsys):
         # --jobs is the shard count and stays in the JSON output
         args = ["simulate", "dbi", "--k", "6", "--length", "5000", "--seed", "9", "--json"]

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from buslab import analytics
+from buslab import cli
 from buslab.cli import main
 from buslab.codecs import Family, dbi_spec, uncoded_spec
 from buslab.simulator import exact_average_distance
@@ -128,3 +129,20 @@ def state_loop(spec):
 def test_coset_sums_match_the_state_loop(spec):
     rep = exact_average_distance(spec, include_per_state=True)
     assert (rep.exact_mean, rep.per_state) == state_loop(spec)
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    formats = (("text", ()), ("csv", ("--csv",)), ("json", ("--json",)))
+    for entry in GOLDEN["analyze"][::4]:
+        for key, flags in formats:
+            argv = ["analyze", "--k", str(entry["k"]), "--b", str(entry["b"]), *flags]
+            assert _cli(capsys, *argv) == entry[key]
+    simulate = ["simulate", "dbi", "--k", "6", "--length", "5000", "--seed", "9", "--json"]
+    assert json.loads(_cli(capsys, *simulate, "--jobs", "2"))["jobs"] == 2
+    assert json.loads(_cli(capsys, *simulate))["jobs"] == 1
+    sweeps = {(e["k"], e["b_max"], e["format"]): e["sha256"] for e in GOLDEN["sweep"]}
+    for fmt in ("json", "csv", "json"):
+        flags = ("--json",) if fmt == "json" else ()
+        out = _cli(capsys, "sweep", "--k", "11", "--b", "2036", *flags)
+        assert _sha256(out) == sweeps[11, 2036, fmt]
+    assert cli._build_parser() is cli._build_parser()

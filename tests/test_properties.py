@@ -218,9 +218,10 @@ def test_dbi_step_equals_the_repetition_coset_step(data):
     assert (x ^ state).bit_count() == rep.differential_int(u ^ wire_info).bit_count()
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, 15))
 def test_dbi_exact_average_equals_the_repetition_coset(k):
-    # the state-dependent coset sums against the differential step kernel
+    # the binomial sum against the differential step kernel, over every k
+    # the state-dependent average accepts
     dbi = exact_average_distance(dbi_spec(k))
     rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
     assert dbi.state_dependent and not rep.state_dependent

@@ -320,6 +320,24 @@ class TestClosedFormBudgets:
         assert self._best_of_3(lambda: main(argv)) < budget
         assert len((tmp_path / "s.csv").read_text().splitlines()) == b_max + 3
 
-    @pytest.mark.parametrize("spec", [uncoded_spec(14), dbi_spec(12)], ids=["uncoded-14", "dbi-12"])
+    def test_sweep_json(self, capsys):
+        # 0.53-0.56 s; 1.8 s through json.dumps(indent=2) and a Fraction per p/q string
+        argv = ["sweep", "--k", "20", "--b", "100000", "--json"]
+        assert self._best_of_3(lambda: main(argv)) < 0.8
+        assert capsys.readouterr().out.count('"b": ') == 3 * 100_001
+
+    def test_analyze_in_process(self, capsys):
+        # ~0.015 s; >= 0.127 s when every main() call rebuilt the argparse tree
+        rnd = random.Random(5)
+        argvs = [
+            ["analyze", "--k", str(rnd.randint(1, 64)), "--b", str(rnd.randint(0, 5000)), "--json"]
+            for _ in range(100)
+        ]
+        assert self._best_of_3(lambda: [main(argv) for argv in argvs]) < 0.05
+        assert capsys.readouterr().out.count('"d_opt": ') == 3 * 100
+
+    @pytest.mark.parametrize(
+        "spec", [uncoded_spec(14), dbi_spec(12), dbi_spec(14)], ids=["uncoded-14", "dbi-12", "dbi-14"]
+    )
     def test_state_dependent_exact_average(self, spec):
         assert self._best_of_3(lambda: exact_average_distance(spec, include_per_state=True)) < 0.05
