@@ -26,6 +26,7 @@ from . import analytics
 from .codecs import (
     CodecSpec,
     Family,
+    _DifferentialCodec,
     coset_spec_for,
     dbi_spec,
     make_codec,
@@ -34,8 +35,8 @@ from .codecs import (
     uncoded_spec,
 )
 from .simulator import (
-    _EXHAUSTIVE_STATE_INFO_BITS,
     TraceConfig,
+    _state_average,
     exact_average_distance,
     run_trace,
 )
@@ -85,18 +86,14 @@ def _spec_for(family: str, k: int, b: int | None) -> CodecSpec:
     raise ValueError(f"unknown family {family!r}; choose from {_FAMILY_NAMES}")
 
 
-def _exact_reference(spec: CodecSpec) -> Fraction | None:
-    if spec.family is Family.UNCODED:
-        return analytics.d_unc(spec.k)
+def _exact_reference(spec: CodecSpec) -> Fraction:
     if spec.family is Family.OPTIMAL_MPPM:
         return analytics.d_opt(spec.k, spec.b)
     if spec.family is Family.PPM0:
         return analytics.d_min(spec.k)
     if spec.family is Family.COSET:
         return exact_average_distance(spec).exact_mean
-    if spec.family is Family.DBI and spec.k <= _EXHAUSTIVE_STATE_INFO_BITS:
-        return exact_average_distance(spec).exact_mean
-    return None
+    return _state_average(spec)  # uncoded or DBI
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -205,7 +202,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     mean = stats.mean_transitions
     reference = _exact_reference(spec)
-    deviation = None if reference is None else abs(float((mean - reference) / reference))
+    deviation = abs(float((mean - reference) / reference))
     if args.csv:
         print(
             "family,k,b,n,length,seed,mean_transitions,total_transitions,"
@@ -215,8 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{family},{spec.k},{spec.b},{spec.n},{args.length},{args.seed},"
             f"{fmt_dec(mean)},{stats.total_transitions},{stats.clock_cycles_total},"
             f"{stats.comparisons_total},{stats.additions_total},"
-            f"{'' if reference is None else fmt_dec(reference)},"
-            f"{'' if deviation is None else fmt_dec(deviation)}"
+            f"{fmt_dec(reference)},{fmt_dec(deviation)}"
         )
         return 0
     if args.json:
@@ -236,7 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "baseline_clock_cycles": stats.baseline_clock_cycles,
             "comparisons": stats.comparisons_total,
             "additions": stats.additions_total,
-            "reference_mean": None if reference is None else fmt_frac(reference),
+            "reference_mean": fmt_frac(reference),
             "rel_deviation": deviation,
             "elapsed_s": round(elapsed, 3),
         }
@@ -247,11 +243,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{args.length} words, seed {args.seed}"
     )
     print(f"  mean transitions/word   {fmt_dec(mean)} ({fmt_frac(mean)})")
-    if reference is not None:
-        print(
-            f"  closed-form reference   {fmt_dec(reference)} ({fmt_frac(reference)}), "
-            f"deviation {deviation:.3%}"
-        )
+    print(
+        f"  closed-form reference   {fmt_dec(reference)} ({fmt_frac(reference)}), "
+        f"deviation {deviation:.3%}"
+    )
     if spec.family is Family.OPTIMAL_MPPM:
         print(
             f"  modulator clocks        {stats.clock_cycles_total} "
@@ -266,14 +261,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_checks(args.scope)
-    failed = 0
     for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failed += 1
-        print(f"{tag}  {r.name:<10} {r.detail}")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<10} {r.detail}")
+    passed = sum(r.passed for r in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def cmd_codebook(args: argparse.Namespace) -> int:
@@ -284,7 +276,7 @@ def cmd_codebook(args: argparse.Namespace) -> int:
         raise ValueError(f"codebook dumps support k <= 12, got k={args.k}")
     spec = _spec_for(family, args.k, args.b)
     codec = make_codec(spec)
-    if not codec.is_differential:
+    if not isinstance(codec, _DifferentialCodec):
         raise ValueError(f"family {family!r} has no state-free codebook to dump")
     lines = []
     for u in range(1 << spec.k):
@@ -358,10 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

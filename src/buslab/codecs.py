@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -244,19 +244,12 @@ def min_distance(code: LinearCode) -> int:
     basis = _gf2_kernel_basis(code.h_rows, code.length)
     if len(basis) != code.dimension:
         raise ValueError(f"{code.name}: kernel dimension {len(basis)} != {code.dimension}")
+    # messages in Gray-code order: step msg flips the basis vector of msg's lowest set bit
     best = code.length
+    c = 0
     for msg in range(1, 1 << code.dimension):
-        c = 0
-        mm = msg
-        i = 0
-        while mm:
-            if mm & 1:
-                c ^= basis[i]
-            mm >>= 1
-            i += 1
-        w = c.bit_count()
-        if w < best:
-            best = w
+        c ^= basis[(msg & -msg).bit_length() - 1]
+        best = min(best, c.bit_count())
     return best
 
 
@@ -292,9 +285,6 @@ class CosetLeaderTable:
         for l in self.leaders:
             counts[l.bit_count()] += 1
         return tuple(counts)
-
-    def leader_word(self, syndrome: int) -> Word:
-        return Word(self.leaders[syndrome], self.code.length)
 
 
 def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
@@ -386,6 +376,15 @@ class CodecSpec:
     def n(self) -> int:
         return self.k + self.b
 
+    @cached_property
+    def codec(self) -> "Codec":
+        """The spec's codec, resolved on first use; equal specs share one."""
+        return make_codec(self)
+
+    def __reduce__(self):
+        # pickle the fields only: an unpickled spec resolves its codec afresh
+        return (CodecSpec, (self.family, self.k, self.b, self.code))
+
 
 def uncoded_spec(k: int) -> CodecSpec:
     return CodecSpec(Family.UNCODED, k, 0)
@@ -445,6 +444,9 @@ class Codec:
 
     def __init__(self, spec: CodecSpec):
         self.spec = spec
+        self._k = spec.k
+        self._n = spec.n
+        self._size = 1 << spec.k
 
     # pure int kernels, no length checks
     def encode_int(self, state: int, u: int) -> int:
@@ -452,10 +454,6 @@ class Codec:
 
     def decode_int(self, state: int, x: int) -> int:
         raise NotImplementedError
-
-    @property
-    def is_differential(self) -> bool:
-        return False
 
     def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
         """Lines toggled by each step of a chunk of uint64 info words.
@@ -466,28 +464,27 @@ class Codec:
         raise NotImplementedError
 
     def encode(self, state: Word, u: Word) -> Word:
-        self._check_state(state)
-        if u.length != self.spec.k:
-            raise ValueError(f"info word length {u.length} != k={self.spec.k}")
-        return Word(self.encode_int(state.value, u.value), self.spec.n)
+        n = self._n
+        if state.length != n:
+            raise ValueError(f"state length {state.length} != n={n}")
+        if u.length != self._k:
+            raise ValueError(f"info word length {u.length} != k={self._k}")
+        return Word(self.encode_int(state.value, u.value), n)
 
     def decode(self, state: Word, x: Word) -> Word:
-        self._check_state(state)
-        if x.length != self.spec.n:
-            raise ValueError(f"bus word length {x.length} != n={self.spec.n}")
-        return Word(self.decode_int(state.value, x.value), self.spec.k)
+        n = self._n
+        if state.length != n:
+            raise ValueError(f"state length {state.length} != n={n}")
+        if x.length != n:
+            raise ValueError(f"bus word length {x.length} != n={n}")
+        return Word(self.decode_int(state.value, x.value), self._k)
 
-    def _check_state(self, state: Word) -> None:
-        if state.length != self.spec.n:
-            raise ValueError(f"state length {state.length} != n={self.spec.n}")
+    def _info_error(self, u: int) -> ValueError:
+        return ValueError(f"info value {u} out of range for k={self._k}")
 
 
 class _DifferentialCodec(Codec):
     """Family whose differential word depends only on the info word."""
-
-    @property
-    def is_differential(self) -> bool:
-        return True
 
     def differential_int(self, u: int) -> int:
         raise NotImplementedError
@@ -502,9 +499,9 @@ class _DifferentialCodec(Codec):
         return self.info_int(x ^ state)
 
     def differential(self, u: Word) -> Word:
-        if u.length != self.spec.k:
-            raise ValueError(f"info word length {u.length} != k={self.spec.k}")
-        return Word(self.differential_int(u.value), self.spec.n)
+        if u.length != self._k:
+            raise ValueError(f"info word length {u.length} != k={self._k}")
+        return Word(self.differential_int(u.value), self._n)
 
 
 class UncodedCodec(Codec):
@@ -529,7 +526,7 @@ class DbiCodec(Codec):
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        self._mask = (1 << spec.k) - 1
+        self._mask = self._size - 1
 
     def encode_int(self, state: int, u: int) -> int:
         plain = u << 1
@@ -546,14 +543,15 @@ class DbiCodec(Codec):
         # Whichever form the previous word took, the two candidates differ
         # from it in w and n - w lines, w counted on the info words alone.
         w = _xor_weights(us, prev)
-        return np.minimum(w, self.spec.n - w)
+        return np.minimum(w, self._n - w)
 
 
 class Ppm0Codec(_DifferentialCodec):
     """Single pulse positioned by the info value, plus the all-zero word."""
 
     def differential_int(self, u: int) -> int:
-        self._check_info(u)
+        if not 0 <= u < self._size:
+            raise self._info_error(u)
         return 0 if u == 0 else 1 << (u - 1)
 
     def info_int(self, d: int) -> int:
@@ -569,10 +567,6 @@ class Ppm0Codec(_DifferentialCodec):
     def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
         return (us != 0).view(np.uint8)
 
-    def _check_info(self, u: int) -> None:
-        if not 0 <= u < (1 << self.spec.k):
-            raise ValueError(f"info value {u} out of range for k={self.spec.k}")
-
 
 class OptimalCodec(_DifferentialCodec):
     """Differential codebook of the 2^k lowest-weight n-tuples.
@@ -587,22 +581,24 @@ class OptimalCodec(_DifferentialCodec):
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        n = spec.n
+        n = self._n
         self.table: BinomialTable = build_binomial_table(n)
-        need = 1 << spec.k
         sums = [1]
         m = 0
-        while sums[-1] < need:
+        while sums[-1] < self._size:
             m += 1
             sums.append(sums[-1] + self.table.binom(n, m))
         self.d_max = m
         self.tier_sums: tuple[int, ...] = tuple(sums)
+        # _bases[m] is the first info value of the weight-m tier
+        self._bases = (0, *sums)
         # every tier sum but the last is below 2^k, so uint64 holds them all
         self._thresholds = np.array(sums[:-1], dtype=np.uint64)
 
     def pulse_count(self, u: int) -> int:
         """Smallest m whose tier sum exceeds the info value."""
-        self._check_info(u)
+        if not 0 <= u < self._size:
+            raise self._info_error(u)
         return bisect_right(self.tier_sums, u)
 
     def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
@@ -613,9 +609,10 @@ class OptimalCodec(_DifferentialCodec):
         return w
 
     def differential_int(self, u: int) -> int:
-        m = self.pulse_count(u)
-        offset = u - (self.tier_sums[m - 1] if m else 0)
-        return self.table.unrank(offset, m, self.spec.n)
+        if not 0 <= u < self._size:
+            raise self._info_error(u)
+        m = bisect_right(self.tier_sums, u)
+        return self.table.unrank(u - self._bases[m], m, self._n)
 
     def info_int(self, d: int) -> int:
         m = d.bit_count()
@@ -624,16 +621,12 @@ class OptimalCodec(_DifferentialCodec):
                 f"differential weight {m} exceeds d_max={self.d_max}"
             )
         rank = self.table.rank(d)
-        u = (self.tier_sums[m - 1] if m else 0) + rank
-        if u >= (1 << self.spec.k):
+        u = self._bases[m] + rank
+        if u >= self._size:
             raise CorruptedWordError(
                 f"weight-{m} rank {rank} is outside the emitted codebook"
             )
         return u
-
-    def _check_info(self, u: int) -> None:
-        if not 0 <= u < (1 << self.spec.k):
-            raise ValueError(f"info value {u} out of range for k={self.spec.k}")
 
 
 class CosetCodec(_DifferentialCodec):
@@ -641,20 +634,34 @@ class CosetCodec(_DifferentialCodec):
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        assert spec.code is not None
-        self.code = spec.code
-        self.leader_table = build_coset_leader_table(spec.code)
+        code = spec.code
+        assert code is not None
+        self.code = code
+        self.leader_table = build_coset_leader_table(code)
         self._leader_weights = np.array(
             [l.bit_count() for l in self.leader_table.leaders], dtype=np.uint8
         )
+        # the syndrome is linear: table j maps a byte on lines 8j..8j+7 to its own
+        lines = [code.syndrome(1 << i) for i in range(code.length)]
+        self._byte_syndromes = []
+        for base in range(0, code.length, 8):
+            table = [0]
+            for s in lines[base:base + 8]:
+                table += [t ^ s for t in table]
+            # lines past the code's length add nothing: repeat to 256 entries
+            self._byte_syndromes.append(tuple(table * (256 // len(table))))
 
     def differential_int(self, u: int) -> int:
-        if not 0 <= u < (1 << self.spec.k):
-            raise ValueError(f"info value {u} out of range for k={self.spec.k}")
+        if not 0 <= u < self._size:
+            raise self._info_error(u)
         return self.leader_table.leaders[u]
 
     def info_int(self, d: int) -> int:
-        return self.code.syndrome(d)
+        s = 0
+        for table in self._byte_syndromes:
+            s ^= table[d & 0xFF]
+            d >>= 8
+        return s
 
     def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
         return self._leader_weights[us]
@@ -685,23 +692,23 @@ def make_codec(spec: CodecSpec) -> Codec:
 
 def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
     """Next bus word for info word u from the given state."""
-    return make_codec(spec).encode(state.x_prev, u)
+    return spec.codec.encode(state.x_prev, u)
 
 
 def decode(spec: CodecSpec, state: BusState, x: Word) -> Word:
     """Recover the info word from the received bus word and the state."""
-    return make_codec(spec).decode(state.x_prev, x)
+    return spec.codec.decode(state.x_prev, x)
 
 
 def optimal_differential(spec: CodecSpec, u: Word) -> Word:
     """Low-weight differential word the optimal codec assigns to u."""
     if spec.family is not Family.OPTIMAL_MPPM:
         raise ValueError(f"optimal_differential needs an optimal spec, got {spec.family.value}")
-    codec = make_codec(spec)
+    codec = spec.codec
     assert isinstance(codec, OptimalCodec)
     return codec.differential(u)
 
 
 def dbi_encode(state: BusState, u: Word) -> Word:
     """One DBI step: the closer of u||0 and complement(u)||1 to the state."""
-    return make_codec(dbi_spec(u.length)).encode(state.x_prev, u)
+    return dbi_spec(u.length).codec.encode(state.x_prev, u)

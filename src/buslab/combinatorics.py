@@ -50,20 +50,21 @@ class CapacityError(OverflowError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
     """Fixed-width bit vector; bit i is the state of bus line i."""
 
     value: int
     length: int
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"word length must be >= 0, got {self.length}")
-        if not (0 <= self.value and self.value.bit_length() <= self.length):
-            raise ValueError(
-                f"value {self.value} does not fit in {self.length} bits"
-            )
+    # explicit rather than generated: one call fewer than __post_init__
+    def __init__(self, value: int, length: int):
+        if length < 0:
+            raise ValueError(f"word length must be >= 0, got {length}")
+        if not (0 <= value and value.bit_length() <= length):
+            raise ValueError(f"value {value} does not fit in {length} bits")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", length)
 
     @classmethod
     def zero(cls, length: int) -> "Word":

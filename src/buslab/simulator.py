@@ -216,15 +216,20 @@ def exact_average_distance(
             f"k={k}, n={n} too large for the exhaustive state average "
             f"(needs k <= {_EXHAUSTIVE_STATE_INFO_BITS} and n <= {_EXHAUSTIVE_STATE_LINES})"
         )
-    dbi = spec.family is Family.DBI
-    total = sum(comb(n, w) * (min(w, n - w) if dbi else w) for w in range(n + 1))
-    mean = Fraction(total, 1 << n)
+    mean = _state_average(spec)
     return ExactAverageReport(
         spec=spec,
         exact_mean=mean,
         state_dependent=True,
         per_state=(mean,) * (1 << n) if include_per_state else None,
     )
+
+
+def _state_average(spec: CodecSpec) -> Fraction:
+    """Exact mean transitions of the uncoded bus or DBI at any width: the
+    n + 1 binomial terms of exact_average_distance, without its size caps."""
+    n, dbi = spec.n, spec.family is Family.DBI
+    return Fraction(sum(comb(n, w) * (min(w, n - w) if dbi else w) for w in range(n + 1)), 1 << n)
 
 
 def clock_model(spec: CodecSpec, u: Word) -> tuple[int, int]:
@@ -234,7 +239,7 @@ def clock_model(spec: CodecSpec, u: Word) -> tuple[int, int]:
         raise ValueError(f"clock_model needs an optimal spec, got {spec.family.value}")
     if u.length != spec.k:
         raise ValueError(f"info word length {u.length} != k={spec.k}")
-    codec = make_codec(spec)
+    codec = spec.codec
     assert isinstance(codec, OptimalCodec)
     return (codec.pulse_count(u.value), spec.n)
 
@@ -243,10 +248,8 @@ def word_cost(spec: CodecSpec, u: Word) -> tuple[int, int]:
     """(comparisons, additions) to encode u with the pulse-based modulator,
     including the d_max + 1 comparisons of the pulse-count selection."""
     m, n = clock_model(spec, u)
-    codec = make_codec(spec)
-    assert isinstance(codec, OptimalCodec)
     comparisons, additions = per_codeword_cost(n, m)
-    return (comparisons + codec.d_max + 1, additions)
+    return (comparisons + spec.codec.d_max + 1, additions)
 
 
 def convergence_check(

@@ -166,9 +166,3 @@ class TestCosetLeaderTable:
     def test_syndrome_width_cap(self):
         with pytest.raises(ValueError):
             build_coset_leader_table(make_repetition(18))
-
-    def test_leader_word_accessor(self):
-        table = build_coset_leader_table(make_hamming(3))
-        w = table.leader_word(5)
-        assert w.length == 7
-        assert w.value == table.leaders[5]

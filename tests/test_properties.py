@@ -4,10 +4,12 @@ Rank and unrank are checked against a colex oracle built from math.comb
 alone, over every n up to 64. Every family must invert its own encoding
 from random bus states, every differential outside a codebook must be
 rejected as corrupted, and DBI must toggle as many lines per step as the
-repetition coset past the exhaustive k <= 8 of the acceptance suite.
+repetition coset past the exhaustive k <= 8 of the acceptance suite. The
+coset decoder's bytewise syndrome must equal the row-wise LinearCode.syndrome.
 """
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from buslab.combinatorics import (
     mppm_rank,
     mppm_unrank,
 )
-from buslab.simulator import exact_average_distance
+from buslab.simulator import _state_average, exact_average_distance
 
 TABLE = build_binomial_table(64)
 
@@ -226,3 +228,34 @@ def test_dbi_exact_average_equals_the_repetition_coset(k):
     rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
     assert dbi.state_dependent and not rep.state_dependent
     assert dbi.exact_mean == rep.exact_mean
+
+
+@pytest.mark.parametrize("k", [15, 16])
+def test_dbi_binomial_sum_equals_the_repetition_coset_past_the_state_cap(k):
+    # exact_average_distance caps DBI at k = 14 (its per_state table); the
+    # sum the CLI reference uses has no cap, and 16 is the coset table's cap
+    with pytest.raises(ValueError):
+        exact_average_distance(dbi_spec(k))
+    rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
+    assert _state_average(dbi_spec(k)) == rep.exact_mean
+    assert rep.exact_mean == {15: Fraction(26333, 4096), 16: Fraction(447661, 65536)}[k]
+
+
+# every stock code on at most 17 lines
+SMALL_STOCK_CODES = [*map(make_repetition, range(2, 18)), *map(make_hamming, (2, 3, 4))]
+
+
+@pytest.mark.parametrize("code", SMALL_STOCK_CODES, ids=lambda c: c.name)
+def test_bytewise_syndrome_equals_the_row_oracle_exhaustively(code):
+    codec = make_codec(coset_spec(code))
+    assert [codec.info_int(d) for d in range(1 << code.length)] == [
+        code.syndrome(d) for d in range(1 << code.length)
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, (1 << 32) - 1))
+def test_bytewise_syndrome_equals_the_row_oracle_for_golay(d):
+    # drawn past the 23 lines too: both ignore lines the code does not have
+    code = make_golay23()
+    assert make_codec(coset_spec(code)).info_int(d) == code.syndrome(d)

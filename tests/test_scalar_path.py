@@ -1,0 +1,187 @@
+"""The public scalar encode/decode path: one codec lookup per spec, the same
+error texts at every layer, and specs and words that stay plain values."""
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from buslab.codecs import (
+    BusState,
+    CorruptedWordError,
+    coset_spec,
+    dbi_encode,
+    dbi_spec,
+    decode,
+    encode,
+    make_codec,
+    make_golay23,
+    make_repetition,
+    optimal_differential,
+    optimal_spec,
+    ppm0_spec,
+    uncoded_spec,
+)
+from buslab.combinatorics import Word
+from buslab.simulator import clock_model, word_cost
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _specs():
+    # fresh instances per test, so no spec has resolved its codec yet
+    return [
+        uncoded_spec(8), dbi_spec(8), ppm0_spec(4), optimal_spec(11, 12),
+        coset_spec(make_golay23()), coset_spec(make_repetition(9)),
+    ]
+
+
+def _label(spec):
+    return f"{spec.family.value}-{spec.k}-{spec.b}"
+
+
+IDS = [_label(s) for s in _specs()]
+
+
+def _lookups():
+    info = make_codec.cache_info()
+    return info.hits + info.misses
+
+
+def _message(call, *args):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("i", range(6), ids=IDS)
+def test_a_thousand_pairs_resolve_the_codec_at_most_once(i):
+    spec = _specs()[i]
+    states = [BusState(Word(s * 37 % (1 << spec.n), spec.n)) for s in range(8)]
+    before = _lookups()
+    for u in range(1000):
+        word = Word(u % (1 << spec.k), spec.k)
+        state = states[u % 8]
+        assert decode(spec, state, encode(spec, state, word)) == word
+    assert _lookups() - before <= 1
+
+
+def test_equal_specs_share_one_codec():
+    a, b = optimal_spec(11, 12), optimal_spec(11, 12)
+    assert a is not b and a.codec is b.codec is make_codec(a)
+
+
+@pytest.mark.parametrize("i", range(6), ids=IDS)
+def test_length_errors_keep_their_texts(i):
+    spec = _specs()[i]
+    k, n = spec.k, spec.n
+    good, wide = BusState(Word.zero(n)), BusState(Word.zero(n + 1))
+    assert _message(encode, spec, wide, Word.zero(k)) == f"state length {n + 1} != n={n}"
+    assert _message(decode, spec, wide, Word.zero(n)) == f"state length {n + 1} != n={n}"
+    assert _message(encode, spec, good, Word.zero(k + 1)) == (
+        f"info word length {k + 1} != k={k}"
+    )
+    assert _message(decode, spec, good, Word.zero(n - 1)) == (
+        f"bus word length {n - 1} != n={n}"
+    )
+    # the state is checked first when both are wrong
+    assert _message(encode, spec, wide, Word.zero(k + 1)).startswith("state length")
+    assert _message(decode, spec, wide, Word.zero(n - 1)).startswith("state length")
+
+
+@pytest.mark.parametrize("i", [2, 3, 4, 5], ids=IDS[2:])
+@pytest.mark.parametrize("u", [-1, "size"])
+def test_info_value_range_error_keeps_its_text(i, u):
+    codec = make_codec(_specs()[i])
+    k = codec.spec.k
+    u = 1 << k if u == "size" else u
+    assert _message(codec.differential_int, u) == f"info value {u} out of range for k={k}"
+    assert _message(codec.encode_int, 0, u) == f"info value {u} out of range for k={k}"
+    if hasattr(codec, "pulse_count"):
+        assert _message(codec.pulse_count, u) == f"info value {u} out of range for k={k}"
+
+
+def test_optimal_and_clock_model_length_errors_keep_their_texts():
+    spec = optimal_spec(11, 12)
+    for call in (optimal_differential, clock_model, word_cost):
+        assert _message(call, spec, Word.zero(10)) == "info word length 10 != k=11"
+    assert _message(optimal_differential, dbi_spec(3), Word.zero(3)) == (
+        "optimal_differential needs an optimal spec, got dbi"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, x, text",
+    [
+        (optimal_spec(11, 12), 0b1111, "differential weight 4 exceeds d_max=3"),
+        (optimal_spec(3, 1), 0b1100, "weight-2 rank 5 is outside the emitted codebook"),
+        (ppm0_spec(3), 0b101, "ppm0 differential must have weight <= 1, got weight 2"),
+    ],
+    ids=["weight", "rank", "ppm0"],
+)
+def test_corrupted_word_errors_keep_their_texts(spec, x, text):
+    for s in (0, 0b1010):
+        state = BusState(Word(s, spec.n))
+        with pytest.raises(CorruptedWordError) as exc:
+            decode(spec, state, Word(x ^ s, spec.n))
+        assert str(exc.value) == text
+
+
+def test_word_errors_keep_their_texts():
+    assert _message(Word, 0, -1) == "word length must be >= 0, got -1"
+    assert _message(Word, 4, 2) == "value 4 does not fit in 2 bits"
+    assert _message(Word, -1, 2) == "value -1 does not fit in 2 bits"
+    assert _message(Word, 1, 0) == "value 1 does not fit in 0 bits"
+    assert Word(3, 2).value == 3 and Word(0, 0).length == 0
+
+
+@pytest.mark.parametrize("i", range(6), ids=IDS)
+def test_a_used_spec_still_compares_hashes_and_pickles(i):
+    spec = _specs()[i]
+    fresh = dataclasses.replace(spec)
+    codec = spec.codec
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec and hash(clone) == hash(spec) and repr(clone) == repr(spec)
+    assert clone.codec is codec and fresh.codec is codec
+    # the pickle carries the fields, not the codec
+    assert len(pickle.dumps(spec)) == len(pickle.dumps(fresh))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.k = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.codec = None
+
+
+def test_word_is_still_a_frozen_dataclass():
+    w = Word(5, 8)
+    assert [f.name for f in dataclasses.fields(Word)] == ["value", "length"]
+    assert w == Word(value=5, length=8) and hash(w) == hash(Word(5, 8))
+    assert w != Word(5, 9) and repr(w) == "Word(value=5, length=8)"
+    assert dataclasses.replace(w, value=3) == Word(3, 8)
+    assert dataclasses.replace(w, length=3) == Word(5, 3)
+    with pytest.raises(ValueError, match="does not fit in 8 bits"):
+        dataclasses.replace(w, value=256)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.value = 1
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert dbi_encode(BusState(Word.zero(9)), w) == Word(5 << 1, 9)
+
+
+def test_import_builds_no_codec():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import buslab\n"
+        "assert buslab.make_codec.cache_info().currsize == 0\n"
+        "spec = buslab.coset_spec(buslab.make_golay23())\n"
+        "assert 'codec' not in vars(spec)\n"
+        "spec.codec\n"
+        "assert buslab.make_codec.cache_info().currsize == 1\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
