@@ -4,9 +4,9 @@ All families share one contract: given the previous bus word and the current
 info word, produce the next bus word; decoding inverts it. The differential
 families (optimal, ppm0, coset) map the info word to a low-weight
 differential d and transmit x = d XOR x_prev, so each step toggles exactly
-weight(d) lines. DBI and the uncoded bus are handled directly. Each codec
-also has a vectorized step_weights kernel that counts the lines every step
-of a chunk of info words toggles, without forming the bus words.
+weight(d) lines. DBI and the uncoded bus are handled directly. Each codec's
+vectorized step_histogram counts a chunk of info words' steps by lines
+toggled, without forming a bus word or a weight per word.
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -455,8 +455,9 @@ class Codec:
     def decode_int(self, state: int, x: int) -> int:
         raise NotImplementedError
 
-    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
-        """Lines toggled by each step of a chunk of uint64 info words.
+    def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
+        """int64 counts of a chunk of uint64 info words' steps by lines
+        toggled, one entry per weight up to the family's heaviest step.
 
         prev is the info word sent just before the chunk (0 at trace start,
         where the bus is all-zero); differential families ignore it.
@@ -513,8 +514,8 @@ class UncodedCodec(Codec):
     def decode_int(self, state: int, x: int) -> int:
         return x
 
-    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
-        return _xor_weights(us, prev)
+    def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
+        return _xor_histogram(us, prev, self._k)
 
 
 class DbiCodec(Codec):
@@ -539,11 +540,13 @@ class DbiCodec(Codec):
         data = x >> 1
         return data ^ self._mask if x & 1 else data
 
-    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
-        # Whichever form the previous word took, the two candidates differ
-        # from it in w and n - w lines, w counted on the info words alone.
-        w = _xor_weights(us, prev)
-        return np.minimum(w, self._n - w)
+    def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
+        # Whichever form the previous word took, the two candidates differ from
+        # it in w and n - w lines (w on the info words): fold w > n/2 onto n - w.
+        h = _xor_histogram(us, prev, self._k)
+        n = self._n
+        h[1:n - n // 2] += h[:n // 2:-1]
+        return h[:n // 2 + 1]
 
 
 class Ppm0Codec(_DifferentialCodec):
@@ -564,8 +567,9 @@ class Ppm0Codec(_DifferentialCodec):
             )
         return d.bit_length()
 
-    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
-        return (us != 0).view(np.uint8)
+    def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
+        c = np.count_nonzero(us)
+        return np.array([us.size - c, c], dtype=np.int64)
 
 
 class OptimalCodec(_DifferentialCodec):
@@ -592,8 +596,6 @@ class OptimalCodec(_DifferentialCodec):
         self.tier_sums: tuple[int, ...] = tuple(sums)
         # _bases[m] is the first info value of the weight-m tier
         self._bases = (0, *sums)
-        # every tier sum but the last is below 2^k, so uint64 holds them all
-        self._thresholds = np.array(sums[:-1], dtype=np.uint64)
 
     def pulse_count(self, u: int) -> int:
         """Smallest m whose tier sum exceeds the info value."""
@@ -601,12 +603,16 @@ class OptimalCodec(_DifferentialCodec):
             raise self._info_error(u)
         return bisect_right(self.tier_sums, u)
 
-    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
-        # pulse_count over the chunk: the number of tier sums <= u
-        w = np.zeros(us.shape, dtype=np.uint8)
-        for t in self._thresholds:
-            w += us >= t
-        return w
+    def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
+        # Every pulse count lies between those of the chunk's extremes, and a
+        # word has at least m pulses iff u >= tier_sums[m - 1]: count, then diff.
+        sums = self.tier_sums
+        lo = bisect_right(sums, int(us.min()))
+        hi = bisect_right(sums, int(us.max()))
+        at_least = [us.size, *(np.count_nonzero(us >= t) for t in sums[lo:hi]), 0]
+        h = np.zeros(self.d_max + 1, dtype=np.int64)
+        h[lo:hi + 1] = -np.diff(at_least)
+        return h
 
     def differential_int(self, u: int) -> int:
         if not 0 <= u < self._size:
@@ -638,9 +644,13 @@ class CosetCodec(_DifferentialCodec):
         assert code is not None
         self.code = code
         self.leader_table = build_coset_leader_table(code)
-        self._leader_weights = np.array(
-            [l.bit_count() for l in self.leader_table.leaders], dtype=np.uint8
-        )
+        # syndromes sorted by leader weight, and where each weight starts; any
+        # sub-pattern of a leader leads its own coset, so no weight is skipped
+        w = np.array([l.bit_count() for l in self.leader_table.leaders], dtype=np.uint8)
+        tiers = np.bincount(w)
+        assert tiers.all()  # reduceat needs strictly increasing starts
+        self._by_weight = np.argsort(w, kind="stable")
+        self._tier_starts = np.cumsum(tiers) - tiers
         # the syndrome is linear: table j maps a byte on lines 8j..8j+7 to its own
         lines = [code.syndrome(1 << i) for i in range(code.length)]
         self._byte_syndromes = []
@@ -663,16 +673,18 @@ class CosetCodec(_DifferentialCodec):
             d >>= 8
         return s
 
-    def step_weights(self, us: np.ndarray, prev: int) -> np.ndarray:
-        return self._leader_weights[us]
+    def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
+        per_syndrome = np.bincount(us.view(np.int64), minlength=self._size)
+        return np.add.reduceat(per_syndrome[self._by_weight], self._tier_starts)
 
 
-def _xor_weights(us: np.ndarray, prev: int) -> np.ndarray:
-    """Popcount of each info word XOR the one before it (prev for the first)."""
-    before = np.empty_like(us)
-    before[:1] = prev
-    before[1:] = us[:-1]
-    return np.bitwise_count(us ^ before)
+def _xor_histogram(us: np.ndarray, prev: int, k: int) -> np.ndarray:
+    """k + 1 counts of popcount(u XOR the word before it; prev for the first)."""
+    x = us[1:] ^ us[:-1]
+    np.bitwise_count(x, out=x, casting="unsafe")
+    h = np.bincount(x.view(np.int64), minlength=k + 1)
+    h[(int(us[0]) ^ int(prev)).bit_count()] += 1
+    return h
 
 
 _FAMILY_CODECS = {
@@ -711,4 +723,9 @@ def optimal_differential(spec: CodecSpec, u: Word) -> Word:
 
 def dbi_encode(state: BusState, u: Word) -> Word:
     """One DBI step: the closer of u||0 and complement(u)||1 to the state."""
-    return dbi_spec(u.length).codec.encode(state.x_prev, u)
+    return _dbi_codec(u.length).encode(state.x_prev, u)
+
+
+@lru_cache(maxsize=64)
+def _dbi_codec(k: int) -> Codec:
+    return dbi_spec(k).codec

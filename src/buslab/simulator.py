@@ -2,13 +2,13 @@
 
 Traces drive a codec with uniform random info words from the all-zero bus
 state and count line transitions per step. Each shard draws its words in
-chunks of 2^17 and hands every chunk to the codec's vectorized step_weights
-kernel, so no bus word is formed and no per-word Python code runs.
+chunks of 2^17 and adds up the codec's vectorized step_histogram of each: it
+forms no bus word and no per-word weight, and runs no per-word Python code.
 Randomness comes from numpy's PCG64 seeded through SeedSequence, so runs are
 reproducible and a trace can be split into shards with independently derived
 child seeds; shards run one after another and merge exactly in a fixed order.
 
-Exact averages are sums, not traces: a differential family's step kernel
+Exact averages are sums, not traces: a differential family's step histogram
 over all 2^k info words, or, for the state-dependent uncoded bus and DBI,
 n + 1 binomial terms C(n, w) * cost(w) over the weights of the n-bit words.
 """
@@ -131,30 +131,23 @@ class ConvergenceReport:
         return self.tolerance - self.rel_deviation
 
 
-def _draw_words(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
-    if k <= 63:
-        return rng.integers(0, 1 << k, size=count, dtype=np.uint64)
-    return rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
-
-
 def _run_shard(codec: Codec, length: int, seed: np.random.SeedSequence) -> TransitionStats:
     spec = codec.spec
     rng = np.random.Generator(np.random.PCG64(seed))
-    hist = np.zeros(spec.n + 1, dtype=np.int64)
+    hist = 0
     prev = 0
-    done = 0
-    while done < length:
-        count = min(_CHUNK, length - done)
-        us = _draw_words(rng, spec.k, count)
-        hist += np.bincount(codec.step_weights(us, prev), minlength=spec.n + 1)
-        prev = us[-1]
-        done += count
-    total = int(hist @ np.arange(spec.n + 1, dtype=np.int64))
+    for start in range(0, length, _CHUNK):
+        us = rng.integers(0, 1 << spec.k, size=min(_CHUNK, length - start), dtype=np.uint64)
+        hist = hist + codec.step_histogram(us, prev)
+        prev = int(us[-1])
+    counts = [0] * (spec.n + 1)
+    counts[:len(hist)] = hist.tolist()
+    total = int(hist @ np.arange(hist.size))
     stats = TransitionStats(
         n_lines=spec.n,
         words_sent=length,
         total_transitions=total,
-        weight_histogram=hist.tolist(),
+        weight_histogram=counts,
     )
     if spec.family is Family.OPTIMAL_MPPM:
         # one clock per pulse; n comparisons and 2 additions per pulse, plus
@@ -204,10 +197,10 @@ def exact_average_distance(
     if spec.family not in (Family.UNCODED, Family.DBI):
         if spec.k > _EXHAUSTIVE_INFO_BITS:
             raise ValueError(f"k={spec.k} too large for exhaustive average")
-        weights = make_codec(spec).step_weights(np.arange(1 << spec.k, dtype=np.uint64), 0)
+        hist = make_codec(spec).step_histogram(np.arange(1 << spec.k, dtype=np.uint64), 0)
         return ExactAverageReport(
             spec=spec,
-            exact_mean=Fraction(int(weights.sum(dtype=np.int64)), 1 << spec.k),
+            exact_mean=Fraction(int(hist @ np.arange(hist.size)), 1 << spec.k),
             state_dependent=False,
         )
     n, k = spec.n, spec.k

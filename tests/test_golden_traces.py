@@ -8,6 +8,7 @@ is 270,001 words, so with one or two shards each shard spans more than one
 2^17-word chunk and the carry of the last word across chunks is covered.
 Histograms are stored sparsely as [weight, count] pairs.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,7 +26,13 @@ from buslab.codecs import (
 )
 from buslab.simulator import TraceConfig, run_trace
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_traces.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_traces.json").read_text())
+# sha256 of each golden fixture as committed: regenerating one fails here
+FIXTURE_SHA256 = {
+    "golden_traces.json": "cf98967722bc38e4518ee266ab6ec5a7c70d2aedc63b282fb16673514bb56bfd",
+    "golden_closed_form.json": "bc1395852dcc54d680faeef201278eba8746b9269ce2a43638e8219fa422bb7b",
+}
 
 
 def _spec(entry):
@@ -47,6 +54,11 @@ def _spec(entry):
 
 def _label(entry):
     return f"{entry['family']}-{entry['code'] or entry['k']}-{entry['b']}-s{entry['seed']}x{entry['shards']}"
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SHA256))
+def test_golden_fixture_bytes_are_unchanged(name):
+    assert hashlib.sha256((DATA / name).read_bytes()).hexdigest() == FIXTURE_SHA256[name]
 
 
 def test_fixture_covers_the_edge_geometries():

@@ -69,6 +69,21 @@ def test_a_thousand_pairs_resolve_the_codec_at_most_once(i):
     assert _lookups() - before <= 1
 
 
+def test_a_thousand_dbi_encodes_resolve_the_codec_at_most_once():
+    spec = dbi_spec(8)
+    pairs = [(BusState(Word(u * 37 % (1 << 9), 9)), Word(u % 256, 8)) for u in range(1000)]
+    expected = [encode(spec, state, word) for state, word in pairs]
+    before = _lookups()
+    assert [dbi_encode(state, word) for state, word in pairs] == expected
+    assert _lookups() - before <= 1
+
+
+def test_dbi_encode_past_the_width_cap_raises_every_time():
+    text = "bus width capped at 64 lines, got n=65"
+    for _ in range(2):  # a failed lookup is not cached
+        assert _message(dbi_encode, BusState(Word.zero(65)), Word(1, 64)) == text
+
+
 def test_equal_specs_share_one_codec():
     a, b = optimal_spec(11, 12), optimal_spec(11, 12)
     assert a is not b and a.codec is b.codec is make_codec(a)

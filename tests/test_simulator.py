@@ -271,6 +271,19 @@ class TestBudgets:
         assert elapsed < 3.0
         assert peak < 16 * 2**20
 
+    def test_ppm0_at_the_widest_bus_builds_its_histogram_once(self):
+        # the public (2^20 + 1)-entry list alone is 8 MiB; a 2-CPU x86 host
+        # peaked at 9.0 MiB, and at 18.1 MiB with an (n + 1)-bin array per chunk
+        cfg = TraceConfig(spec=ppm0_spec(20), trace_length=1 << 18, seed=1)
+        tracemalloc.start()
+        try:
+            stats = run_trace(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.words_sent == 1 << 18
+        assert peak < 12 * 2**20
+
 
 class TestScalarBudgets:
     # A 2-CPU x86 host measured 0.05 s for 2,000 pairs (a restart scan per

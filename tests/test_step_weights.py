@@ -1,10 +1,15 @@
-"""Each codec's vectorized step_weights kernel against its scalar path.
+"""Each codec's vectorized step_histogram kernel against its scalar path.
 
-Differential families must give weight(differential_int(u)) for every u;
-DBI and the uncoded bus must give the lines toggled by a scalar encode_int
-walk from the all-zero bus. Small info spaces are checked exhaustively,
-wide ones (k = 24, 40, 64 and DBI up to k = 63) on sampled words.
+A one-word chunk must count one step, at weight(differential_int(u)) for a
+differential family, or at the lines a scalar encode_int step toggles for
+DBI and the uncoded bus. A whole chunk must count the scalar weights of all
+its steps. Small info spaces are checked exhaustively, wide ones (k = 24,
+40, 64 and DBI up to k = 63) on sampled words. Every histogram has one
+entry per weight up to the family's heaviest step, whatever the chunk holds.
 """
+from functools import cache
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +45,7 @@ STATEFUL = [uncoded_spec(k) for k in (1, 2, 3, 5, 8, 24, 40, 63, 64)] + [
     dbi_spec(k) for k in (1, 2, 3, 5, 8, 16, 24, 40, 62, 63)
 ]
 WIDE_STATEFUL = [s for s in STATEFUL if s.k > 5]
+WIDE_OPTIMAL = [s for s in WIDE_DIFFERENTIAL if s.family.value == "optimal"]
 
 
 def _label(spec):
@@ -48,6 +54,36 @@ def _label(spec):
 
 def _words(values):
     return np.array(values, dtype=np.uint64)
+
+
+@cache
+def _heaviest(spec):
+    """Most lines one step can toggle, from the family's definition."""
+    family, k, n = spec.family.value, spec.k, spec.n
+    if family == "uncoded":
+        return k
+    if family == "dbi":
+        return n // 2
+    if family == "ppm0":
+        return 1
+    if family == "optimal":  # fewest pulses whose patterns number 2^k or more
+        m = 0
+        while sum(comb(n, i) for i in range(m + 1)) < 1 << k:
+            m += 1
+        return m
+    return max(l.bit_count() for l in make_codec(spec).leader_table.leaders)
+
+
+def _counts(weights, spec):
+    return np.bincount(np.array(weights, dtype=np.int64), minlength=_heaviest(spec) + 1).tolist()
+
+
+def _one_hot(weight, spec):
+    return _counts([weight], spec)
+
+
+def _hist(codec, us, prev):
+    return codec.step_histogram(_words(us), prev).tolist()
 
 
 def _scalar_walk(codec, us, prev):
@@ -61,26 +97,46 @@ def _scalar_walk(codec, us, prev):
     return out
 
 
+def _bus_forms(spec, prev):
+    """Every bus word the info word prev can have been sent as."""
+    if spec.family.value == "uncoded":
+        return [prev]
+    return [prev << 1, ((prev ^ ((1 << spec.k) - 1)) << 1) | 1]
+
+
 @pytest.mark.parametrize("spec", SMALL_DIFFERENTIAL, ids=_label)
 def test_differential_kernel_exhaustive(spec):
     codec = make_codec(spec)
-    us = np.arange(1 << spec.k, dtype=np.uint64)
-    expected = [codec.differential_int(u).bit_count() for u in range(1 << spec.k)]
+    space = range(1 << spec.k)
+    expected = [codec.differential_int(u).bit_count() for u in space]
     for prev in (0, (1 << spec.k) - 1):  # the bus state cancels
-        assert codec.step_weights(us, prev).tolist() == expected
+        assert _hist(codec, space, prev) == _counts(expected, spec)
+        for u in space:
+            assert _hist(codec, [u], prev) == _one_hot(expected[u], spec)
 
 
-@pytest.mark.parametrize(
-    "spec", [s for s in WIDE_DIFFERENTIAL if s.family.value == "optimal"], ids=_label
-)
+@pytest.mark.parametrize("spec", WIDE_OPTIMAL, ids=_label)
 def test_optimal_kernel_at_tier_boundaries(spec):
     codec = make_codec(spec)
     edges = {0, (1 << spec.k) - 1}
     for t in codec.tier_sums[:-1]:
         edges.update({t - 1, t})
     us = sorted(edges)
-    got = codec.step_weights(_words(us), 0).tolist()
-    assert got == [codec.differential_int(u).bit_count() for u in us]
+    expected = [codec.differential_int(u).bit_count() for u in us]
+    assert _hist(codec, us, 0) == _counts(expected, spec)
+    for u, w in zip(us, expected):
+        assert _hist(codec, [u], 0) == _one_hot(w, spec)
+
+
+@pytest.mark.parametrize("spec", [optimal_spec(11, 12), *WIDE_OPTIMAL], ids=_label)
+def test_optimal_chunk_within_one_tier(spec):
+    # min and max share a pulse count, so no "at least m" pass separates them
+    codec = make_codec(spec)
+    bases = (0, *codec.tier_sums)
+    for m in range(codec.d_max + 1):
+        first, last = bases[m], min(bases[m + 1], 1 << spec.k) - 1
+        us = sorted({first, last, (first + last) // 2})
+        assert _hist(codec, us * 3, 0) == _counts([m] * (3 * len(us)), spec)
 
 
 @pytest.mark.parametrize("spec", WIDE_DIFFERENTIAL, ids=_label)
@@ -90,17 +146,23 @@ def test_differential_kernel_sampled(spec, data):
     codec = make_codec(spec)
     us = data.draw(st.lists(st.integers(0, (1 << spec.k) - 1), min_size=1, max_size=40))
     prev = data.draw(st.integers(0, (1 << spec.k) - 1))
-    got = codec.step_weights(_words(us), prev).tolist()
-    assert got == [codec.differential_int(u).bit_count() for u in us]
+    expected = [codec.differential_int(u).bit_count() for u in us]
+    assert _hist(codec, us, prev) == _counts(expected, spec)
+    for u, w in zip(us, expected):
+        assert _hist(codec, [u], prev) == _one_hot(w, spec)
 
 
 @pytest.mark.parametrize("spec", [s for s in STATEFUL if s.k <= 5], ids=_label)
 def test_stateful_kernel_exhaustive_pairs(spec):
     codec = make_codec(spec)
     space = list(range(1 << spec.k))
-    us = _words(space)
     for prev in space:
-        assert codec.step_weights(us, prev).tolist() == _scalar_walk(codec, space, prev)
+        assert _hist(codec, space, prev) == _counts(_scalar_walk(codec, space, prev), spec)
+        # one step from either form the previous word took
+        for state in _bus_forms(spec, prev):
+            for u in space:
+                w = (codec.encode_int(state, u) ^ state).bit_count()
+                assert _hist(codec, [u], prev) == _one_hot(w, spec)
 
 
 @pytest.mark.parametrize("spec", WIDE_STATEFUL, ids=_label)
@@ -111,7 +173,10 @@ def test_stateful_kernel_sampled(spec, data):
     word = st.integers(0, (1 << spec.k) - 1)
     us = data.draw(st.lists(word, min_size=1, max_size=60))
     prev = data.draw(st.one_of(st.just(0), word))
-    assert codec.step_weights(_words(us), prev).tolist() == _scalar_walk(codec, us, prev)
+    walk = _scalar_walk(codec, us, prev)
+    assert _hist(codec, us, prev) == _counts(walk, spec)
+    for before, u, w in zip([prev, *us], us, walk):
+        assert _hist(codec, [u], before) == _one_hot(w, spec)
 
 
 @pytest.mark.parametrize("spec", WIDE_STATEFUL, ids=_label)
@@ -122,7 +187,33 @@ def test_chunk_carry_matches_one_chunk(spec, data):
     codec = make_codec(spec)
     us = data.draw(st.lists(st.integers(0, (1 << spec.k) - 1), min_size=2, max_size=60))
     cut = data.draw(st.integers(1, len(us) - 1))
-    whole = codec.step_weights(_words(us), 0).tolist()
-    head = codec.step_weights(_words(us[:cut]), 0).tolist()
-    tail = codec.step_weights(_words(us[cut:]), us[cut - 1]).tolist()
-    assert head + tail == whole
+    whole = codec.step_histogram(_words(us), 0)
+    head = codec.step_histogram(_words(us[:cut]), 0)
+    tail = codec.step_histogram(_words(us[cut:]), us[cut - 1])
+    assert (head + tail).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("spec", [*SMALL_DIFFERENTIAL, *WIDE_DIFFERENTIAL, *STATEFUL], ids=_label)
+def test_length_is_the_heaviest_step_plus_one(spec):
+    # ppm0 k = 20 has 2^20 + 1 lines but two entries
+    codec = make_codec(spec)
+    for us in ([0], [0] * 5, [(1 << spec.k) - 1]):
+        h = codec.step_histogram(_words(us), 0)
+        assert h.dtype == np.int64
+        assert h.size == _heaviest(spec) + 1
+        assert h.sum() == len(us)
+
+
+@pytest.mark.parametrize("k", [7, 8, 62, 63], ids=lambda k: f"n{k + 1}")
+def test_dbi_folds_each_info_weight_at_odd_and_even_n(k):
+    # step i toggles the i lowest info bits, i = 0..k, so every info weight
+    # occurs once; DBI sends min(i, n - i), and at even n the middle bin
+    # receives only i = n/2
+    spec = dbi_spec(k)
+    n = spec.n
+    us, u = [], 0
+    for i in range(k + 1):
+        u ^= (1 << i) - 1
+        us.append(u)
+    expected = [sum(1 for i in range(k + 1) if min(i, n - i) == v) for v in range(n // 2 + 1)]
+    assert _hist(make_codec(spec), us, 0) == expected
