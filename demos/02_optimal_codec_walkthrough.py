@@ -5,10 +5,10 @@ binomial sums exceeds u), then the leftover rank places the m pulses via
 the integer <-> m-subset bijection x = C(s_1,1) + ... + C(s_m,m).
 """
 from buslab import (
+    BinomialTable,
     BusState,
     CorruptedWordError,
     Word,
-    build_binomial_table,
     decode,
     encode,
     make_codec,
@@ -20,7 +20,7 @@ from buslab import (
 )
 
 # -- the subset bijection on its own ----------------------------------------
-table = build_binomial_table(23)
+table = BinomialTable(23)
 print("rank 0 of 3-subsets of 23 :", mppm_unrank(table, 0, 3, 23).positions)
 print("rank 5 of 2-subsets of 12 :", mppm_unrank(table, 5, 2, 12).positions)
 print("rank 1770 (the last)      :", mppm_unrank(table, 1770, 3, 23).positions)

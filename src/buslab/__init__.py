@@ -45,8 +45,6 @@ from .combinatorics import (
     CapacityError,
     PulsePositions,
     Word,
-    build_binomial_table,
-    cumulative_binomial,
     mppm_rank,
     mppm_unrank,
     positions_to_word,

@@ -9,7 +9,10 @@ Grammar:
     buslab codebook [FAMILY] [--family NAME] --k INT [--b INT] [--out PATH]
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. Rationals are
-printed as p/q next to decimals rounded to 9 significant digits.
+printed as p/q next to decimals rounded to 9 significant digits. Family
+facts are lookups in the codec registry: a missing --b defaults to the
+family's required b, a wrong one fails the spec's own check, and the
+simulate reference is the family's exact_mean.
 """
 from __future__ import annotations
 
@@ -23,23 +26,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import analytics
-from .codecs import (
-    CodecSpec,
-    Family,
-    _DifferentialCodec,
-    coset_spec_for,
-    dbi_spec,
-    make_codec,
-    optimal_spec,
-    ppm0_spec,
-    uncoded_spec,
-)
-from .simulator import (
-    TraceConfig,
-    _state_average,
-    exact_average_distance,
-    run_trace,
-)
+from .codecs import _FAMILY_CODECS, CodecSpec, Family, _DifferentialCodec, coset_spec_for
+from .simulator import TraceConfig, run_trace
 from .verify import SCOPES, run_checks
 
 __all__ = ["main", "console_main"]
@@ -61,89 +49,57 @@ def fmt_dec(x: Fraction | float) -> str:
     return format(float(x), ".9g")
 
 
-def _spec_for(family: str, k: int, b: int | None) -> CodecSpec:
-    if family == Family.UNCODED.value:
-        if b not in (None, 0):
-            raise ValueError(f"--b must be 0 for uncoded, got {b}")
-        return uncoded_spec(k)
-    if family == Family.DBI.value:
-        if b not in (None, 1):
-            raise ValueError(f"--b must be 1 for dbi, got {b}")
-        return dbi_spec(k)
-    if family == Family.PPM0.value:
-        expected = (1 << k) - 1 - k
-        if b not in (None, expected):
-            raise ValueError(f"--b must be {expected} for ppm0 with k={k}, got {b}")
-        return ppm0_spec(k)
-    if family == Family.OPTIMAL_MPPM.value:
+def _spec_for(args: argparse.Namespace) -> CodecSpec:
+    family = args.family_pos or args.family
+    if family is None:
+        raise ValueError("--family is required (or pass the family positionally)")
+    fam, k, b = Family(family), args.k, args.b
+    if b is None:
+        b = _FAMILY_CODECS[fam].required_b(k)
         if b is None:
-            raise ValueError("--b is required for the optimal family")
-        return optimal_spec(k, b)
-    if family == Family.COSET.value:
-        if b is None:
-            raise ValueError("--b is required for the coset family")
-        return coset_spec_for(k, b)
-    raise ValueError(f"unknown family {family!r}; choose from {_FAMILY_NAMES}")
-
-
-def _exact_reference(spec: CodecSpec) -> Fraction:
-    if spec.family is Family.OPTIMAL_MPPM:
-        return analytics.d_opt(spec.k, spec.b)
-    if spec.family is Family.PPM0:
-        return analytics.d_min(spec.k)
-    if spec.family is Family.COSET:
-        return exact_average_distance(spec).exact_mean
-    return _state_average(spec)  # uncoded or DBI
+            raise ValueError(f"--b is required for the {family} family")
+    return coset_spec_for(k, b) if fam is Family.COSET else CodecSpec(fam, k, b)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     k, b = args.k, args.b
-    n = k + b
-    dunc = analytics.d_unc(k)
-    dmax = analytics.d_max(k, b)
-    dopt = analytics.d_opt(k, b)
+    dunc, dopt = analytics.d_unc(k), analytics.d_opt(k, b)
     ratio = dopt / dunc
-    saving = 1 - ratio
-    dmin = analytics.d_min(k)
-    cost = analytics.encoding_cost(k, b)
+    rec = {
+        "k": k,
+        "b": b,
+        "n": k + b,
+        "d_unc": dunc,
+        "d_max": analytics.d_max(k, b),
+        "d_opt": dopt,
+        "transition_ratio": ratio,
+        "energy_saving": 1 - ratio,
+        "d_min": analytics.d_min(k),
+        "encoding_cost": analytics.encoding_cost(k, b),
+    }
     if args.csv:
-        print("k,b,n,d_unc,d_max,d_opt,transition_ratio,energy_saving,d_min,encoding_cost")
-        print(
-            f"{k},{b},{n},{fmt_dec(dunc)},{dmax},{fmt_dec(dopt)},"
-            f"{fmt_dec(ratio)},{fmt_dec(saving)},{fmt_dec(dmin)},{fmt_dec(cost)}"
-        )
+        print(",".join(rec))
+        print(",".join(fmt_dec(v) if isinstance(v, Fraction) else str(v) for v in rec.values()))
         return 0
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "k": k,
-                    "b": b,
-                    "n": n,
-                    "d_unc": fmt_frac(dunc),
-                    "d_max": dmax,
-                    "d_opt": fmt_frac(dopt),
-                    "d_opt_decimal": fmt_dec(dopt),
-                    "transition_ratio": fmt_frac(ratio),
-                    "transition_ratio_decimal": fmt_dec(ratio),
-                    "energy_saving": fmt_frac(saving),
-                    "energy_saving_decimal": fmt_dec(saving),
-                    "d_min": fmt_frac(dmin),
-                    "d_min_decimal": fmt_dec(dmin),
-                    "encoding_cost": fmt_frac(cost),
-                    "encoding_cost_decimal": fmt_dec(cost),
-                }
-            )
-        )
+        out = {}
+        for key, v in rec.items():
+            out[key] = fmt_frac(v) if isinstance(v, Fraction) else v
+            if isinstance(v, Fraction) and key != "d_unc":
+                out[f"{key}_decimal"] = fmt_dec(v)
+        print(json.dumps(out))
         return 0
-    print(f"bus encoding analysis: k={k}, b={b} (n={n} lines)")
-    print(f"  uncoded average distance    D_unc = {fmt_frac(dunc)} = {fmt_dec(dunc)}")
-    print(f"  codebook maximum weight     d_max = {dmax}")
-    print(f"  optimal average distance    D_opt = {fmt_frac(dopt)} = {fmt_dec(dopt)}")
-    print(f"  transition ratio      D_opt/D_unc = {fmt_frac(ratio)} = {fmt_dec(ratio)}")
-    print(f"  energy saving           1 - ratio = {fmt_frac(saving)} = {fmt_dec(saving)}")
-    print(f"  floor over all b            D_min = {fmt_frac(dmin)} = {fmt_dec(dmin)}")
-    print(f"  encoding cost   (n+2)*D_opt+d_max+1 = {fmt_frac(cost)} = {fmt_dec(cost)} comparison units")
+    pair = {
+        key: f"{fmt_frac(v)} = {fmt_dec(v)}" for key, v in rec.items() if isinstance(v, Fraction)
+    }
+    print(f"bus encoding analysis: k={k}, b={b} (n={rec['n']} lines)")
+    print(f"  uncoded average distance    D_unc = {pair['d_unc']}")
+    print(f"  codebook maximum weight     d_max = {rec['d_max']}")
+    print(f"  optimal average distance    D_opt = {pair['d_opt']}")
+    print(f"  transition ratio      D_opt/D_unc = {pair['transition_ratio']}")
+    print(f"  energy saving           1 - ratio = {pair['energy_saving']}")
+    print(f"  floor over all b            D_min = {pair['d_min']}")
+    print(f"  encoding cost   (n+2)*D_opt+d_max+1 = {pair['encoding_cost']} comparison units")
     return 0
 
 
@@ -190,10 +146,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    family = args.family_pos or args.family
-    if family is None:
-        raise ValueError("--family is required (or pass the family positionally)")
-    spec = _spec_for(family, args.k, args.b)
+    spec = _spec_for(args)
+    family = spec.family.value
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = TraceConfig(spec=spec, trace_length=args.length, seed=args.seed, shards=args.jobs)
@@ -201,7 +155,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stats = run_trace(cfg)
     elapsed = time.perf_counter() - start
     mean = stats.mean_transitions
-    reference = _exact_reference(spec)
+    reference = _FAMILY_CODECS[spec.family].exact_mean(spec)
     deviation = abs(float((mean - reference) / reference))
     if args.csv:
         print(
@@ -269,15 +223,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_codebook(args: argparse.Namespace) -> int:
-    family = args.family_pos or args.family
-    if family is None:
-        raise ValueError("--family is required (or pass the family positionally)")
     if args.k > 12:
         raise ValueError(f"codebook dumps support k <= 12, got k={args.k}")
-    spec = _spec_for(family, args.k, args.b)
-    codec = make_codec(spec)
+    spec = _spec_for(args)
+    codec = spec.codec
     if not isinstance(codec, _DifferentialCodec):
-        raise ValueError(f"family {family!r} has no state-free codebook to dump")
+        raise ValueError(f"family {spec.family.value!r} has no state-free codebook to dump")
     lines = []
     for u in range(1 << spec.k):
         d = codec.differential_int(u)
@@ -300,6 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Low-weight differential bus encoding: analysis, codecs, simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the family arguments that simulate and codebook resolve through _spec_for
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("family_pos", nargs="?", choices=_FAMILY_NAMES, metavar="FAMILY")
+    family.add_argument("--family", choices=_FAMILY_NAMES)
+    family.add_argument("--k", type=int, required=True)
+    family.add_argument("--b", type=int, default=None)
 
     p = sub.add_parser("analyze", help="closed-form figures for one (k, b)")
     p.add_argument("--k", type=int, required=True, help="information bits")
@@ -318,11 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true", help="CSV output (the default)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="Monte Carlo transition counting")
-    p.add_argument("family_pos", nargs="?", choices=_FAMILY_NAMES, metavar="FAMILY")
-    p.add_argument("--family", choices=_FAMILY_NAMES)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--b", type=int, default=None)
+    p = sub.add_parser("simulate", parents=[family], help="Monte Carlo transition counting")
     p.add_argument("--length", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="shard count (default 1)")
@@ -335,11 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scope", nargs="?", default="all", choices=sorted(SCOPES))
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("codebook", help="dump a differential codebook")
-    p.add_argument("family_pos", nargs="?", choices=_FAMILY_NAMES, metavar="FAMILY")
-    p.add_argument("--family", choices=_FAMILY_NAMES)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--b", type=int, default=None)
+    p = sub.add_parser("codebook", parents=[family], help="dump a differential codebook")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_codebook)
 

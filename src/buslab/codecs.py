@@ -6,7 +6,10 @@ families (optimal, ppm0, coset) map the info word to a low-weight
 differential d and transmit x = d XOR x_prev, so each step toggles exactly
 weight(d) lines. DBI and the uncoded bus are handled directly. Each codec's
 vectorized step_histogram counts a chunk of info words' steps by lines
-toggled, without forming a bus word or a weight per word.
+toggled, without forming a bus word or a weight per word. Each codec class
+also carries its family's facts, found through the one registry
+_FAMILY_CODECS: required_b, the caps its spec check applies, an exact_mean
+that builds no codec (coset aside) and the trace_counters.
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -18,12 +21,16 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .combinatorics import BinomialTable, Word, build_binomial_table
+from . import analytics
+from .combinatorics import BinomialTable, Word
 
 __all__ = [
     "MAX_OPTIMAL_LINES",
@@ -80,21 +87,6 @@ class Family(enum.Enum):
 # GF(2) linear codes
 # ---------------------------------------------------------------------------
 
-def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    work = list(rows)
-    for i in range(len(work)):
-        row = work[i]
-        if row == 0:
-            continue
-        pivot = row & -row
-        rank += 1
-        for j in range(i + 1, len(work)):
-            if work[j] & pivot:
-                work[j] ^= row
-    return rank
-
-
 def _gf2_kernel_basis(rows: tuple[int, ...], width: int) -> list[int]:
     """Basis of {x : every row has even overlap with x}, rows as bitmasks."""
     # Forward-eliminate to one pivot column per row, then read each free
@@ -150,7 +142,8 @@ class LinearCode:
         for row in self.h_rows:
             if not 0 <= row < (1 << self.length):
                 raise ValueError(f"{self.name}: parity row {row:#x} out of range")
-        if _gf2_rank(list(self.h_rows)) != checks:
+        # independent rows leave a kernel of exactly the code's dimension
+        if len(_gf2_kernel_basis(self.h_rows, self.length)) != self.dimension:
             raise ValueError(f"{self.name}: parity rows are not linearly independent")
 
     @property
@@ -241,9 +234,7 @@ def min_distance(code: LinearCode) -> int:
         raise ValueError(
             f"{code.name}: dimension {code.dimension} too large for exhaustive scan"
         )
-    basis = _gf2_kernel_basis(code.h_rows, code.length)
-    if len(basis) != code.dimension:
-        raise ValueError(f"{code.name}: kernel dimension {len(basis)} != {code.dimension}")
+    basis = _gf2_kernel_basis(code.h_rows, code.length)  # dimension checked at construction
     # messages in Gray-code order: step msg flips the basis vector of msg's lowest set bit
     best = code.length
     c = 0
@@ -334,43 +325,11 @@ class CodecSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k={self.k} must be >= 1")
-        fam = self.family
-        if fam is Family.UNCODED:
-            if self.b != 0:
-                raise ValueError(f"uncoded bus requires b=0, got b={self.b}")
-            if self.n > MAX_OPTIMAL_LINES:
-                raise ValueError(f"bus width capped at {MAX_OPTIMAL_LINES} lines, got n={self.n}")
-        elif fam is Family.DBI:
-            if self.b != 1:
-                raise ValueError(f"dbi requires b=1, got b={self.b}")
-            if self.n > MAX_OPTIMAL_LINES:
-                raise ValueError(f"bus width capped at {MAX_OPTIMAL_LINES} lines, got n={self.n}")
-        elif fam is Family.PPM0:
-            expected = (1 << self.k) - 1 - self.k
-            if self.b != expected:
-                raise ValueError(
-                    f"ppm0 with k={self.k} requires b={expected}, got b={self.b}"
-                )
-            if self.k > MAX_PPM0_INFO_BITS:
-                raise ValueError(f"ppm0 supports k <= {MAX_PPM0_INFO_BITS}, got {self.k}")
-        elif fam is Family.OPTIMAL_MPPM:
-            if self.b < 0:
-                raise ValueError(f"b={self.b} must be >= 0")
-            if self.n > MAX_OPTIMAL_LINES:
-                raise ValueError(
-                    f"optimal codec supports n <= {MAX_OPTIMAL_LINES}, got n={self.n}"
-                )
-        elif fam is Family.COSET:
-            if self.code is None:
-                raise ValueError("coset spec requires a linear code")
-            if self.k != self.code.syndrome_bits:
-                raise ValueError(
-                    f"coset k={self.k} != syndrome bits {self.code.syndrome_bits}"
-                )
-            if self.n != self.code.length:
-                raise ValueError(f"coset n={self.n} != code length {self.code.length}")
-        if fam is not Family.COSET and self.code is not None:
-            raise ValueError(f"{fam.value} spec does not take a linear code")
+        if self.code is None and self.family is Family.COSET:
+            raise ValueError("coset spec requires a linear code")
+        if self.code is not None and self.family is not Family.COSET:
+            raise ValueError(f"{self.family.value} spec does not take a linear code")
+        _FAMILY_CODECS[self.family].check(self)
 
     @property
     def n(self) -> int:
@@ -395,7 +354,7 @@ def dbi_spec(k: int) -> CodecSpec:
 
 
 def ppm0_spec(k: int) -> CodecSpec:
-    return CodecSpec(Family.PPM0, k, (1 << k) - 1 - k)
+    return CodecSpec(Family.PPM0, k, Ppm0Codec.required_b(k))
 
 
 def optimal_spec(k: int, b: int) -> CodecSpec:
@@ -440,7 +399,40 @@ class BusState:
 # ---------------------------------------------------------------------------
 
 class Codec:
-    """Common interface; subclasses implement the int-level kernels."""
+    """Common interface; subclasses implement the int-level kernels and
+    carry their family's facts as class attributes."""
+
+    max_lines: int | None = MAX_OPTIMAL_LINES
+    max_k: int | None = None  # ppm0 caps k instead: its n is 2^k - 1
+    fixed_b: int | None = None
+
+    @classmethod
+    def required_b(cls, k: int) -> int | None:
+        """The b the family needs for k info bits, or None when b is free."""
+        return cls.fixed_b
+
+    @classmethod
+    def check(cls, spec: CodecSpec) -> None:
+        """Raise ValueError unless the spec's k and b suit the family."""
+        b = cls.required_b(spec.k)
+        if b is not None and spec.b != b:
+            raise ValueError(f"{spec.family.value} with k={spec.k} requires b={b}, got b={spec.b}")
+        if spec.b < 0:
+            raise ValueError(f"b={spec.b} must be >= 0")
+        if cls.max_k is not None and spec.k > cls.max_k:
+            raise ValueError(f"{spec.family.value} supports k <= {cls.max_k}, got {spec.k}")
+        if cls.max_lines is not None and spec.n > cls.max_lines:
+            raise ValueError(f"bus width capped at {cls.max_lines} lines, got n={spec.n}")
+
+    @staticmethod
+    def exact_mean(spec: CodecSpec) -> Fraction:
+        """Exact mean lines toggled per word; the closed forms build no codec."""
+        raise NotImplementedError
+
+    def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
+        """(clocks, comparisons, additions) of a trace of words info words
+        toggling pulses lines in all; only the optimal modulator counts."""
+        return (0, 0, 0)
 
     def __init__(self, spec: CodecSpec):
         self.spec = spec
@@ -499,14 +491,24 @@ class _DifferentialCodec(Codec):
     def decode_int(self, state: int, x: int) -> int:
         return self.info_int(x ^ state)
 
-    def differential(self, u: Word) -> Word:
-        if u.length != self._k:
-            raise ValueError(f"info word length {u.length} != k={self._k}")
-        return Word(self.differential_int(u.value), self._n)
+    @staticmethod
+    def exact_mean(spec: CodecSpec) -> Fraction:
+        """Mean step weight over all 2^k info words, from the codec's own
+        histogram: coset's exact mean, and the exhaustive check of ppm0's
+        and optimal's closed forms."""
+        hist = spec.codec.step_histogram(np.arange(1 << spec.k, dtype=np.uint64), 0)
+        return Fraction(int(hist @ np.arange(hist.size)), 1 << spec.k)
 
 
 class UncodedCodec(Codec):
     """Identity: the info word goes on the bus unchanged."""
+
+    fixed_b = 0
+
+    @staticmethod
+    def exact_mean(spec: CodecSpec) -> Fraction:
+        # the DBI sum below with cost(w) = w, which is n/2 = k/2
+        return analytics.d_unc(spec.k)
 
     def encode_int(self, state: int, u: int) -> int:
         return u
@@ -524,6 +526,22 @@ class DbiCodec(Codec):
     Ties go to the non-inverted candidate. Decoding reads the indicator on
     line 0 and needs no state.
     """
+
+    fixed_b = 1
+
+    @staticmethod
+    def exact_mean(spec: CodecSpec) -> Fraction:
+        """Sum over w of C(n, w) * min(w, n - w) / 2^n.
+
+        The plain candidates u << 1 form a subgroup under XOR, so from a
+        state s the words candidate(u) ^ s run over the coset of s, and the
+        state's sum is the bus cost summed over that coset. The two cosets
+        (s & 1) swap under complementing every line, which keeps
+        min(w, n - w), so every state has the same sum, and the mean is the
+        cost averaged over all n-bit words, grouped by weight.
+        """
+        n = spec.n
+        return Fraction(sum(comb(n, w) * min(w, n - w) for w in range(n + 1)), 1 << n)
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
@@ -551,6 +569,17 @@ class DbiCodec(Codec):
 
 class Ppm0Codec(_DifferentialCodec):
     """Single pulse positioned by the info value, plus the all-zero word."""
+
+    max_lines = None
+    max_k = MAX_PPM0_INFO_BITS
+
+    @classmethod
+    def required_b(cls, k: int) -> int:
+        return (1 << k) - 1 - k
+
+    @staticmethod
+    def exact_mean(spec: CodecSpec) -> Fraction:
+        return analytics.d_min(spec.k)
 
     def differential_int(self, u: int) -> int:
         if not 0 <= u < self._size:
@@ -586,16 +615,20 @@ class OptimalCodec(_DifferentialCodec):
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
         n = self._n
-        self.table: BinomialTable = build_binomial_table(n)
-        sums = [1]
-        m = 0
-        while sums[-1] < self._size:
-            m += 1
-            sums.append(sums[-1] + self.table.binom(n, m))
-        self.d_max = m
-        self.tier_sums: tuple[int, ...] = tuple(sums)
+        self.table = BinomialTable(n)
+        self.d_max = analytics.d_max(spec.k, spec.b)
+        self.tier_sums = tuple(accumulate(self.table.binom(n, m) for m in range(self.d_max + 1)))
         # _bases[m] is the first info value of the weight-m tier
-        self._bases = (0, *sums)
+        self._bases = (0, *self.tier_sums)
+
+    @staticmethod
+    def exact_mean(spec: CodecSpec) -> Fraction:
+        return analytics.d_opt(spec.k, spec.b)
+
+    def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
+        # one clock per pulse; n comparisons and 2 additions per pulse, plus
+        # d_max + 1 comparisons per word to pick the pulse count
+        return (pulses, self._n * pulses + (self.d_max + 1) * words, 2 * pulses)
 
     def pulse_count(self, u: int) -> int:
         """Smallest m whose tier sum exceeds the info value."""
@@ -637,6 +670,14 @@ class OptimalCodec(_DifferentialCodec):
 
 class CosetCodec(_DifferentialCodec):
     """Differential is the coset leader whose syndrome is the info word."""
+
+    @classmethod
+    def check(cls, spec: CodecSpec) -> None:
+        code = spec.code
+        if spec.k != code.syndrome_bits:
+            raise ValueError(f"coset k={spec.k} != syndrome bits {code.syndrome_bits}")
+        if spec.n != code.length:
+            raise ValueError(f"coset n={spec.n} != code length {code.length}")
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
@@ -716,9 +757,9 @@ def optimal_differential(spec: CodecSpec, u: Word) -> Word:
     """Low-weight differential word the optimal codec assigns to u."""
     if spec.family is not Family.OPTIMAL_MPPM:
         raise ValueError(f"optimal_differential needs an optimal spec, got {spec.family.value}")
-    codec = spec.codec
-    assert isinstance(codec, OptimalCodec)
-    return codec.differential(u)
+    if u.length != spec.k:
+        raise ValueError(f"info word length {u.length} != k={spec.k}")
+    return Word(spec.codec.differential_int(u.value), spec.n)
 
 
 def dbi_encode(state: BusState, u: Word) -> Word:

@@ -23,8 +23,6 @@ __all__ = [
     "Word",
     "PulsePositions",
     "BinomialTable",
-    "build_binomial_table",
-    "cumulative_binomial",
     "mppm_rank",
     "mppm_unrank",
     "positions_to_word",
@@ -159,14 +157,6 @@ class BinomialTable:
             return 0
         return self._cols[k][n]
 
-    def cumulative(self, n: int, m: int) -> int:
-        """Sum of C(n, i) for i = 0..m."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n={n} out of table range 0..{self.n_max}")
-        if not 0 <= m <= n:
-            raise ValueError(f"m={m} out of range 0..{n}")
-        return sum(self._cols[i][n] for i in range(m + 1))
-
     def unrank(self, x: int, m: int, n: int) -> int:
         """Bitmask of the m-subset of {0..n-1} with colex rank x.
 
@@ -204,15 +194,6 @@ class BinomialTable:
             l -= 1
             d ^= 1 << i
         return x
-
-
-def build_binomial_table(n_max: int, max_value: int = DEFAULT_CAPACITY) -> BinomialTable:
-    """Precompute all C(i, j) up to n_max, failing loudly on capacity overflow."""
-    return BinomialTable(n_max, max_value)
-
-
-def cumulative_binomial(table: BinomialTable, n: int, m: int) -> int:
-    return table.cumulative(n, m)
 
 
 def mppm_rank(table: BinomialTable, p: PulsePositions) -> int:

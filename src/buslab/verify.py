@@ -24,7 +24,7 @@ from .codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from .combinatorics import build_binomial_table, mppm_rank, mppm_unrank
+from .combinatorics import BinomialTable, mppm_rank, mppm_unrank
 from .simulator import exact_average_distance
 
 __all__ = ["CheckResult", "SCOPES", "run_checks"]
@@ -39,7 +39,7 @@ class CheckResult:
 
 def check_rank_bijection(n_limit: int = 12) -> CheckResult:
     """Unrank must invert rank and walk subsets in colex order, exhaustively."""
-    table = build_binomial_table(n_limit)
+    table = BinomialTable(n_limit)
     checked = 0
     for n in range(n_limit + 1):
         for m in range(n + 1):

@@ -114,6 +114,24 @@ class TestOptimalDifferential:
             optimal_differential(ppm0_spec(4), Word.zero(4))
 
 
+class TestTierSums:
+    # OptimalCodec.tier_sums[m] = C(n, 0) + ... + C(n, m), up to the first >= 2^k
+    def test_golay_ball_is_a_power_of_two(self):
+        assert optimal_spec(11, 12).codec.tier_sums == (1, 24, 277, 2048)  # 1 + 23 + 253 + 1771
+
+    def test_single_term(self):
+        assert optimal_spec(11, 1).codec.tier_sums[0] == 1
+
+    def test_partial_sum(self):
+        # n = 12: 1 + 12 + 66 + 220 + 495 + 792, and 2510 ends the tiers at 2^11
+        assert optimal_spec(11, 1).codec.tier_sums == (1, 13, 79, 299, 794, 1586, 2510)
+
+    def test_full_sum_is_two_to_n(self):
+        for n in range(1, 31):
+            codec = optimal_spec(n, 0).codec
+            assert (codec.tier_sums[-1], codec.d_max) == (1 << n, n)
+
+
 class TestDecodeExamples:
     def test_optimal_decode_tier_offset(self):
         # pulses at lines 2 and 3: rank 5 in the two-pulse tier, base 24

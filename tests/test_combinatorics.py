@@ -4,11 +4,10 @@ from itertools import combinations
 import pytest
 
 from buslab.combinatorics import (
+    BinomialTable,
     CapacityError,
     PulsePositions,
     Word,
-    build_binomial_table,
-    cumulative_binomial,
     mppm_rank,
     mppm_unrank,
     positions_to_word,
@@ -23,100 +22,74 @@ def colex_subsets(n, m):
 
 class TestBinomialTable:
     def test_base_case(self):
-        table = build_binomial_table(0)
+        table = BinomialTable(0)
         assert table.binom(0, 0) == 1
 
     def test_known_entries(self):
-        table = build_binomial_table(23)
+        table = BinomialTable(23)
         assert table.binom(23, 3) == 1771 == math.comb(23, 3)
         assert table.binom(12, 6) == 924 == math.comb(12, 6)
 
     def test_pascal_identity_everywhere(self):
-        table = build_binomial_table(30)
+        table = BinomialTable(30)
         for i in range(1, 31):
             for j in range(1, i):
                 assert table.binom(i, j) == table.binom(i - 1, j - 1) + table.binom(i - 1, j)
 
     def test_edges_are_one(self):
-        table = build_binomial_table(20)
+        table = BinomialTable(20)
         for i in range(21):
             assert table.binom(i, 0) == 1
             assert table.binom(i, i) == 1
 
     def test_zero_above_diagonal(self):
-        table = build_binomial_table(6)
+        table = BinomialTable(6)
         assert table.binom(3, 5) == 0
 
     def test_capacity_error_names_entry(self):
         with pytest.raises(CapacityError) as err:
-            build_binomial_table(12, max_value=100)
+            BinomialTable(12, max_value=100)
         # first Pascal sum past 100 is C(9,4) = 126
         assert (err.value.n, err.value.k, err.value.value) == (9, 4, 126)
         assert "C(9,4)" in str(err.value)
 
     def test_large_table_within_default_capacity(self):
-        table = build_binomial_table(64)
+        table = BinomialTable(64)
         assert table.binom(64, 32) == math.comb(64, 32)
 
     def test_range_errors(self):
-        table = build_binomial_table(5)
+        table = BinomialTable(5)
         with pytest.raises(ValueError):
             table.binom(6, 1)
         with pytest.raises(ValueError):
             table.binom(3, -1)
         with pytest.raises(ValueError):
-            build_binomial_table(-1)
-
-
-class TestCumulative:
-    def test_golay_ball_is_a_power_of_two(self):
-        table = build_binomial_table(23)
-        assert cumulative_binomial(table, 23, 3) == 2048  # 1 + 23 + 253 + 1771
-
-    def test_single_term(self):
-        table = build_binomial_table(12)
-        assert cumulative_binomial(table, 12, 0) == 1
-
-    def test_partial_sum(self):
-        table = build_binomial_table(12)
-        assert cumulative_binomial(table, 12, 5) == 1586  # 1+12+66+220+495+792
-
-    def test_full_sum_is_two_to_n(self):
-        table = build_binomial_table(30)
-        for n in range(31):
-            assert cumulative_binomial(table, n, n) == 1 << n
-
-    def test_range_errors(self):
-        table = build_binomial_table(10)
-        with pytest.raises(ValueError):
-            cumulative_binomial(table, 10, 11)
-        with pytest.raises(ValueError):
-            cumulative_binomial(table, 11, 2)
+            BinomialTable(-1)
 
 
 class TestRankUnrank:
     def test_rank_zero_is_lowest_positions(self):
-        table = build_binomial_table(23)
+        table = BinomialTable(23)
         assert mppm_unrank(table, 0, 3, 23).positions == (0, 1, 2)
 
     def test_max_rank_is_highest_positions(self):
-        table = build_binomial_table(23)
+        table = BinomialTable(23)
         assert mppm_unrank(table, 1770, 3, 23).positions == (20, 21, 22)
 
     def test_unrank_against_colex_oracle(self):
-        table = build_binomial_table(12)
+        table = BinomialTable(12)
         assert colex_subsets(12, 2)[5] == (2, 3)
         assert mppm_unrank(table, 5, 2, 12).positions == (2, 3)
 
     def test_rank_examples(self):
-        table = build_binomial_table(23)
+        table = BinomialTable(23)
         assert mppm_rank(table, PulsePositions((0, 1, 2))) == 0
         assert mppm_rank(table, PulsePositions((2, 3))) == 5
         # C(20,1) + C(21,2) + C(22,3) = 20 + 210 + 1540
         assert mppm_rank(table, PulsePositions((20, 21, 22))) == 1770
 
     def test_exhaustive_bijection_and_order(self):
-        table = build_binomial_table(12)
+        table = BinomialTable(12)
         for n in range(13):
             for m in range(n + 1):
                 expected = colex_subsets(n, m)
@@ -127,12 +100,12 @@ class TestRankUnrank:
                     assert mppm_rank(table, p) == x
 
     def test_empty_pattern(self):
-        table = build_binomial_table(8)
+        table = BinomialTable(8)
         assert mppm_unrank(table, 0, 0, 8).positions == ()
         assert mppm_rank(table, PulsePositions(())) == 0
 
     def test_rank_out_of_range(self):
-        table = build_binomial_table(12)
+        table = BinomialTable(12)
         with pytest.raises(ValueError):
             mppm_unrank(table, table.binom(12, 3), 3, 12)
         with pytest.raises(ValueError):

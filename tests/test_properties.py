@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from buslab.codecs import (
     BusState,
     CorruptedWordError,
+    DbiCodec,
     coset_spec,
     dbi_spec,
     decode,
@@ -31,15 +32,15 @@ from buslab.codecs import (
     uncoded_spec,
 )
 from buslab.combinatorics import (
+    BinomialTable,
     PulsePositions,
     Word,
-    build_binomial_table,
     mppm_rank,
     mppm_unrank,
 )
-from buslab.simulator import _state_average, exact_average_distance
+from buslab.simulator import exact_average_distance
 
-TABLE = build_binomial_table(64)
+TABLE = BinomialTable(64)
 
 
 def colex_rank(positions):
@@ -108,7 +109,7 @@ class TestRankOracle:
             assert TABLE.unrank(top, m, n) == ((1 << m) - 1) << (n - m)
 
     def test_rank_rejects_words_wider_than_the_table(self):
-        table = build_binomial_table(8)
+        table = BinomialTable(8)
         assert table.rank(0xFF) == 0
         with pytest.raises(ValueError):
             table.rank(1 << 8)
@@ -233,11 +234,12 @@ def test_dbi_exact_average_equals_the_repetition_coset(k):
 @pytest.mark.parametrize("k", [15, 16])
 def test_dbi_binomial_sum_equals_the_repetition_coset_past_the_state_cap(k):
     # exact_average_distance caps DBI at k = 14 (its per_state table); the
-    # sum the CLI reference uses has no cap, and 16 is the coset table's cap
+    # family's exact_mean, the CLI reference, has no cap, and 16 is the
+    # coset table's cap
     with pytest.raises(ValueError):
         exact_average_distance(dbi_spec(k))
     rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
-    assert _state_average(dbi_spec(k)) == rep.exact_mean
+    assert DbiCodec.exact_mean(dbi_spec(k)) == rep.exact_mean
     assert rep.exact_mean == {15: Fraction(26333, 4096), 16: Fraction(447661, 65536)}[k]
 
 

@@ -1,0 +1,149 @@
+"""The family registry: every Family member has one codec class that carries
+its required b, its caps, a codec-free exact mean and its trace counters.
+Also the package's exports: every name in an __all__ resolves, and every
+public name of buslab comes from some submodule's __all__."""
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import buslab
+from buslab import analytics
+from buslab.codecs import (
+    _FAMILY_CODECS,
+    Codec,
+    CodecSpec,
+    Family,
+    coset_spec,
+    dbi_spec,
+    make_codec,
+    make_golay23,
+    make_hamming,
+    make_repetition,
+    optimal_spec,
+    ppm0_spec,
+    uncoded_spec,
+)
+from buslab.simulator import exact_average_distance
+
+FAMILIES = list(Family)
+STOCK_COSETS = [make_repetition(9), make_hamming(4), make_golay23()]
+
+
+def _message(spec_args):
+    with pytest.raises(ValueError) as exc:
+        CodecSpec(*spec_args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_every_family_has_one_codec_class(family):
+    cls = _FAMILY_CODECS[family]
+    assert issubclass(cls, Codec) and cls is not Codec
+    if family is Family.COSET:
+        spec = coset_spec(make_hamming(3))
+    else:
+        b = cls.required_b(3)
+        spec = CodecSpec(family, 3, 2 if b is None else b)
+    assert type(make_codec(spec)) is cls
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_a_fixed_b_is_required_and_a_free_b_is_not(family, k):
+    b = _FAMILY_CODECS[family].required_b(k)
+    if b is None:
+        # optimal takes any b >= 0; a coset's b is its code's dimension
+        assert family in (Family.OPTIMAL_MPPM, Family.COSET)
+        if family is Family.OPTIMAL_MPPM:
+            for free in (0, 1, 64 - k):
+                assert CodecSpec(family, k, free).b == free
+            assert _message((family, k, -1)) == "b=-1 must be >= 0"
+        return
+    assert CodecSpec(family, k, b).n == k + b
+    for wrong in (b - 1, b + 1):
+        assert _message((family, k, wrong)).endswith(f"requires b={b}, got b={wrong}")
+
+
+@pytest.mark.parametrize(
+    "spec_args",
+    [(Family.UNCODED, 65, 0), (Family.DBI, 64, 1), (Family.OPTIMAL_MPPM, 33, 32)],
+    ids=["uncoded", "dbi", "optimal"],
+)
+def test_the_width_cap_has_one_text(spec_args):
+    assert _message(spec_args) == "bus width capped at 64 lines, got n=65"
+    family, k, b = spec_args
+    CodecSpec(family, k - 1, b)  # one line fewer is fine
+
+
+def test_ppm0_caps_k_instead():
+    assert _message((Family.PPM0, 21, (1 << 21) - 22)) == "ppm0 supports k <= 20, got 21"
+    assert ppm0_spec(20).n == (1 << 20) - 1
+
+
+EXHAUSTIVE = (
+    [uncoded_spec(k) for k in range(1, 15)]
+    + [dbi_spec(k) for k in range(1, 15)]
+    + [ppm0_spec(k) for k in range(1, 13)]
+    + [optimal_spec(k, b) for k in range(1, 13) for b in (0, 1, 2, 5, 12, 52 - k)]
+    + [coset_spec(code) for code in STOCK_COSETS]
+)
+
+
+@pytest.mark.parametrize("spec", EXHAUSTIVE, ids=lambda s: f"{s.family.value}-k{s.k}-b{s.b}")
+def test_exact_mean_equals_the_exhaustive_average(spec):
+    # for ppm0 and optimal this ties d_min and d_opt to the codec's own
+    # step histogram over all 2^k info words
+    assert _FAMILY_CODECS[spec.family].exact_mean(spec) == (
+        exact_average_distance(spec).exact_mean
+    )
+
+
+def test_closed_form_exact_means():
+    assert _FAMILY_CODECS[Family.OPTIMAL_MPPM].exact_mean(optimal_spec(11, 12)) == (
+        analytics.d_opt(11, 12)
+    )
+    assert _FAMILY_CODECS[Family.PPM0].exact_mean(ppm0_spec(4)) == analytics.d_min(4)
+    assert _FAMILY_CODECS[Family.UNCODED].exact_mean(uncoded_spec(64)) == 32
+
+
+def test_exact_mean_builds_no_codec():
+    # a fresh spec per call, as the closed-form benchmark's exact ops hold:
+    # resolving a codec there cost about a tenth of their throughput
+    specs = [uncoded_spec(64), dbi_spec(63), ppm0_spec(20), optimal_spec(40, 24),
+             optimal_spec(11, 12), dbi_spec(8)]
+    info = make_codec.cache_info()
+    before = info.hits + info.misses
+    for spec in specs:
+        _FAMILY_CODECS[spec.family].exact_mean(spec)
+        assert "codec" not in vars(spec)
+    info = make_codec.cache_info()
+    assert info.hits + info.misses == before
+
+
+def test_only_the_optimal_modulator_counts_clocks():
+    for spec in (uncoded_spec(8), dbi_spec(8), ppm0_spec(4), coset_spec(make_golay23())):
+        assert spec.codec.trace_counters(100, 10) == (0, 0, 0)
+    codec = optimal_spec(11, 12).codec  # d_max = 3 on 23 lines
+    assert codec.trace_counters(100, 10) == (100, 23 * 100 + 4 * 10, 200)
+
+
+def _submodules():
+    names = [m.name for m in pkgutil.iter_modules(buslab.__path__) if m.name != "__main__"]
+    return [importlib.import_module(f"buslab.{name}") for name in sorted(names)]
+
+
+@pytest.mark.parametrize("module", _submodules(), ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    for name in module.__all__:
+        assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_public_package_name_is_exported_by_a_submodule():
+    exported = {name for module in _submodules() for name in module.__all__}
+    public = {
+        name for name, value in vars(buslab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public - exported == set()
