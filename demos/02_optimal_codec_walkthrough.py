@@ -12,20 +12,21 @@ from buslab import (
     decode,
     encode,
     make_codec,
-    mppm_rank,
-    mppm_unrank,
     optimal_spec,
-    positions_to_word,
-    word_to_positions,
 )
+
+
+def lines(d):
+    """Pulse lines of the bitmask d, ascending."""
+    return tuple(s for s in range(d.bit_length()) if d >> s & 1)
+
 
 # -- the subset bijection on its own ----------------------------------------
 table = BinomialTable(23)
-print("rank 0 of 3-subsets of 23 :", mppm_unrank(table, 0, 3, 23).positions)
-print("rank 5 of 2-subsets of 12 :", mppm_unrank(table, 5, 2, 12).positions)
-print("rank 1770 (the last)      :", mppm_unrank(table, 1770, 3, 23).positions)
-p = mppm_unrank(table, 1234, 3, 23)
-print("rank(unrank(1234))        :", mppm_rank(table, p))
+print("rank 0 of 3-subsets of 23 :", lines(table.unrank(0, 3, 23)))
+print("rank 5 of 2-subsets of 12 :", lines(table.unrank(5, 2, 12)))
+print("rank 1770 (the last)      :", lines(table.unrank(1770, 3, 23)))
+print("rank(unrank(1234))        :", table.rank(table.unrank(1234, 3, 23)))
 print()
 
 # -- tier selection ----------------------------------------------------------
@@ -33,8 +34,7 @@ spec = optimal_spec(11, 12)  # 11 info bits on 23 lines
 codec = make_codec(spec)
 print("tier sums for n=23:", codec.tier_sums, "-> d_max =", codec.d_max)
 for u in (0, 1, 24, 276, 277, 2047):
-    d = codec.differential_int(u)
-    pulses = word_to_positions(Word(d, 23)).positions
+    pulses = lines(codec.differential_int(u))
     print(f"  u={u:>4} -> {codec.pulse_count(u)} pulse(s) at {pulses}")
 print()
 
@@ -60,7 +60,7 @@ except CorruptedWordError as err:
 # a small bus with a partial top tier: k=3 on 4 lines keeps only the first
 # three weight-2 patterns, so the other three decode as corrupted
 small = make_codec(optimal_spec(3, 1))
-kept = [positions_to_word(mppm_unrank(small.table, r, 2, 4), 4) for r in range(3)]
+kept = [Word(small.table.unrank(r, 2, 4), 4) for r in range(3)]
 print("kept weight-2 patterns    :", [str(w) for w in kept])
 try:
     small.info_int(0b1100)

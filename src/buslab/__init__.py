@@ -11,7 +11,6 @@ from .analytics import (
     d_unc,
     encoding_cost,
     energy_saving,
-    per_codeword_cost,
     uncoded_distance_pmf,
 )
 from .codecs import (
@@ -43,12 +42,7 @@ from .codecs import (
 from .combinatorics import (
     BinomialTable,
     CapacityError,
-    PulsePositions,
     Word,
-    mppm_rank,
-    mppm_unrank,
-    positions_to_word,
-    word_to_positions,
 )
 from .simulator import (
     ConvergenceReport,

@@ -25,7 +25,6 @@ __all__ = [
     "d_min",
     "energy_saving",
     "encoding_cost",
-    "per_codeword_cost",
 ]
 
 MAX_INFO_BITS = 64
@@ -126,10 +125,3 @@ def encoding_cost(k: int, b: int) -> Fraction:
     """
     n = _check_kb(k, b)
     return (n + 2) * d_opt(k, b) + d_max(k, b) + 1
-
-
-def per_codeword_cost(n: int, m: int) -> tuple[int, int]:
-    """(comparisons, additions) to unrank one weight-m word on n lines: (n*m, 2*m)."""
-    if not 0 <= m <= n:
-        raise ValueError(f"m={m} out of range 0..{n}")
-    return (n * m, 2 * m)

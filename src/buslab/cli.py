@@ -3,10 +3,10 @@
 Grammar:
     buslab analyze  --k INT --b INT [--json|--csv]
     buslab sweep    --k INT --b INT [--out PATH] [--json|--csv]
-    buslab simulate [FAMILY] [--family NAME] --k INT [--b INT]
+    buslab simulate [FAMILY | --family NAME] --k INT [--b INT]
                     [--length INT] [--seed INT] [--jobs INT] [--json|--csv]
     buslab verify   [SCOPE]
-    buslab codebook [FAMILY] [--family NAME] --k INT [--b INT] [--out PATH]
+    buslab codebook [FAMILY | --family NAME] --k INT [--b INT] [--out PATH]
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. Rationals are
 printed as p/q next to decimals rounded to 9 significant digits. Family
@@ -253,8 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # the family arguments that simulate and codebook resolve through _spec_for
     family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("family_pos", nargs="?", choices=_FAMILY_NAMES, metavar="FAMILY")
-    family.add_argument("--family", choices=_FAMILY_NAMES)
+    named = family.add_mutually_exclusive_group()
+    named.add_argument("family_pos", nargs="?", choices=_FAMILY_NAMES, metavar="FAMILY")
+    named.add_argument("--family", choices=_FAMILY_NAMES)
     family.add_argument("--k", type=int, required=True)
     family.add_argument("--b", type=int, default=None)
 

@@ -389,10 +389,6 @@ class BusState:
 
     x_prev: Word
 
-    @classmethod
-    def initial(cls, n: int) -> "BusState":
-        return cls(Word.zero(n))
-
 
 # ---------------------------------------------------------------------------
 # Codec kernels

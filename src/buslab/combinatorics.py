@@ -1,9 +1,10 @@
 """Exact binomial tables and the bijection between integers and m-subsets.
 
-Pulse patterns on a bus are m-subsets of the n line indices. The rank of a
-subset (s_1 < ... < s_m) is C(s_1,1) + C(s_2,2) + ... + C(s_m,m), which
-enumerates all m-subsets of {0..n-1} in colexicographic order as the rank
-runs over 0 .. C(n,m)-1. The table stores one column C(0..n_max, l) per
+Pulse patterns on a bus are m-subsets of the n line indices, held as
+bitmask ints (bit s set for a pulse on line s). The rank of a subset
+(s_1 < ... < s_m) is C(s_1,1) + C(s_2,2) + ... + C(s_m,m), which enumerates
+all m-subsets of {0..n-1} in colexicographic order as the rank runs over
+0 .. C(n,m)-1. The table stores one column C(0..n_max, l) per
 pulse index l; unranking places each pulse with one binary search of the
 remainder in its column, the software form of a bank of parallel comparators
 against the stored coefficients followed by a priority select.
@@ -15,18 +16,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "DEFAULT_CAPACITY",
     "CapacityError",
     "Word",
-    "PulsePositions",
     "BinomialTable",
-    "mppm_rank",
-    "mppm_unrank",
-    "positions_to_word",
-    "word_to_positions",
 ]
 
 # Entries are exact Python integers; the explicit bound keeps the table an
@@ -36,7 +31,7 @@ DEFAULT_CAPACITY = (1 << 128) - 1
 
 
 class CapacityError(OverflowError):
-    """A binomial coefficient exceeded the configured storage capacity."""
+    """A binomial coefficient exceeded the 128-bit storage capacity."""
 
     def __init__(self, n: int, k: int, value: int, capacity: int):
         self.n = n
@@ -94,29 +89,6 @@ class Word:
         return format(self.value, f"0{self.length}b") if self.length else ""
 
 
-@dataclass(frozen=True)
-class PulsePositions:
-    """Strictly increasing line indices carrying a pulse (a 1 bit)."""
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
-        prev = -1
-        for s in self.positions:
-            if s <= prev:
-                raise ValueError(
-                    f"positions must be strictly increasing and >= 0, got {self.positions}"
-                )
-            prev = s
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.positions)
-
-
 class BinomialTable:
     """Exact C(i, j) for 0 <= j <= i <= n_max, stored by column.
 
@@ -125,23 +97,20 @@ class BinomialTable:
     rank and unrank work on bitmask words (bit s set for a pulse on line s).
     """
 
-    __slots__ = ("n_max", "max_value", "_cols")
+    __slots__ = ("n_max", "_cols")
 
-    def __init__(self, n_max: int, max_value: int = DEFAULT_CAPACITY):
+    def __init__(self, n_max: int):
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
-        if max_value < 1:
-            raise ValueError(f"max_value must be >= 1, got {max_value}")
         self.n_max = n_max
-        self.max_value = max_value
         rows: list[list[int]] = [[1] + [0] * n_max]  # zero-padded to n_max + 1
         for i in range(1, n_max + 1):
             prev = rows[i - 1]
             row = [1]
             for j in range(1, i):
                 v = prev[j - 1] + prev[j]
-                if v > max_value:
-                    raise CapacityError(i, j, v, max_value)
+                if v > DEFAULT_CAPACITY:
+                    raise CapacityError(i, j, v, DEFAULT_CAPACITY)
                 row.append(v)
             row.append(1)
             rows.append(row + [0] * (n_max - i))
@@ -194,42 +163,3 @@ class BinomialTable:
             l -= 1
             d ^= 1 << i
         return x
-
-
-def mppm_rank(table: BinomialTable, p: PulsePositions) -> int:
-    """Colex rank of a pulse pattern: sum over l of C(s_l, l)."""
-    return table.rank(sum(1 << s for s in p.positions))
-
-
-def mppm_unrank(table: BinomialTable, x: int, m: int, n: int) -> PulsePositions:
-    """Pulse pattern with colex rank x among the m-subsets of {0..n-1}.
-
-    Each pulse costs one bisect of the remainder in the table's stored
-    column for its index, the software analog of comparing the remainder
-    against every stored coefficient at once and priority-selecting the last
-    satisfied comparison.
-    """
-    return PulsePositions(tuple(_set_bits(table.unrank(x, m, n))))
-
-
-def positions_to_word(p: PulsePositions, n: int) -> Word:
-    """Word of length n with bit i set iff i is a pulse position."""
-    value = 0
-    for s in p.positions:
-        if s >= n:
-            raise ValueError(f"position {s} out of range for word length {n}")
-        value |= 1 << s
-    return Word(value, n)
-
-
-def word_to_positions(w: Word) -> PulsePositions:
-    """Inverse of positions_to_word: indices of the set bits, ascending."""
-    return PulsePositions(tuple(_set_bits(w.value)))
-
-
-def _set_bits(v: int) -> Iterator[int]:
-    """Indices of the set bits of v >= 0, ascending; O(weight) steps."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low

@@ -24,7 +24,7 @@ from .codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from .combinatorics import BinomialTable, mppm_rank, mppm_unrank
+from .combinatorics import BinomialTable
 from .simulator import exact_average_distance
 
 __all__ = ["CheckResult", "SCOPES", "run_checks"]
@@ -47,13 +47,14 @@ def check_rank_bijection(n_limit: int = 12) -> CheckResult:
             count = table.binom(n, m)
             if len(expected) != count:
                 return CheckResult("rank", False, f"C({n},{m}) mismatch")
-            for x in range(count):
-                p = mppm_unrank(table, x, m, n)
-                if p.positions != expected[x]:
+            for x, subset in enumerate(expected):
+                d = table.unrank(x, m, n)
+                want = sum(1 << s for s in subset)
+                if d != want:
                     return CheckResult(
-                        "rank", False, f"unrank({x},{m},{n}) = {p.positions}, want {expected[x]}"
+                        "rank", False, f"unrank({x},{m},{n}) = {d:#b}, want {want:#b}"
                     )
-                if mppm_rank(table, p) != x:
+                if table.rank(d) != x:
                     return CheckResult("rank", False, f"rank(unrank({x},{m},{n})) != {x}")
                 checked += 1
     return CheckResult("rank", True, f"bijection holds for n <= {n_limit} ({checked} patterns)")

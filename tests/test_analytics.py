@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from buslab import analytics
+from buslab.codecs import optimal_spec
 
 
 def greedy_mean_weight(k, n):
@@ -148,13 +149,8 @@ class TestCost:
         assert analytics.d_opt(1, 1) == Fraction(1, 2)
         assert analytics.encoding_cost(1, 1) == 4
 
-    def test_per_codeword_cost(self):
-        assert analytics.per_codeword_cost(10, 0) == (0, 0)
-        assert analytics.per_codeword_cost(23, 3) == (69, 6)
-        assert analytics.per_codeword_cost(15, 1) == (15, 2)
-
-    def test_per_codeword_cost_range(self):
-        with pytest.raises(ValueError):
-            analytics.per_codeword_cost(5, 6)
-        with pytest.raises(ValueError):
-            analytics.per_codeword_cost(5, -1)
+    def test_one_codeword_trace_counters(self):
+        # (clocks, n*m + d_max + 1 comparisons, 2*m additions) for one weight-m word
+        assert optimal_spec(11, 12).codec.trace_counters(3, 1) == (3, 73, 6)
+        assert optimal_spec(4, 11).codec.trace_counters(1, 1) == (1, 17, 2)  # n=15, d_max=1
+        assert optimal_spec(4, 6).codec.trace_counters(0, 1) == (0, 3, 0)  # n=10, d_max=2

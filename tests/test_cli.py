@@ -168,6 +168,12 @@ class TestSimulate:
             main(["simulate", "fancy", "--k", "4"])
         assert exc.value.code == 2
 
+    def test_conflicting_family_forms_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "uncoded", "--family", "optimal", "--k", "4", "--b", "0"])
+        assert exc.value.code == 2
+        assert "argument --family: not allowed with argument FAMILY" in capsys.readouterr().err
+
     def test_zero_jobs_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "uncoded", "--k", "4", "--jobs", "0")
         assert code == 2
@@ -232,6 +238,14 @@ class TestCodebook:
         code, _, err = run_cli(capsys, "codebook", "dbi", "--k", "4", "--b", "1")
         assert code == 2
         assert "dbi" in err
+
+    def test_conflicting_family_forms_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["codebook", "ppm0", "--family", "optimal", "--k", "3", "--b", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert "argument --family: not allowed with argument FAMILY" in err.err
 
     def test_rejects_large_k(self, capsys):
         code, _, err = run_cli(capsys, "codebook", "optimal", "--k", "13", "--b", "2")

@@ -3,21 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from buslab.combinatorics import (
-    BinomialTable,
-    CapacityError,
-    PulsePositions,
-    Word,
-    mppm_rank,
-    mppm_unrank,
-    positions_to_word,
-    word_to_positions,
-)
+from buslab.combinatorics import DEFAULT_CAPACITY, BinomialTable, CapacityError, Word
 
 
 def colex_subsets(n, m):
     """Oracle: all m-subsets of {0..n-1} in colexicographic order."""
     return sorted(combinations(range(n), m), key=lambda t: t[::-1])
+
+
+def mask(subset):
+    return sum(1 << s for s in subset)
 
 
 class TestBinomialTable:
@@ -47,11 +42,13 @@ class TestBinomialTable:
         assert table.binom(3, 5) == 0
 
     def test_capacity_error_names_entry(self):
+        BinomialTable(131)  # C(131,65) still fits 128 bits
         with pytest.raises(CapacityError) as err:
-            BinomialTable(12, max_value=100)
-        # first Pascal sum past 100 is C(9,4) = 126
-        assert (err.value.n, err.value.k, err.value.value) == (9, 4, 126)
-        assert "C(9,4)" in str(err.value)
+            BinomialTable(132)
+        # first Pascal sum past 2^128 - 1 is the central C(132,64)
+        assert (err.value.n, err.value.k, err.value.value) == (132, 64, math.comb(132, 64))
+        assert err.value.capacity == DEFAULT_CAPACITY == (1 << 128) - 1
+        assert "C(132,64)" in str(err.value)
 
     def test_large_table_within_default_capacity(self):
         table = BinomialTable(64)
@@ -70,23 +67,23 @@ class TestBinomialTable:
 class TestRankUnrank:
     def test_rank_zero_is_lowest_positions(self):
         table = BinomialTable(23)
-        assert mppm_unrank(table, 0, 3, 23).positions == (0, 1, 2)
+        assert table.unrank(0, 3, 23) == 0b111
 
     def test_max_rank_is_highest_positions(self):
         table = BinomialTable(23)
-        assert mppm_unrank(table, 1770, 3, 23).positions == (20, 21, 22)
+        assert table.unrank(1770, 3, 23) == 0b111 << 20
 
     def test_unrank_against_colex_oracle(self):
         table = BinomialTable(12)
         assert colex_subsets(12, 2)[5] == (2, 3)
-        assert mppm_unrank(table, 5, 2, 12).positions == (2, 3)
+        assert table.unrank(5, 2, 12) == 0b1100
 
     def test_rank_examples(self):
         table = BinomialTable(23)
-        assert mppm_rank(table, PulsePositions((0, 1, 2))) == 0
-        assert mppm_rank(table, PulsePositions((2, 3))) == 5
+        assert table.rank(0b111) == 0
+        assert table.rank(0b1100) == 5
         # C(20,1) + C(21,2) + C(22,3) = 20 + 210 + 1540
-        assert mppm_rank(table, PulsePositions((20, 21, 22))) == 1770
+        assert table.rank(0b111 << 20) == 1770
 
     def test_exhaustive_bijection_and_order(self):
         table = BinomialTable(12)
@@ -95,51 +92,23 @@ class TestRankUnrank:
                 expected = colex_subsets(n, m)
                 assert len(expected) == table.binom(n, m)
                 for x, subset in enumerate(expected):
-                    p = mppm_unrank(table, x, m, n)
-                    assert p.positions == subset
-                    assert mppm_rank(table, p) == x
+                    d = table.unrank(x, m, n)
+                    assert d == mask(subset)
+                    assert table.rank(d) == x
 
     def test_empty_pattern(self):
         table = BinomialTable(8)
-        assert mppm_unrank(table, 0, 0, 8).positions == ()
-        assert mppm_rank(table, PulsePositions(())) == 0
+        assert table.unrank(0, 0, 8) == 0
+        assert table.rank(0) == 0
 
     def test_rank_out_of_range(self):
         table = BinomialTable(12)
         with pytest.raises(ValueError):
-            mppm_unrank(table, table.binom(12, 3), 3, 12)
+            table.unrank(table.binom(12, 3), 3, 12)
         with pytest.raises(ValueError):
-            mppm_unrank(table, -1, 3, 12)
+            table.unrank(-1, 3, 12)
         with pytest.raises(ValueError):
-            mppm_unrank(table, 0, 2, 13)
-
-
-class TestPositionsWords:
-    def test_pulses_at_zero_and_two(self):
-        w = positions_to_word(PulsePositions((0, 2)), 5)
-        assert w.value == 0b00101
-        assert str(w) == "00101"  # line 0 rightmost
-        assert (w.bit(0), w.bit(1), w.bit(2)) == (1, 0, 1)
-
-    def test_empty_positions(self):
-        assert positions_to_word(PulsePositions(()), 5) == Word.zero(5)
-
-    def test_round_trip_weight_two_words(self):
-        for a, b in combinations(range(6), 2):
-            p = PulsePositions((a, b))
-            assert word_to_positions(positions_to_word(p, 6)) == p
-
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            positions_to_word(PulsePositions((0, 5)), 5)
-
-    def test_positions_must_increase(self):
-        with pytest.raises(ValueError):
-            PulsePositions((3, 3))
-        with pytest.raises(ValueError):
-            PulsePositions((2, 1))
-        with pytest.raises(ValueError):
-            PulsePositions((-1, 0))
+            table.unrank(0, 2, 13)
 
 
 class TestWord:
@@ -159,6 +128,11 @@ class TestWord:
         assert w.weight() == 2
         assert str(w) == "10100"
         assert w.length == 5
+
+    def test_pulses_at_zero_and_two(self):
+        w = Word(0b00101, 5)
+        assert str(w) == "00101"  # line 0 rightmost
+        assert (w.bit(0), w.bit(1), w.bit(2)) == (1, 0, 1)
 
     def test_bad_string(self):
         with pytest.raises(ValueError):

@@ -20,9 +20,16 @@ ANCHORS = {
         "anchors verified.",
     ],
     "02_optimal_codec_walkthrough.py": [
+        "rank 0 of 3-subsets of 23 : (0, 1, 2)",
+        "rank 5 of 2-subsets of 12 : (2, 3)",
+        "rank 1770 (the last)      : (20, 21, 22)",
+        "rank(unrank(1234))        : 1234",
         "tier sums for n=23: (1, 24, 277, 2048) -> d_max = 3",
+        "  u=   1 -> 1 pulse(s) at (0,)",
+        "  u=2047 -> 3 pulse(s) at (20, 21, 22)",
         "  u=2047: bus=11100000000000000000000 toggles=3 decode=2047",
         "corrupted word rejected: differential weight 4 exceeds d_max=3",
+        "kept weight-2 patterns    : ['0011', '0101', '0110']",
         "rejected pattern 1100    : weight-2 rank 5 is outside the emitted codebook",
     ],
     "03_coset_encoders.py": [

@@ -31,13 +31,7 @@ from buslab.codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from buslab.combinatorics import (
-    BinomialTable,
-    PulsePositions,
-    Word,
-    mppm_rank,
-    mppm_unrank,
-)
+from buslab.combinatorics import BinomialTable, Word
 from buslab.simulator import exact_average_distance
 
 TABLE = BinomialTable(64)
@@ -83,7 +77,6 @@ class TestRankOracle:
     def test_unrank_matches_colex_oracle(self, xmn):
         x, m, n = xmn
         expected = colex_unrank(x, m, n)
-        assert mppm_unrank(TABLE, x, m, n).positions == expected
         assert TABLE.unrank(x, m, n) == _mask(expected)
 
     @settings(max_examples=300, deadline=None)
@@ -91,14 +84,12 @@ class TestRankOracle:
     def test_rank_matches_colex_oracle(self, lines):
         positions = tuple(sorted(lines))
         expected = colex_rank(positions)
-        assert mppm_rank(TABLE, PulsePositions(positions)) == expected
         assert TABLE.rank(_mask(positions)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(ranked_subsets())
     def test_rank_inverts_unrank(self, xmn):
         x, m, n = xmn
-        assert mppm_rank(TABLE, mppm_unrank(TABLE, x, m, n)) == x
         assert TABLE.rank(TABLE.unrank(x, m, n)) == x
 
     @pytest.mark.parametrize("n", [1, 2, 17, 63, 64])
