@@ -435,6 +435,7 @@ class Codec:
         self._k = spec.k
         self._n = spec.n
         self._size = 1 << spec.k
+        self.word_dtype = np.uint32 if spec.k <= 32 else np.uint64  # of trace chunks
 
     # pure int kernels, no length checks
     def encode_int(self, state: int, u: int) -> int:
@@ -444,7 +445,7 @@ class Codec:
         raise NotImplementedError
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        """int64 counts of a chunk of uint64 info words' steps by lines
+        """int64 counts of a chunk of word_dtype info words' steps by lines
         toggled, one entry per weight up to the family's heaviest step.
 
         prev is the info word sent just before the chunk (0 at trace start,
@@ -492,7 +493,7 @@ class _DifferentialCodec(Codec):
         """Mean step weight over all 2^k info words, from the codec's own
         histogram: coset's exact mean, and the exhaustive check of ppm0's
         and optimal's closed forms."""
-        hist = spec.codec.step_histogram(np.arange(1 << spec.k, dtype=np.uint64), 0)
+        hist = spec.codec.step_histogram(np.arange(1 << spec.k, dtype=spec.codec.word_dtype), 0)
         return Fraction(int(hist @ np.arange(hist.size)), 1 << spec.k)
 
 
@@ -711,15 +712,13 @@ class CosetCodec(_DifferentialCodec):
         return s
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        per_syndrome = np.bincount(us.view(np.int64), minlength=self._size)
+        per_syndrome = np.bincount(us, minlength=self._size)
         return np.add.reduceat(per_syndrome[self._by_weight], self._tier_starts)
 
 
 def _xor_histogram(us: np.ndarray, prev: int, k: int) -> np.ndarray:
     """k + 1 counts of popcount(u XOR the word before it; prev for the first)."""
-    x = us[1:] ^ us[:-1]
-    np.bitwise_count(x, out=x, casting="unsafe")
-    h = np.bincount(x.view(np.int64), minlength=k + 1)
+    h = np.bincount(np.bitwise_count(us[1:] ^ us[:-1]), minlength=k + 1)
     h[(int(us[0]) ^ int(prev)).bit_count()] += 1
     return h
 

@@ -8,6 +8,8 @@ Randomness comes from numpy's PCG64 seeded through SeedSequence, so runs are
 reproducible and a trace can be split into shards with independently derived
 child seeds; shards run one after another, and their step histograms add in
 shard order before the counters, trace_counters included, are built once.
+Each word is the top k bits of PCG64's next raw 32-bit (uint32, k <= 32) or
+64-bit output, exactly the stream of Generator.integers(0, 2**k, uint64).
 
 Exact averages are sums, not traces: a differential family's step histogram
 over all 2^k info words, or, for the state-dependent uncoded bus and DBI,
@@ -36,6 +38,7 @@ __all__ = [
     "convergence_check",
 ]
 
+# even: an odd chunk mid-shard would drop the half output integers() keeps
 _CHUNK = 1 << 17
 _EXHAUSTIVE_INFO_BITS = 20
 # caps of the state-dependent averages, whose per_state table has 2^n entries
@@ -55,10 +58,10 @@ class TraceConfig:
     def __post_init__(self):
         if self.trace_length < 1:
             raise ValueError(f"trace_length must be >= 1, got {self.trace_length}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.shards <= self.trace_length:
-            raise ValueError(
-                f"shards must be in 1..trace_length, got {self.shards}"
-            )
+            raise ValueError(f"shards must be in 1..trace_length, got {self.shards}")
 
 
 @dataclass
@@ -116,13 +119,25 @@ class ConvergenceReport:
         return self.tolerance - self.rel_deviation
 
 
+def _draw(bitgen: np.random.PCG64, k: int, size: int) -> np.ndarray:
+    """The words Generator.integers(0, 2**k, size, dtype=np.uint64) draws:
+    Lemire's method never rejects a power of two and keeps the top k bits of
+    the next 64-bit output, or for k <= 32 of the next 32-bit half (low half
+    first, as a little-endian view of the raw outputs lays them out)."""
+    if k <= 32:
+        us = bitgen.random_raw((size + 1) // 2).view(np.uint32)[:size]
+    else:
+        us = bitgen.random_raw(size)
+    us >>= us.itemsize * 8 - k
+    return us
+
+
 def _shard_histogram(codec: Codec, length: int, seed: np.random.SeedSequence) -> np.ndarray:
     """int64 step counts by lines toggled of one shard of length words."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    hist = 0
-    prev = 0
+    bitgen = np.random.PCG64(seed)
+    hist = prev = 0
     for start in range(0, length, _CHUNK):
-        us = rng.integers(0, 1 << codec.spec.k, size=min(_CHUNK, length - start), dtype=np.uint64)
+        us = _draw(bitgen, codec.spec.k, min(_CHUNK, length - start))
         hist = hist + codec.step_histogram(us, prev)
         prev = int(us[-1])
     return hist

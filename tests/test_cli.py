@@ -179,6 +179,12 @@ class TestSimulate:
         assert code == 2
         assert "--jobs" in err
 
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "uncoded", "--k", "8", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0, got -1" in err
+
     @pytest.mark.parametrize(
         "k, has_reference", [(12, True), (13, True), (14, True), (15, True), (16, True), (63, True)]
     )

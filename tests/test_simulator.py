@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from buslab import analytics
+from buslab import analytics, simulator
 from buslab.cli import main
 from buslab.codecs import (
     coset_spec,
     dbi_spec,
     make_codec,
+    make_golay23,
     make_hamming,
     make_repetition,
     optimal_spec,
@@ -21,6 +22,7 @@ from buslab.codecs import (
 from buslab.combinatorics import Word
 from buslab.simulator import (
     TraceConfig,
+    _draw,
     _shard_histogram,
     clock_model,
     convergence_check,
@@ -131,6 +133,55 @@ class TestRunTrace:
             TraceConfig(spec=uncoded_spec(4), trace_length=10, seed=1, shards=11)
         with pytest.raises(ValueError):
             TraceConfig(spec=uncoded_spec(4), trace_length=10, seed=1, shards=0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TraceConfig(spec=uncoded_spec(4), trace_length=10, seed=-1)
+
+
+def _integers(seed, k, size):
+    return np.random.Generator(np.random.PCG64(seed)).integers(0, 1 << k, size, dtype=np.uint64)
+
+
+class TestDraw:
+    """_draw hands out exactly the words Generator.integers would."""
+
+    @pytest.mark.parametrize("k", range(1, 65))
+    def test_matches_generator_integers(self, k):
+        for size in (1, 2, 3, 1001, 1 << 17, (1 << 17) + 1):
+            seed = 1000 * k + size
+            us = _draw(np.random.PCG64(seed), k, size)
+            assert us.dtype == (np.uint32 if k <= 32 else np.uint64)
+            assert np.array_equal(us, _integers(seed, k, size))
+
+    @pytest.mark.parametrize("k", [1, 11, 32, 33, 64])
+    def test_even_draws_leave_the_generator_where_integers_does(self, k):
+        # integers() may leave a stale 32-bit buffer value behind, which
+        # nothing reads while has_uint32 is 0; the rest of the state agrees,
+        # so the next chunk continues the same stream
+        bitgen = np.random.PCG64(17)
+        rng = np.random.Generator(np.random.PCG64(17))
+        for size in (2, 1000, 1 << 17):
+            _draw(bitgen, k, size)
+            rng.integers(0, 1 << k, size, dtype=np.uint64)
+            ours, theirs = bitgen.state, rng.bit_generator.state
+            assert ours["has_uint32"] == theirs["has_uint32"] == 0
+            assert ours["state"] == theirs["state"]
+        assert np.array_equal(_draw(bitgen, k, 7), rng.integers(0, 1 << k, 7, dtype=np.uint64))
+
+    def test_chunk_is_even(self):
+        # an odd chunk would drop half an output mid-shard that integers() keeps
+        assert simulator._CHUNK % 2 == 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [uncoded_spec(8), uncoded_spec(40), dbi_spec(8), ppm0_spec(6),
+         optimal_spec(11, 12), coset_spec(make_golay23())],
+        ids=lambda s: f"{s.family.value}-{s.k}",
+    )
+    def test_chunk_size_does_not_change_the_trace(self, spec, monkeypatch):
+        cfgs = [TraceConfig(spec, 270_001, seed=8, shards=s) for s in (1, 2)]
+        default = [run_trace(cfg) for cfg in cfgs]
+        monkeypatch.setattr(simulator, "_CHUNK", 1 << 10)
+        assert [run_trace(cfg) for cfg in cfgs] == default
 
 
 class TestEstimatorConsistency:

@@ -6,6 +6,7 @@ DBI and the uncoded bus. A whole chunk must count the scalar weights of all
 its steps. Small info spaces are checked exhaustively, wide ones (k = 24,
 40, 64 and DBI up to k = 63) on sampled words. Every histogram has one
 entry per weight up to the family's heaviest step, whatever the chunk holds.
+Chunks carry the words a trace draws: uint32 for k <= 32, uint64 above.
 """
 from functools import cache
 from math import comb
@@ -52,8 +53,9 @@ def _label(spec):
     return f"{spec.family.value}-{spec.k}-{spec.b}"
 
 
-def _words(values):
-    return np.array(values, dtype=np.uint64)
+def _words(values, codec):
+    """The chunk a trace draws: uint32 words for k <= 32, uint64 above."""
+    return np.array(values, dtype=codec.word_dtype)
 
 
 @cache
@@ -83,7 +85,7 @@ def _one_hot(weight, spec):
 
 
 def _hist(codec, us, prev):
-    return codec.step_histogram(_words(us), prev).tolist()
+    return codec.step_histogram(_words(us, codec), prev).tolist()
 
 
 def _scalar_walk(codec, us, prev):
@@ -187,9 +189,9 @@ def test_chunk_carry_matches_one_chunk(spec, data):
     codec = make_codec(spec)
     us = data.draw(st.lists(st.integers(0, (1 << spec.k) - 1), min_size=2, max_size=60))
     cut = data.draw(st.integers(1, len(us) - 1))
-    whole = codec.step_histogram(_words(us), 0)
-    head = codec.step_histogram(_words(us[:cut]), 0)
-    tail = codec.step_histogram(_words(us[cut:]), us[cut - 1])
+    whole = codec.step_histogram(_words(us, codec), 0)
+    head = codec.step_histogram(_words(us[:cut], codec), 0)
+    tail = codec.step_histogram(_words(us[cut:], codec), us[cut - 1])
     assert (head + tail).tolist() == whole.tolist()
 
 
@@ -198,7 +200,7 @@ def test_length_is_the_heaviest_step_plus_one(spec):
     # ppm0 k = 20 has 2^20 + 1 lines but two entries
     codec = make_codec(spec)
     for us in ([0], [0] * 5, [(1 << spec.k) - 1]):
-        h = codec.step_histogram(_words(us), 0)
+        h = codec.step_histogram(_words(us, codec), 0)
         assert h.dtype == np.int64
         assert h.size == _heaviest(spec) + 1
         assert h.sum() == len(us)
@@ -217,3 +219,24 @@ def test_dbi_folds_each_info_weight_at_odd_and_even_n(k):
         us.append(u)
     expected = [sum(1 for i in range(k + 1) if min(i, n - i) == v) for v in range(n // 2 + 1)]
     assert _hist(make_codec(spec), us, 0) == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [uncoded_spec(32), uncoded_spec(33), dbi_spec(32), dbi_spec(33),
+     optimal_spec(32, 32), optimal_spec(33, 31)],
+    ids=_label,
+)
+def test_both_word_dtypes_at_the_32_bit_edge(spec):
+    # k = 32 runs on uint32 words, k = 33 on uint64; (32,32)'s top tier sum
+    # is past 2^32 - 1, the largest uint32 word
+    k = spec.k
+    codec = make_codec(spec)
+    assert codec.word_dtype is (np.uint32 if k <= 32 else np.uint64)
+    top = (1 << k) - 1
+    us = [top, 0, top, 1 << (k - 1), top >> 1, 0x5555_5555_5555_5555 & top, top, 1]
+    if spec.family.value == "optimal":
+        weights = [codec.differential_int(u).bit_count() for u in us]
+    else:
+        weights = _scalar_walk(codec, us, 0)
+    assert _hist(codec, us, 0) == _counts(weights, spec)
