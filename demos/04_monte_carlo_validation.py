@@ -59,7 +59,7 @@ print()
 cfg = TraceConfig(spec=spec, trace_length=200_000, seed=99, shards=4)
 print("4-shard trace replays identically:", run_trace(cfg) == run_trace(cfg))
 
-# DBI has no simple closed form, but the exhaustive average is exact
+# DBI's exact average: every bus state has the same mean, an (n + 1)-term binomial sum
 print()
 print("dbi(4) exhaustive mean over all states and inputs:",
       exact_average_distance(dbi_spec(4)).exact_mean)

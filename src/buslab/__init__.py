@@ -24,7 +24,6 @@ from .codecs import (
     build_coset_leader_table,
     coset_spec,
     coset_spec_for,
-    dbi_encode,
     dbi_spec,
     decode,
     encode,
@@ -33,7 +32,6 @@ from .codecs import (
     make_hamming,
     make_repetition,
     min_distance,
-    optimal_differential,
     optimal_spec,
     ppm0_spec,
     uncoded_spec,

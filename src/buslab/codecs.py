@@ -56,8 +56,6 @@ __all__ = [
     "make_codec",
     "encode",
     "decode",
-    "optimal_differential",
-    "dbi_encode",
     "make_repetition",
     "make_hamming",
     "make_golay23",
@@ -155,9 +153,6 @@ class LinearCode:
         for r, row in enumerate(self.h_rows):
             s |= ((row & word).bit_count() & 1) << r
         return s
-
-    def is_codeword(self, word: int) -> bool:
-        return self.syndrome(word) == 0
 
 
 def make_repetition(n_lines: int) -> LinearCode:
@@ -371,6 +366,8 @@ def coset_spec_for(k: int, b: int) -> CodecSpec:
     b = 1 gives the repetition code on k+1 lines; b = 2^k - 1 - k gives the
     Hamming code with k parity bits; (11, 12) gives the Golay code.
     """
+    if k > MAX_SYNDROME_BITS:  # each has k syndrome bits: fail before any build
+        raise ValueError(f"coset k={k} exceeds the {MAX_SYNDROME_BITS}-bit syndrome table cap")
     if (k, b) == (11, 12):
         return coset_spec(make_golay23())
     if b == 1:
@@ -747,21 +744,3 @@ def decode(spec: CodecSpec, state: BusState, x: Word) -> Word:
     """Recover the info word from the received bus word and the state."""
     return spec.codec.decode(state.x_prev, x)
 
-
-def optimal_differential(spec: CodecSpec, u: Word) -> Word:
-    """Low-weight differential word the optimal codec assigns to u."""
-    if spec.family is not Family.OPTIMAL_MPPM:
-        raise ValueError(f"optimal_differential needs an optimal spec, got {spec.family.value}")
-    if u.length != spec.k:
-        raise ValueError(f"info word length {u.length} != k={spec.k}")
-    return Word(spec.codec.differential_int(u.value), spec.n)
-
-
-def dbi_encode(state: BusState, u: Word) -> Word:
-    """One DBI step: the closer of u||0 and complement(u)||1 to the state."""
-    return _dbi_codec(u.length).encode(state.x_prev, u)
-
-
-@lru_cache(maxsize=64)
-def _dbi_codec(k: int) -> Codec:
-    return dbi_spec(k).codec

@@ -63,20 +63,8 @@ class Word:
     def zero(cls, length: int) -> "Word":
         return cls(0, length)
 
-    @classmethod
-    def from_string(cls, bits: str) -> "Word":
-        """Parse a binary string written with line 0 rightmost."""
-        if bits and not set(bits) <= {"0", "1"}:
-            raise ValueError(f"not a binary string: {bits!r}")
-        return cls(int(bits, 2) if bits else 0, len(bits))
-
     def weight(self) -> int:
         return self.value.bit_count()
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise ValueError(f"bit index {i} out of range for length {self.length}")
-        return (self.value >> i) & 1
 
     def __xor__(self, other: "Word") -> "Word":
         if self.length != other.length:

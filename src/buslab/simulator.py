@@ -12,13 +12,13 @@ Each word is the top k bits of PCG64's next raw 32-bit (uint32, k <= 32) or
 64-bit output, exactly the stream of Generator.integers(0, 2**k, uint64).
 
 Exact averages are sums, not traces: a differential family's step histogram
-over all 2^k info words, or, for the state-dependent uncoded bus and DBI,
-their family's exact_mean, n + 1 binomial terms over the weights of the
-n-bit words.
+over all 2^k info words (k <= 20), or, for the uncoded bus and DBI at every
+supported width, their family's exact_mean, n + 1 binomial terms over the
+weights of the n-bit words; every bus state has that same mean.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,9 +41,6 @@ __all__ = [
 # even: an odd chunk mid-shard would drop the half output integers() keeps
 _CHUNK = 1 << 17
 _EXHAUSTIVE_INFO_BITS = 20
-# caps of the state-dependent averages, whose per_state table has 2^n entries
-_EXHAUSTIVE_STATE_LINES = 24
-_EXHAUSTIVE_STATE_INFO_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -75,16 +72,12 @@ class TransitionStats:
     """
 
     n_lines: int
-    words_sent: int = 0
-    total_transitions: int = 0
-    weight_histogram: list[int] = field(default_factory=list)
-    clock_cycles_total: int = 0
-    comparisons_total: int = 0
-    additions_total: int = 0
-
-    def __post_init__(self):
-        if not self.weight_histogram:
-            self.weight_histogram = [0] * (self.n_lines + 1)
+    words_sent: int
+    total_transitions: int
+    weight_histogram: list[int]
+    clock_cycles_total: int
+    comparisons_total: int
+    additions_total: int
 
     @property
     def mean_transitions(self) -> Fraction:
@@ -102,8 +95,6 @@ class ExactAverageReport:
 
     spec: CodecSpec
     exact_mean: Fraction
-    state_dependent: bool
-    per_state: tuple[Fraction, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -113,10 +104,6 @@ class ConvergenceReport:
     reference: Fraction
     rel_deviation: float
     tolerance: float
-
-    @property
-    def margin(self) -> float:
-        return self.tolerance - self.rel_deviation
 
 
 def _draw(bitgen: np.random.PCG64, k: int, size: int) -> np.ndarray:
@@ -164,30 +151,20 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
     return TransitionStats(spec.n, cfg.trace_length, total, counts, *counters)
 
 
-def exact_average_distance(
-    spec: CodecSpec, include_per_state: bool = False
-) -> ExactAverageReport:
+def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:
     """Exact mean transitions over uniform info words and uniform states.
 
     For differential families the state cancels and the mean is taken over
     info words alone, from the codec's step histogram of all 2^k of them.
     For the uncoded bus and DBI every state has the same mean, the family's
-    exact_mean (see DbiCodec.exact_mean); per_state repeats it per state.
+    exact_mean (see DbiCodec.exact_mean).
     """
-    if spec.family not in (Family.UNCODED, Family.DBI):
-        if spec.k > _EXHAUSTIVE_INFO_BITS:
-            raise ValueError(f"k={spec.k} too large for exhaustive average")
-        # the exhaustive mean, even where the family has a closed form
-        return ExactAverageReport(spec, _DifferentialCodec.exact_mean(spec), state_dependent=False)
-    n, k = spec.n, spec.k
-    if n > _EXHAUSTIVE_STATE_LINES or k > _EXHAUSTIVE_STATE_INFO_BITS:
-        raise ValueError(
-            f"k={k}, n={n} too large for the exhaustive state average "
-            f"(needs k <= {_EXHAUSTIVE_STATE_INFO_BITS} and n <= {_EXHAUSTIVE_STATE_LINES})"
-        )
-    mean = _FAMILY_CODECS[spec.family].exact_mean(spec)
-    per_state = (mean,) * (1 << n) if include_per_state else None
-    return ExactAverageReport(spec, mean, state_dependent=True, per_state=per_state)
+    if spec.family in (Family.UNCODED, Family.DBI):
+        return ExactAverageReport(spec, _FAMILY_CODECS[spec.family].exact_mean(spec))
+    if spec.k > _EXHAUSTIVE_INFO_BITS:
+        raise ValueError(f"k={spec.k} too large for exhaustive average")
+    # the exhaustive mean, even where the family has a closed form
+    return ExactAverageReport(spec, _DifferentialCodec.exact_mean(spec))
 
 
 def clock_model(spec: CodecSpec, u: Word) -> tuple[int, int]:

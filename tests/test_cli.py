@@ -153,6 +153,15 @@ class TestSimulate:
         data = json.loads(out)
         assert data["reference_mean"] == "2921/1024"
 
+    @pytest.mark.parametrize("k, b", [(17, 131054), (4000, 1)])
+    def test_coset_past_the_syndrome_cap_exits_2_before_any_build(self, capsys, k, b):
+        # building these codes first took 8.6 s and 1.1 GB, or 2.3 s
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", "coset", "--k", str(k), "--b", str(b))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert f"coset k={k} exceeds the 16-bit syndrome table cap" in err
+
     def test_missing_family_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--k", "4")
         assert code == 2
@@ -189,7 +198,7 @@ class TestSimulate:
         "k, has_reference", [(12, True), (13, True), (14, True), (15, True), (16, True), (63, True)]
     )
     def test_dbi_reference_up_to_the_exhaustive_cap(self, capsys, k, has_reference):
-        # the (n + 1)-term binomial sum needs no cap; only per_state does
+        # the (n + 1)-term binomial sum needs no cap
         code, out, _ = run_cli(capsys, "simulate", "dbi", "--k", str(k), "--length", "1000")
         assert code == 0
         assert ("closed-form reference" in out) == has_reference

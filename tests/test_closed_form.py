@@ -8,10 +8,14 @@ from the current code. It holds:
 - sweep: byte count and sha256 of `buslab sweep` CSV and --json output;
 - analyze: the verbatim text, --csv and --json output of 32 (k, b) cells;
 - exact_average: for DBI k = 1..12 and uncoded k = 1..14, the exact mean
-  and the sha256 of the per_state tuple written one str(Fraction) per line.
+  and the length and sha256 of the per-state table of means, written one
+  str(Fraction) per line. That table is gone from the API: every state has
+  the same mean, so the test hashes the exact mean repeated per_state_count
+  times, which checks that the recorded table was constant.
 
 The per-row Fraction sum and the per-state loop are kept below as oracles
-for the incremental sweep and the coset sums.
+for the incremental sweep and the coset sums; the loop also checks that
+every state's mean equals the exact mean.
 """
 import hashlib
 import json
@@ -65,14 +69,10 @@ def test_analyze_reproduces_the_golden_output(capsys, entry):
 )
 def test_exact_average_reproduces_the_golden_record(entry):
     spec = SPECS[entry["family"]](entry["k"])
-    rep = exact_average_distance(spec, include_per_state=True)
-    assert rep.state_dependent
-    assert str(rep.exact_mean) == entry["exact_mean"]
-    assert len(rep.per_state) == entry["per_state_count"]
-    assert {type(x) for x in rep.per_state} == {Fraction}
-    assert _sha256("".join(f"{x}\n" for x in rep.per_state)) == entry["per_state_sha256"]
-    plain = exact_average_distance(spec)
-    assert plain.exact_mean == rep.exact_mean and plain.per_state is None
+    mean = exact_average_distance(spec).exact_mean
+    assert type(mean) is Fraction and str(mean) == entry["exact_mean"]
+    assert entry["per_state_count"] == 1 << spec.n
+    assert _sha256(f"{mean}\n" * entry["per_state_count"]) == entry["per_state_sha256"]
 
 
 def d_opt_by_fractions(k, b):
@@ -127,8 +127,9 @@ def state_loop(spec):
     ids=lambda s: f"{s.family.value}-{s.k}",
 )
 def test_coset_sums_match_the_state_loop(spec):
-    rep = exact_average_distance(spec, include_per_state=True)
-    assert (rep.exact_mean, rep.per_state) == state_loop(spec)
+    mean, per_state = state_loop(spec)
+    assert exact_average_distance(spec).exact_mean == mean
+    assert set(per_state) == {mean}
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(capsys):

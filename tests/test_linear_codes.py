@@ -37,9 +37,8 @@ class TestRepetition:
 
     def test_codewords_are_zero_and_ones(self):
         code = make_repetition(5)
-        assert code.is_codeword(0)
-        assert code.is_codeword(0b11111)
-        assert not code.is_codeword(0b00111)
+        assert code.syndrome(0) == code.syndrome(0b11111) == 0
+        assert code.syndrome(0b00111) != 0
 
     def test_too_small(self):
         with pytest.raises(ValueError):

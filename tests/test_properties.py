@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from buslab.codecs import (
     BusState,
     CorruptedWordError,
-    DbiCodec,
     coset_spec,
     dbi_spec,
     decode,
@@ -212,26 +211,15 @@ def test_dbi_step_equals_the_repetition_coset_step(data):
     assert (x ^ state).bit_count() == rep.differential_int(u ^ wire_info).bit_count()
 
 
-@pytest.mark.parametrize("k", range(1, 15))
+@pytest.mark.parametrize("k", range(1, 17))
 def test_dbi_exact_average_equals_the_repetition_coset(k):
-    # the binomial sum against the differential step kernel, over every k
-    # the state-dependent average accepts
+    # the binomial sum against the differential step kernel, up to the
+    # coset table's 16-bit syndrome cap
     dbi = exact_average_distance(dbi_spec(k))
     rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
-    assert dbi.state_dependent and not rep.state_dependent
     assert dbi.exact_mean == rep.exact_mean
-
-
-@pytest.mark.parametrize("k", [15, 16])
-def test_dbi_binomial_sum_equals_the_repetition_coset_past_the_state_cap(k):
-    # exact_average_distance caps DBI at k = 14 (its per_state table); the
-    # family's exact_mean, the CLI reference, has no cap, and 16 is the
-    # coset table's cap
-    with pytest.raises(ValueError):
-        exact_average_distance(dbi_spec(k))
-    rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
-    assert DbiCodec.exact_mean(dbi_spec(k)) == rep.exact_mean
-    assert rep.exact_mean == {15: Fraction(26333, 4096), 16: Fraction(447661, 65536)}[k]
+    if k >= 15:
+        assert rep.exact_mean == {15: Fraction(26333, 4096), 16: Fraction(447661, 65536)}[k]
 
 
 # every stock code on at most 17 lines

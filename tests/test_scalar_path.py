@@ -13,14 +13,12 @@ from buslab.codecs import (
     BusState,
     CorruptedWordError,
     coset_spec,
-    dbi_encode,
     dbi_spec,
     decode,
     encode,
     make_codec,
     make_golay23,
     make_repetition,
-    optimal_differential,
     optimal_spec,
     ppm0_spec,
     uncoded_spec,
@@ -69,19 +67,10 @@ def test_a_thousand_pairs_resolve_the_codec_at_most_once(i):
     assert _lookups() - before <= 1
 
 
-def test_a_thousand_dbi_encodes_resolve_the_codec_at_most_once():
-    spec = dbi_spec(8)
-    pairs = [(BusState(Word(u * 37 % (1 << 9), 9)), Word(u % 256, 8)) for u in range(1000)]
-    expected = [encode(spec, state, word) for state, word in pairs]
-    before = _lookups()
-    assert [dbi_encode(state, word) for state, word in pairs] == expected
-    assert _lookups() - before <= 1
-
-
 def test_dbi_encode_past_the_width_cap_raises_every_time():
     text = "bus width capped at 64 lines, got n=65"
-    for _ in range(2):  # a failed lookup is not cached
-        assert _message(dbi_encode, BusState(Word.zero(65)), Word(1, 64)) == text
+    for _ in range(2):  # the spec check keeps no state between calls
+        assert _message(dbi_spec, 64) == text
 
 
 def test_equal_specs_share_one_codec():
@@ -121,10 +110,10 @@ def test_info_value_range_error_keeps_its_text(i, u):
 
 def test_optimal_and_clock_model_length_errors_keep_their_texts():
     spec = optimal_spec(11, 12)
-    for call in (optimal_differential, clock_model, word_cost):
+    for call in (clock_model, word_cost):
         assert _message(call, spec, Word.zero(10)) == "info word length 10 != k=11"
-    assert _message(optimal_differential, dbi_spec(3), Word.zero(3)) == (
-        "optimal_differential needs an optimal spec, got dbi"
+    assert _message(clock_model, dbi_spec(3), Word.zero(3)) == (
+        "clock_model needs an optimal spec, got dbi"
     )
 
 
@@ -182,7 +171,7 @@ def test_word_is_still_a_frozen_dataclass():
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.value = 1
     assert pickle.loads(pickle.dumps(w)) == w
-    assert dbi_encode(BusState(Word.zero(9)), w) == Word(5 << 1, 9)
+    assert encode(dbi_spec(8), BusState(Word.zero(9)), w) == Word(5 << 1, 9)
 
 
 def test_import_builds_no_codec():
