@@ -4,9 +4,11 @@ All families share one contract: given the previous bus word and the current
 info word, produce the next bus word; decoding inverts it. The differential
 families (optimal, ppm0, coset) map the info word to a low-weight
 differential d and transmit x = d XOR x_prev, so each step toggles exactly
-weight(d) lines. DBI and the uncoded bus are handled directly. Each codec's
-vectorized step_histogram counts a chunk of info words' steps by lines
-toggled, without forming a bus word or a weight per word. Each codec class
+weight(d) lines. Each family's encode_int/decode_int is its whole kernel,
+the XOR with the state included; differential_int(u) is encode_int(0, u)
+and info_int(d) is decode_int(0, d). Each codec's vectorized step_histogram
+counts a chunk of info words' steps by lines toggled, without forming a bus
+word or a weight per word. Each codec class
 also carries its family's facts, found through the one registry
 _FAMILY_CODECS: required_b, the caps its spec check applies, an exact_mean
 that builds no codec (coset aside) and the trace_counters.
@@ -85,11 +87,9 @@ class Family(enum.Enum):
 # GF(2) linear codes
 # ---------------------------------------------------------------------------
 
-def _gf2_kernel_basis(rows: tuple[int, ...], width: int) -> list[int]:
-    """Basis of {x : every row has even overlap with x}, rows as bitmasks."""
-    # Forward-eliminate to one pivot column per row, then read each free
-    # column's unique completion off the pivot rows.
-    reduced: list[tuple[int, int]] = []  # (pivot_bit, row)
+def _gf2_reduce(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Reduced echelon form: a (pivot bit, row) pair per independent row."""
+    reduced: list[tuple[int, int]] = []
     for row in rows:
         for pivot, r in reduced:
             if row & pivot:
@@ -100,6 +100,13 @@ def _gf2_kernel_basis(rows: tuple[int, ...], width: int) -> list[int]:
                 if r & pivot:
                     reduced[idx] = (p, r ^ row)
             reduced.append((pivot, row))
+    return reduced
+
+
+def _gf2_kernel_basis(rows: tuple[int, ...], width: int) -> list[int]:
+    """Basis of {x : every row has even overlap with x}, rows as bitmasks:
+    each free column's unique completion, read off the pivot rows."""
+    reduced = _gf2_reduce(rows)
     pivot_mask = 0
     for pivot, _ in reduced:
         pivot_mask |= pivot
@@ -140,8 +147,8 @@ class LinearCode:
         for row in self.h_rows:
             if not 0 <= row < (1 << self.length):
                 raise ValueError(f"{self.name}: parity row {row:#x} out of range")
-        # independent rows leave a kernel of exactly the code's dimension
-        if len(_gf2_kernel_basis(self.h_rows, self.length)) != self.dimension:
+        # independent rows keep one pivot each: no pass over every line
+        if len(_gf2_reduce(self.h_rows)) != checks:
             raise ValueError(f"{self.name}: parity rows are not linearly independent")
 
     @property
@@ -273,15 +280,19 @@ class CosetLeaderTable:
         return tuple(counts)
 
 
-def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
-    """Enumerate error patterns by weight, then by integer value, keeping the
-    first pattern seen for each syndrome."""
+def _check_table_cap(code: LinearCode) -> None:
     bits = code.syndrome_bits
     if bits > MAX_SYNDROME_BITS:
         raise ValueError(
             f"{code.name}: {bits} syndrome bits exceed the {MAX_SYNDROME_BITS}-bit table cap"
         )
-    total = 1 << bits
+
+
+def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
+    """Enumerate error patterns by weight, then by integer value, keeping the
+    first pattern seen for each syndrome."""
+    _check_table_cap(code)
+    total = 1 << code.syndrome_bits
     # the syndrome is linear: each pattern's is the XOR of its lines' syndromes
     line_syndromes = [code.syndrome(1 << i) for i in range(code.length)]
     leaders: list[int | None] = [None] * total
@@ -474,16 +485,10 @@ class _DifferentialCodec(Codec):
     """Family whose differential word depends only on the info word."""
 
     def differential_int(self, u: int) -> int:
-        raise NotImplementedError
+        return self.encode_int(0, u)
 
     def info_int(self, d: int) -> int:
-        raise NotImplementedError
-
-    def encode_int(self, state: int, u: int) -> int:
-        return self.differential_int(u) ^ state
-
-    def decode_int(self, state: int, x: int) -> int:
-        return self.info_int(x ^ state)
+        return self.decode_int(0, d)
 
     @staticmethod
     def exact_mean(spec: CodecSpec) -> Fraction:
@@ -539,18 +544,16 @@ class DbiCodec(Codec):
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        self._mask = self._size - 1
+        self._ones = (1 << spec.n) - 1
 
     def encode_int(self, state: int, u: int) -> int:
+        # the inverted form is the plain one XOR all-ones, so it differs from
+        # the state in n minus the plain form's lines: one popcount decides
         plain = u << 1
-        inverted = ((u ^ self._mask) << 1) | 1
-        if (plain ^ state).bit_count() <= (inverted ^ state).bit_count():
-            return plain
-        return inverted
+        return plain if 2 * (plain ^ state).bit_count() <= self._n else plain ^ self._ones
 
     def decode_int(self, state: int, x: int) -> int:
-        data = x >> 1
-        return data ^ self._mask if x & 1 else data
+        return (x ^ self._ones) >> 1 if x & 1 else x >> 1
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
         # Whichever form the previous word took, the two candidates differ from
@@ -575,12 +578,13 @@ class Ppm0Codec(_DifferentialCodec):
     def exact_mean(spec: CodecSpec) -> Fraction:
         return analytics.d_min(spec.k)
 
-    def differential_int(self, u: int) -> int:
+    def encode_int(self, state: int, u: int) -> int:
         if not 0 <= u < self._size:
             raise self._info_error(u)
-        return 0 if u == 0 else 1 << (u - 1)
+        return state ^ (1 << (u - 1)) if u else state
 
-    def info_int(self, d: int) -> int:
+    def decode_int(self, state: int, x: int) -> int:
+        d = x ^ state
         if d == 0:
             return 0
         # a power-of-two test, not a popcount, because at k = 20 d has 2^20 bits
@@ -641,13 +645,14 @@ class OptimalCodec(_DifferentialCodec):
         h[lo:hi + 1] = -np.diff(at_least)
         return h
 
-    def differential_int(self, u: int) -> int:
+    def encode_int(self, state: int, u: int) -> int:
         if not 0 <= u < self._size:
             raise self._info_error(u)
         m = bisect_right(self.tier_sums, u)
-        return self.table.unrank(u - self._bases[m], m, self._n)
+        return self.table.unrank(u - self._bases[m], m, self._n) ^ state
 
-    def info_int(self, d: int) -> int:
+    def decode_int(self, state: int, x: int) -> int:
+        d = x ^ state
         m = d.bit_count()
         if m > self.d_max:
             raise CorruptedWordError(
@@ -672,6 +677,7 @@ class CosetCodec(_DifferentialCodec):
             raise ValueError(f"coset k={spec.k} != syndrome bits {code.syndrome_bits}")
         if spec.n != code.length:
             raise ValueError(f"coset n={spec.n} != code length {code.length}")
+        _check_table_cap(code)
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
@@ -696,12 +702,13 @@ class CosetCodec(_DifferentialCodec):
             # lines past the code's length add nothing: repeat to 256 entries
             self._byte_syndromes.append(tuple(table * (256 // len(table))))
 
-    def differential_int(self, u: int) -> int:
+    def encode_int(self, state: int, u: int) -> int:
         if not 0 <= u < self._size:
             raise self._info_error(u)
-        return self.leader_table.leaders[u]
+        return self.leader_table.leaders[u] ^ state
 
-    def info_int(self, d: int) -> int:
+    def decode_int(self, state: int, x: int) -> int:
+        d = x ^ state
         s = 0
         for table in self._byte_syndromes:
             s ^= table[d & 0xFF]

@@ -56,8 +56,9 @@ class Word:
             raise ValueError(f"word length must be >= 0, got {length}")
         if not (0 <= value and value.bit_length() <= length):
             raise ValueError(f"value {value} does not fit in {length} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
+        # frozen: two instance-dict stores cost less than object.__setattr__
+        self.__dict__["value"] = value
+        self.__dict__["length"] = length
 
     @classmethod
     def zero(cls, length: int) -> "Word":

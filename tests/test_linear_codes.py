@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from buslab.codecs import (
     LinearCode,
     build_coset_leader_table,
+    coset_spec,
+    make_codec,
     make_golay23,
     make_hamming,
     make_repetition,
@@ -83,8 +86,16 @@ class TestGolay:
 
 class TestLinearCodeValidation:
     def test_dependent_rows_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bad: parity rows are not linearly independent$"):
             LinearCode(name="bad", length=3, dimension=1, radius=0, h_rows=(0b011, 0b011))
+
+    def test_independence_check_is_elimination_only(self):
+        # 15 rows on 32,767 lines: no pass over every line, as a kernel basis takes
+        code = make_hamming(15)
+        start = time.perf_counter()
+        again = LinearCode(code.name, code.length, code.dimension, code.radius, code.h_rows)
+        assert time.perf_counter() - start < 0.05
+        assert again == code
 
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):
@@ -165,3 +176,11 @@ class TestCosetLeaderTable:
     def test_syndrome_width_cap(self):
         with pytest.raises(ValueError):
             build_coset_leader_table(make_repetition(18))
+
+    def test_coset_spec_past_the_cap_fails_before_any_build(self):
+        code = make_repetition(18)
+        before = make_codec.cache_info()
+        with pytest.raises(ValueError) as exc:
+            coset_spec(code)
+        assert str(exc.value) == "repetition(18,1): 17 syndrome bits exceed the 16-bit table cap"
+        assert make_codec.cache_info() == before

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from buslab.codecs import (
     BusState,
     CorruptedWordError,
+    Family,
     coset_spec,
     dbi_spec,
     decode,
@@ -127,6 +128,58 @@ def test_roundtrip_from_random_states(spec, data):
     state = BusState(Word(random.Random(seed).getrandbits(spec.n), spec.n))
     x = encode(spec, state, Word(u, spec.k))
     assert decode(spec, state, x) == Word(u, spec.k)
+
+
+@pytest.mark.parametrize("spec", ROUNDTRIP_SPECS, ids=_label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_word_and_int_apis_agree(spec, data):
+    codec = make_codec(spec)
+    u = data.draw(st.integers(0, (1 << spec.k) - 1))
+    s = random.Random(data.draw(st.integers(0, 2**32 - 1))).getrandbits(spec.n)
+    state = BusState(Word(s, spec.n))
+    x = codec.encode_int(s, u)
+    assert encode(spec, state, Word(u, spec.k)).value == x
+    assert decode(spec, state, Word(x, spec.n)).value == codec.decode_int(s, x) == u
+
+
+def _outcome(call, *args):
+    """The call's result, or its CorruptedWordError's text."""
+    try:
+        return call(*args)
+    except CorruptedWordError as exc:
+        return f"corrupted: {exc}"
+
+
+DIFFERENTIAL_SPECS = tuple(
+    s for s in ROUNDTRIP_SPECS if s.family in (Family.PPM0, Family.OPTIMAL_MPPM, Family.COSET)
+)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=_label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_differential_kernels_are_the_state_kernels_from_zero(spec, data):
+    codec = make_codec(spec)
+    u = data.draw(st.integers(0, (1 << spec.k) - 1))
+    s = random.Random(data.draw(st.integers(0, 2**32 - 1))).getrandbits(spec.n)
+    assert codec.differential_int(u) ^ s == codec.encode_int(s, u)
+    # a received word a few flipped lines off an emitted one: decoded alike,
+    # or rejected with the same text
+    flips = data.draw(st.sets(st.integers(0, spec.n - 1), max_size=4))
+    x = codec.encode_int(s, u) ^ _mask(flips)
+    assert _outcome(codec.info_int, x ^ s) == _outcome(codec.decode_int, s, x)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_dbi_one_popcount_equals_the_two_popcount_rule(k):
+    codec = make_codec(dbi_spec(k))
+    mask = (1 << k) - 1
+    for state in range(1 << (k + 1)):
+        for u in range(1 << k):
+            plain, inverted = u << 1, ((u ^ mask) << 1) | 1
+            near = (plain ^ state).bit_count() <= (inverted ^ state).bit_count()
+            assert codec.encode_int(state, u) == (plain if near else inverted)
 
 
 # every geometry here has d_max < n

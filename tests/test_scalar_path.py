@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from buslab import codecs
 from buslab.codecs import (
     BusState,
     CorruptedWordError,
@@ -65,6 +66,37 @@ def test_a_thousand_pairs_resolve_the_codec_at_most_once(i):
         state = states[u % 8]
         assert decode(spec, state, encode(spec, state, word)) == word
     assert _lookups() - before <= 1
+
+
+@pytest.mark.parametrize("i", range(6), ids=IDS)
+def test_one_word_and_one_kernel_call_per_scalar_call(i, monkeypatch):
+    spec = _specs()[i]
+    codec = spec.codec
+    state, u = BusState(Word((1 << spec.n) - 2, spec.n)), Word((1 << spec.k) - 1, spec.k)
+    words, kernels = [], []
+
+    class CountingWord(Word):
+        def __init__(self, value, length):
+            words.append(value)
+            super().__init__(value, length)
+
+    def spy(name, kernel):
+        def counted(*args):
+            kernels.append(name)
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(codecs, "Word", CountingWord)
+    # every int-level entry point, so a kernel that calls another counts twice
+    for name in ("encode_int", "decode_int", "differential_int", "info_int"):
+        if hasattr(codec, name):
+            monkeypatch.setattr(codec, name, spy(name, getattr(codec, name)))
+    x = encode(spec, state, u)
+    assert (words, kernels) == ([x.value], ["encode_int"])
+    words.clear()
+    kernels.clear()
+    y = decode(spec, state, x)
+    assert (words, kernels) == ([u.value], ["decode_int"]) and y.value == u.value
 
 
 def test_dbi_encode_past_the_width_cap_raises_every_time():
