@@ -59,7 +59,7 @@ print()
 cfg = TraceConfig(spec=spec, trace_length=200_000, seed=99, shards=4)
 print("4-shard trace replays identically:", run_trace(cfg) == run_trace(cfg))
 
-# DBI's exact average: every bus state has the same mean, an (n + 1)-term binomial sum
+# DBI's exact average: every bus state has the same mean, given by one binomial
 print()
 print("dbi(4) exhaustive mean over all states and inputs:",
       exact_average_distance(dbi_spec(4)).exact_mean)

@@ -7,11 +7,9 @@ dimensions holds at least 2^k words.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from operator import add
 from typing import Iterator
 
 __all__ = [
@@ -61,48 +59,53 @@ def d_unc(k: int) -> Fraction:
     return Fraction(k, 2)
 
 
-def d_max(k: int, b: int) -> int:
-    """Smallest m with C(n,0) + ... + C(n,m) >= 2^k, n = k + b."""
+def _scaled_d_opt(k: int, b: int) -> tuple[int, int]:
+    """(d_max, 2^k * d_opt) in integers: 2^k * d_opt is d_max * 2^k less the
+    sum of s[i] = C(n,0) + ... + C(n,i) over i < d_max, as each word missing
+    from the radius-d_max ball is traded down from weight d_max tier by tier."""
     n = _check_kb(k, b)
     need = 1 << k
     total = 1
-    m = 0
+    short = m = 0
     while total < need:
+        short += total
         m += 1
         total += comb(n, m)
-    return m
+    return m, m * need - short
+
+
+def d_max(k: int, b: int) -> int:
+    """Smallest m with C(n,0) + ... + C(n,m) >= 2^k, n = k + b."""
+    return _scaled_d_opt(k, b)[0]
 
 
 def d_opt(k: int, b: int) -> Fraction:
-    """Average weight of the 2^k lowest-weight n-tuples.
-
-    Equals d_max minus sum over i < d_max of (d_max - i) * C(n,i) / 2^k:
-    every word the codebook is missing from the full radius-d_max ball gets
-    traded down from weight d_max tier by tier.
-    """
-    n = _check_kb(k, b)
-    dm = d_max(k, b)
-    need = 1 << k
-    return Fraction(dm * need - sum((dm - i) * comb(n, i) for i in range(dm)), need)
+    """Average weight of the 2^k lowest-weight n-tuples."""
+    return Fraction(_scaled_d_opt(k, b)[1], 1 << k)
 
 
 def sweep(k: int, b_max: int) -> Iterator[tuple[int, int, int]]:
     """Yield (b, d_max(k,b), 2^k * d_opt(k,b)) for b = 0..b_max, in integers.
 
-    Each added line updates the row C(n, 0..d_max) by Pascal's rule; d_max
-    only falls as n grows, and the shortfall of d_opt is the sum of the
-    partial row sums below d_max. (k, b_max) is checked before the first row.
+    Carries s[i] = C(n,0) + ... + C(n,i) for i < d_max and their total short.
+    An added line turns s[i] into s[i] + s[i-1] (Pascal's rule) and short
+    into 2 * short - s[d_max - 1]; d_max only falls as n grows, and each tier
+    it falls past leaves short. (k, b_max) is checked before the first row.
     """
     _check_kb(k, b_max)
     need = 1 << k
-    row = [comb(k, i) for i in range(k + 1)]
+    s = list(accumulate(comb(k, i) for i in range(k)))
+    short = sum(s)
+    dm = k  # at b = 0 only the all-ones word lies outside radius k - 1
     for b in range(b_max + 1):
-        if b:
-            row = [1, *map(add, row[1:], row)]
-        partial = list(accumulate(row))
-        dm = bisect_left(partial, need)
-        del row[dm + 1:]
-        yield b, dm, dm * need - sum(partial[:dm])
+        yield b, dm, dm * need - short
+        short += short - s[dm - 1]
+        for i in range(dm - 1, 0, -1):
+            s[i] += s[i - 1]
+        # up to 32 tiers at once: k = 64 falls from d_max 64 to 32 at b = 1
+        while s[dm - 1] >= need:
+            dm -= 1
+            short -= s[dm]
 
 
 def d_min(k: int) -> Fraction:
@@ -123,5 +126,5 @@ def encoding_cost(k: int, b: int) -> Fraction:
     (counted at comparison weight), and picking the pulse count costs another
     d_max + 1 comparisons, so the average is (n+2)*d_opt(k,b) + d_max + 1.
     """
-    n = _check_kb(k, b)
-    return (n + 2) * d_opt(k, b) + d_max(k, b) + 1
+    dm, num = _scaled_d_opt(k, b)
+    return Fraction((k + b + 2) * num, 1 << k) + dm + 1

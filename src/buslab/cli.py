@@ -17,13 +17,15 @@ simulate reference is the family's exact_mean.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 from . import analytics
 from .codecs import _FAMILY_CODECS, CodecSpec, Family, _DifferentialCodec, coset_spec_for
@@ -63,35 +65,36 @@ def _spec_for(args: argparse.Namespace) -> CodecSpec:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     k, b = args.k, args.b
-    dunc, dopt = analytics.d_unc(k), analytics.d_opt(k, b)
-    ratio = dopt / dunc
+    dm, num = analytics._scaled_d_opt(k, b)
+    # each figure as (p, q) from the two integers; D_opt / D_unc = 2 num / (k 2^k)
+    need, den = 1 << k, k << k
     rec = {
         "k": k,
         "b": b,
         "n": k + b,
-        "d_unc": dunc,
-        "d_max": analytics.d_max(k, b),
-        "d_opt": dopt,
-        "transition_ratio": ratio,
-        "energy_saving": 1 - ratio,
-        "d_min": analytics.d_min(k),
-        "encoding_cost": analytics.encoding_cost(k, b),
+        "d_unc": (k, 2),
+        "d_max": dm,
+        "d_opt": (num, need),
+        "transition_ratio": (2 * num, den),
+        "energy_saving": (den - 2 * num, den),
+        "d_min": (need - 1, need),
+        "encoding_cost": ((k + b + 2) * num + (dm + 1) * need, need),
     }
+    frac = {key: fmt_ratio(*v) for key, v in rec.items() if isinstance(v, tuple)}
+    dec = {key: f"{rec[key][0] / rec[key][1]:.9g}" for key in frac}
     if args.csv:
         print(",".join(rec))
-        print(",".join(fmt_dec(v) if isinstance(v, Fraction) else str(v) for v in rec.values()))
+        print(",".join(dec.get(key, str(v)) for key, v in rec.items()))
         return 0
     if args.json:
         out = {}
         for key, v in rec.items():
-            out[key] = fmt_frac(v) if isinstance(v, Fraction) else v
-            if isinstance(v, Fraction) and key != "d_unc":
-                out[f"{key}_decimal"] = fmt_dec(v)
+            out[key] = frac.get(key, v)
+            if key in dec and key != "d_unc":
+                out[f"{key}_decimal"] = dec[key]
         print(json.dumps(out))
         return 0
-    pair = {
-        key: f"{fmt_frac(v)} = {fmt_dec(v)}" for key, v in rec.items() if isinstance(v, Fraction)
-    }
+    pair = {key: f"{frac[key]} = {dec[key]}" for key in frac}
     print(f"bus encoding analysis: k={k}, b={b} (n={rec['n']} lines)")
     print(f"  uncoded average distance    D_unc = {pair['d_unc']}")
     print(f"  codebook maximum weight     d_max = {rec['d_max']}")
@@ -103,45 +106,47 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write(path: str | None, lines: Iterator[str]) -> None:
+    """Write lines to path (stdout when None) 1,024 at a time, never whole."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        while block := "".join(islice(lines, 1024)):
+            fh.write(block)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     k, b_max = args.k, args.b
     if b_max < 0:
         raise ValueError(f"--b (maximum added lines) must be >= 0, got {b_max}")
-    dunc = analytics.d_unc(k)
-    bound = 1 - analytics.d_min(k) / dunc
+    rows = analytics.sweep(k, b_max)
+    rows = chain([next(rows)], rows)  # checks (k, b_max) before --out is opened
     # d_opt = num / 2^k and saving = 1 - d_opt / (k/2) = (k 2^k - 2 num) / (k 2^k);
     # int / int is correctly rounded, the same float as float(Fraction)
     need, den = 1 << k, k << k
-    rows = analytics.sweep(k, b_max)  # checks (k, b_max) before the first row
+    bound = den - 2 * (need - 1)  # k 2^k times the saving of d_min = (2^k - 1) / 2^k
     if args.json:
         # the bytes of json.dumps(payload, indent=2), without its pure-Python
         # indenting encoder; every value is an int or a plain ASCII string
-        body = ",\n".join(
+        head = f'{{\n  "k": {k},\n  "rows": [\n'
+        body = (
             f'    {{\n      "b": {b},\n      "d_max": {dm},\n'
             f'      "d_opt": "{fmt_ratio(num, need)}",\n'
-            f'      "d_opt_decimal": "{fmt_dec(num / need)}",\n'
+            f'      "d_opt_decimal": "{num / need:.9g}",\n'
             f'      "saving": "{fmt_ratio(den - 2 * num, den)}",\n'
-            f'      "saving_decimal": "{fmt_dec((den - 2 * num) / den)}"\n    }}'
+            f'      "saving_decimal": "{(den - 2 * num) / den:.9g}"\n'
+            f'    }}{"," if b < b_max else ""}\n'
             for b, dm, num in rows
         )
-        text = (
-            f'{{\n  "k": {k},\n  "rows": [\n{body}\n  ],\n'
-            f'  "ppm_bound": "{fmt_frac(bound)}",\n'
-            f'  "ppm_bound_decimal": "{fmt_dec(bound)}"\n}}\n'
+        tail = (
+            f'  ],\n  "ppm_bound": "{fmt_ratio(bound, den)}",\n'
+            f'  "ppm_bound_decimal": "{bound / den:.9g}"\n}}\n'
         )
     else:
-        lines = ["b,d_max,d_opt,saving"]
-        lines += [
-            f"{b},{dm},{fmt_dec(num / need)},{fmt_dec((den - 2 * num) / den)}"
-            for b, dm, num in rows
-        ]
-        lines.append(f"ppm_bound,,,{fmt_dec(bound)}")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        head = "b,d_max,d_opt,saving\n"
+        body = (
+            f"{b},{dm},{num / need:.9g},{(den - 2 * num) / den:.9g}\n" for b, dm, num in rows
+        )
+        tail = f"ppm_bound,,,{bound / den:.9g}\n"
+    _write(args.out, chain([head], body, [tail]))
     return 0
 
 
@@ -229,16 +234,9 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     codec = spec.codec
     if not isinstance(codec, _DifferentialCodec):
         raise ValueError(f"family {spec.family.value!r} has no state-free codebook to dump")
-    lines = []
-    for u in range(1 << spec.k):
-        d = codec.differential_int(u)
-        lines.append(f"{u},{d:0{spec.n}b},{d.bit_count()}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    n = spec.n
+    diffs = map(codec.differential_int, range(1 << spec.k))
+    _write(args.out, (f"{u},{d:0{n}b},{d.bit_count()}\n" for u, d in enumerate(diffs)))
     return 0
 
 

@@ -445,7 +445,7 @@ class Codec:
         self._size = 1 << spec.k
         self.word_dtype = np.uint32 if spec.k <= 32 else np.uint64  # of trace chunks
 
-    # pure int kernels, no length checks
+    # pure int kernels: u checked against k, x against n in O(1), not the state
     def encode_int(self, state: int, u: int) -> int:
         raise NotImplementedError
 
@@ -480,6 +480,9 @@ class Codec:
     def _info_error(self, u: int) -> ValueError:
         return ValueError(f"info value {u} out of range for k={self._k}")
 
+    def _bus_error(self) -> ValueError:
+        return ValueError(f"bus value outside [0, 2^{self._n}) for n={self._n}")
+
 
 class _DifferentialCodec(Codec):
     """Family whose differential word depends only on the info word."""
@@ -506,13 +509,16 @@ class UncodedCodec(Codec):
 
     @staticmethod
     def exact_mean(spec: CodecSpec) -> Fraction:
-        # the DBI sum below with cost(w) = w, which is n/2 = k/2
         return analytics.d_unc(spec.k)
 
     def encode_int(self, state: int, u: int) -> int:
+        if not 0 <= u < self._size:
+            raise self._info_error(u)
         return u
 
     def decode_int(self, state: int, x: int) -> int:
+        if x < 0 or x.bit_length() > self._n:
+            raise self._bus_error()
         return x
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
@@ -530,17 +536,16 @@ class DbiCodec(Codec):
 
     @staticmethod
     def exact_mean(spec: CodecSpec) -> Fraction:
-        """Sum over w of C(n, w) * min(w, n - w) / 2^n.
+        """(n 2^(n-1) - n C(n-1, floor(n/2))) / 2^n, one binomial.
 
-        The plain candidates u << 1 form a subgroup under XOR, so from a
-        state s the words candidate(u) ^ s run over the coset of s, and the
-        state's sum is the bus cost summed over that coset. The two cosets
-        (s & 1) swap under complementing every line, which keeps
-        min(w, n - w), so every state has the same sum, and the mean is the
-        cost averaged over all n-bit words, grouped by weight.
-        """
+        From state s the plain candidates (u << 1) ^ s run over one coset of
+        their XOR subgroup; complementing every line swaps the two cosets and
+        keeps the cost min(w, n - w) = n/2 - |w - n/2|. So every state's mean
+        is that cost over all n-bit words, and de Moivre's mean absolute
+        deviation of the binomial, sum C(n, w) |w - n/2| = n C(n-1, floor(n/2)),
+        closes it."""
         n = spec.n
-        return Fraction(sum(comb(n, w) * min(w, n - w) for w in range(n + 1)), 1 << n)
+        return Fraction((n << (n - 1)) - n * comb(n - 1, n // 2), 1 << n)
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
@@ -549,10 +554,14 @@ class DbiCodec(Codec):
     def encode_int(self, state: int, u: int) -> int:
         # the inverted form is the plain one XOR all-ones, so it differs from
         # the state in n minus the plain form's lines: one popcount decides
+        if not 0 <= u < self._size:
+            raise self._info_error(u)
         plain = u << 1
         return plain if 2 * (plain ^ state).bit_count() <= self._n else plain ^ self._ones
 
     def decode_int(self, state: int, x: int) -> int:
+        if x < 0 or x.bit_length() > self._n:
+            raise self._bus_error()
         return (x ^ self._ones) >> 1 if x & 1 else x >> 1
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
@@ -584,6 +593,8 @@ class Ppm0Codec(_DifferentialCodec):
         return state ^ (1 << (u - 1)) if u else state
 
     def decode_int(self, state: int, x: int) -> int:
+        if x < 0 or x.bit_length() > self._n:
+            raise self._bus_error()
         d = x ^ state
         if d == 0:
             return 0
@@ -652,6 +663,8 @@ class OptimalCodec(_DifferentialCodec):
         return self.table.unrank(u - self._bases[m], m, self._n) ^ state
 
     def decode_int(self, state: int, x: int) -> int:
+        if x < 0 or x.bit_length() > self._n:
+            raise self._bus_error()
         d = x ^ state
         m = d.bit_count()
         if m > self.d_max:
@@ -708,6 +721,8 @@ class CosetCodec(_DifferentialCodec):
         return self.leader_table.leaders[u] ^ state
 
     def decode_int(self, state: int, x: int) -> int:
+        if x < 0 or x.bit_length() > self._n:
+            raise self._bus_error()
         d = x ^ state
         s = 0
         for table in self._byte_syndromes:

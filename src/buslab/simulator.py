@@ -13,8 +13,9 @@ Each word is the top k bits of PCG64's next raw 32-bit (uint32, k <= 32) or
 
 Exact averages are sums, not traces: a differential family's step histogram
 over all 2^k info words (k <= 20), or, for the uncoded bus and DBI at every
-supported width, their family's exact_mean, n + 1 binomial terms over the
-weights of the n-bit words; every bus state has that same mean.
+supported width, their family's exact_mean, one binomial (k/2 uncoded,
+DBI's mean of min(w, n - w) over the n-bit words in de Moivre's closed
+form); every bus state has that same mean.
 """
 from __future__ import annotations
 

@@ -30,7 +30,7 @@ import pytest
 from buslab import analytics
 from buslab import cli
 from buslab.cli import main
-from buslab.codecs import Family, dbi_spec, uncoded_spec
+from buslab.codecs import DbiCodec, Family, dbi_spec, uncoded_spec
 from buslab.simulator import exact_average_distance
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_closed_form.json").read_text())
@@ -49,11 +49,17 @@ def _sha256(text):
 @pytest.mark.parametrize(
     "entry", GOLDEN["sweep"], ids=lambda e: f"k{e['k']}-b{e['b_max']}-{e['format']}"
 )
-def test_sweep_reproduces_the_golden_output(capsys, entry):
-    out = _cli(capsys, "sweep", "--k", str(entry["k"]), "--b", str(entry["b_max"]),
-               f"--{entry['format']}")
+def test_sweep_reproduces_the_golden_output(capsys, tmp_path, entry):
+    argv = ["sweep", "--k", str(entry["k"]), "--b", str(entry["b_max"]), f"--{entry['format']}"]
+    out = _cli(capsys, *argv)
     assert len(out.encode()) == entry["bytes"]
     assert _sha256(out) == entry["sha256"]
+    # the file sink streams the same blocks
+    path = tmp_path / "sweep.out"
+    assert _cli(capsys, *argv, "--out", str(path)) == ""
+    raw = path.read_bytes()
+    assert len(raw) == entry["bytes"]
+    assert hashlib.sha256(raw).hexdigest() == entry["sha256"]
 
 
 @pytest.mark.parametrize("entry", GOLDEN["analyze"], ids=lambda e: f"k{e['k']}-b{e['b']}")
@@ -76,9 +82,14 @@ def test_exact_average_reproduces_the_golden_record(entry):
 
 
 def d_opt_by_fractions(k, b):
-    """Oracle: the per-row Fraction sum that sweep rows used to be built from."""
-    n, dm, denom = k + b, analytics.d_max(k, b), 1 << k
-    return dm - sum(Fraction((dm - i) * comb(n, i), denom) for i in range(dm))
+    """Oracle: d_max from its definition, and the per-row Fraction sum that
+    sweep rows used to be built from."""
+    n, denom = k + b, 1 << k
+    dm, total = 0, 1
+    while total < denom:
+        dm += 1
+        total += comb(n, dm)
+    return dm, dm - sum(Fraction((dm - i) * comb(n, i), denom) for i in range(dm))
 
 
 @pytest.mark.parametrize("k", range(1, 65))
@@ -87,12 +98,43 @@ def test_incremental_sweep_matches_the_per_b_closed_forms(k):
     b_max = min((1 << k) + 4, 1500)
     rows = list(analytics.sweep(k, b_max))
     assert [row[0] for row in rows] == list(range(b_max + 1))
+    # every row up to b = 300, so every step where d_max falls early on
     rnd = random.Random(k)
-    sample = set(range(min(b_max, 24) + 1)) | {b_max, *rnd.sample(range(b_max + 1), min(40, b_max + 1))}
+    sample = set(range(min(b_max, 300) + 1))
+    sample |= {b_max, *rnd.sample(range(b_max + 1), min(40, b_max + 1))}
     for b in sorted(sample):
         _, dm, num = rows[b]
-        assert dm == analytics.d_max(k, b), (k, b)
-        assert Fraction(num, 1 << k) == analytics.d_opt(k, b) == d_opt_by_fractions(k, b), (k, b)
+        assert (dm, Fraction(num, 1 << k)) == d_opt_by_fractions(k, b), (k, b)
+        assert dm == analytics.d_max(k, b) and Fraction(num, 1 << k) == analytics.d_opt(k, b)
+
+
+def test_sweep_d_max_falls_many_tiers_in_one_step():
+    # one added line halves the k = 64 ball's radius: C(65, 0..32) sums to 2^64
+    assert [dm for _, dm, _ in analytics.sweep(64, 2)] == [64, 32, 30]
+    assert [dm for _, dm, _ in analytics.sweep(63, 2)] == [63, 32, 30]
+
+
+@pytest.mark.parametrize("k", range(1, 64))
+def test_dbi_mean_is_one_binomial(k):
+    n = k + 1
+    terms = sum(comb(n, w) * min(w, n - w) for w in range(n + 1))  # the (n + 1)-term oracle
+    assert DbiCodec.exact_mean(dbi_spec(k)) == Fraction(terms, 1 << n)
+
+
+def test_analyze_json_matches_the_closed_forms(capsys):
+    rnd = random.Random(14)
+    for _ in range(200):
+        k, b = rnd.randint(1, 64), rnd.randint(0, 5000)
+        got = json.loads(_cli(capsys, "analyze", "--k", str(k), "--b", str(b), "--json"))
+        assert got["d_max"] == analytics.d_max(k, b)
+        for key, want in (
+            ("d_opt", analytics.d_opt(k, b)),
+            ("energy_saving", analytics.energy_saving(k, b)),
+            ("encoding_cost", analytics.encoding_cost(k, b)),
+            ("d_min", analytics.d_min(k)),
+        ):
+            assert got[key] == cli.fmt_frac(want), (k, b, key)
+            assert got[f"{key}_decimal"] == cli.fmt_dec(want), (k, b, key)
 
 
 def test_sweep_rejects_its_range_before_the_first_row():

@@ -19,6 +19,7 @@ from buslab.codecs import (
     encode,
     make_codec,
     make_golay23,
+    make_hamming,
     make_repetition,
     optimal_spec,
     ppm0_spec,
@@ -128,16 +129,34 @@ def test_length_errors_keep_their_texts(i):
     assert _message(decode, spec, wide, Word.zero(n - 1)).startswith("state length")
 
 
-@pytest.mark.parametrize("i", [2, 3, 4, 5], ids=IDS[2:])
+@pytest.mark.parametrize("i", range(6), ids=IDS)
 @pytest.mark.parametrize("u", [-1, "size"])
 def test_info_value_range_error_keeps_its_text(i, u):
     codec = make_codec(_specs()[i])
     k = codec.spec.k
     u = 1 << k if u == "size" else u
-    assert _message(codec.differential_int, u) == f"info value {u} out of range for k={k}"
     assert _message(codec.encode_int, 0, u) == f"info value {u} out of range for k={k}"
+    if hasattr(codec, "differential_int"):
+        assert _message(codec.differential_int, u) == f"info value {u} out of range for k={k}"
     if hasattr(codec, "pulse_count"):
         assert _message(codec.pulse_count, u) == f"info value {u} out of range for k={k}"
+
+
+@pytest.mark.parametrize(
+    "spec", [*_specs(), ppm0_spec(2), ppm0_spec(18), coset_spec(make_hamming(3))], ids=_label
+)
+def test_decode_int_rejects_bus_values_outside_the_bus(spec):
+    codec = make_codec(spec)
+    n, top = spec.n, (1 << spec.k) - 1
+    text = f"bus value outside [0, 2^{n}) for n={n}"
+    for state in (0, (1 << n) - 1):
+        for x in (-1, 1 << n, -(1 << n), 1 << (n + 8)):
+            assert _message(codec.decode_int, state, x) == text
+        # both edges of the info range still round-trip
+        for u in (0, top):
+            assert codec.decode_int(state, codec.encode_int(state, u)) == u
+    if hasattr(codec, "info_int"):
+        assert _message(codec.info_int, 1 << n) == text
 
 
 def test_optimal_and_clock_model_length_errors_keep_their_texts():

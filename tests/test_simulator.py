@@ -394,10 +394,11 @@ class TestScalarBudgets:
 
 
 class TestClosedFormBudgets:
-    # A 2-CPU x86 host measured 0.33-0.41 s for the k = 20 sweep (2.3 s with a
-    # Fraction sum per row), 0.02 s for k = 64 (0.18-0.24 s), and 4-40 us
-    # for each exact average (1.0 s and 0.22 s with a loop over the states,
-    # 30-100 us while it also built a tuple of 2^n per-state means).
+    # A 2-CPU x86 host measured best-of-3 times of 0.14-0.16 s for the k = 20
+    # sweep (0.33-0.41 s rebuilding the partial sums per row, 2.3 s with a
+    # Fraction sum per row), 0.010-0.017 s for k = 64 (0.02 s, 0.18-0.24 s),
+    # and 4-40 us for each exact average (1.0 s and 0.22 s with a loop over
+    # the states, 30-100 us while it also built a tuple of 2^n per-state means).
     def _best_of_3(self, fn):
         best = float("inf")
         for _ in range(3):
@@ -406,27 +407,45 @@ class TestClosedFormBudgets:
             best = min(best, time.perf_counter() - start)
         return best
 
-    @pytest.mark.parametrize("k, b_max, budget", [(20, 100_000, 0.8), (64, 4000, 0.1)])
+    @pytest.mark.parametrize("k, b_max, budget", [(20, 100_000, 0.5), (64, 4000, 0.05)])
     def test_sweep(self, tmp_path, k, b_max, budget):
         argv = ["sweep", "--k", str(k), "--b", str(b_max), "--out", str(tmp_path / "s.csv")]
         assert self._best_of_3(lambda: main(argv)) < budget
         assert len((tmp_path / "s.csv").read_text().splitlines()) == b_max + 3
 
     def test_sweep_json(self, capsys):
-        # 0.53-0.56 s; 1.8 s through json.dumps(indent=2) and a Fraction per p/q string
+        # 0.24-0.36 s (0.49-0.56 s rebuilding the partial sums per row); 1.8 s
+        # through json.dumps(indent=2) and a Fraction per p/q string
         argv = ["sweep", "--k", "20", "--b", "100000", "--json"]
         assert self._best_of_3(lambda: main(argv)) < 0.8
         assert capsys.readouterr().out.count('"b": ') == 3 * 100_001
 
     def test_analyze_in_process(self, capsys):
-        # ~0.015 s; >= 0.127 s when every main() call rebuilt the argparse tree
+        # 0.008-0.011 s (~0.013 s with Fraction arithmetic per figure); >= 0.127 s
+        # when every main() call rebuilt the argparse tree
         rnd = random.Random(5)
         argvs = [
             ["analyze", "--k", str(rnd.randint(1, 64)), "--b", str(rnd.randint(0, 5000)), "--json"]
             for _ in range(100)
         ]
-        assert self._best_of_3(lambda: [main(argv) for argv in argvs]) < 0.05
+        assert self._best_of_3(lambda: [main(argv) for argv in argvs]) < 0.03
         assert capsys.readouterr().out.count('"d_opt": ') == 3 * 100
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["csv", "json"])
+    def test_sweep_memory_does_not_grow_with_b(self, tmp_path, flags):
+        # rows are written in fixed blocks: 0.15 MiB (CSV) and 0.62 MiB (JSON)
+        # at either b, against 14 MiB and 55 MiB at b = 10^5 for the whole text
+        peaks = []
+        for b_max in (10_000, 100_000):
+            argv = ["sweep", "--k", "20", "--b", str(b_max), "--out", str(tmp_path / "s"), *flags]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * 2**20
+        assert peaks[1] < 1.25 * peaks[0]
 
     @pytest.mark.parametrize(
         "spec",
