@@ -8,10 +8,11 @@ weight(d) lines. Each family's encode_int/decode_int is its whole kernel,
 the XOR with the state included; differential_int(u) is encode_int(0, u)
 and info_int(d) is decode_int(0, d). Each codec's vectorized step_histogram
 counts a chunk of info words' steps by lines toggled, without forming a bus
-word or a weight per word. Each codec class
-also carries its family's facts, found through the one registry
-_FAMILY_CODECS: required_b, the caps its spec check applies, an exact_mean
-that builds no codec (coset aside) and the trace_counters.
+word or a weight per word. Each codec class also carries its family's facts,
+found through the one registry _FAMILY_CODECS: required_b, the caps its spec
+check applies, an exact_mean that builds no codec (coset aside) and the
+trace_counters. The coset leader search and coset decode both take a syndrome
+as the XOR of H's columns at the word's lines, LinearCode.line_syndromes.
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -161,6 +162,12 @@ class LinearCode:
             s |= ((row & word).bit_count() & 1) << r
         return s
 
+    @cached_property
+    def line_syndromes(self) -> tuple[int, ...]:
+        """Column i of H (the syndrome of line i alone), by one transposition of the rows."""
+        bits = (format(row, f"0{self.length}b") for row in reversed(self.h_rows))
+        return tuple(int("".join(col), 2) for col in reversed(list(zip(*bits))))
+
 
 def make_repetition(n_lines: int) -> LinearCode:
     """(N, 1) repetition code; parity row r ties line r to the last line."""
@@ -182,19 +189,17 @@ def make_hamming(m: int) -> LinearCode:
     if m < 2:
         raise ValueError(f"Hamming parameter m must be >= 2, got {m}")
     n_lines = (1 << m) - 1
-    rows = []
-    for r in range(m):
-        row = 0
-        for c in range(n_lines):
-            if ((c + 1) >> r) & 1:
-                row |= 1 << c
-        rows.append(row)
+    # row r: bit r of the values n..1 (line 0 rightmost), runs of 2^r 0s and 1s
+    rows = tuple(
+        int((("0" * h + "1" * h) * ((n_lines + 1) // (2 * h)))[:0:-1], 2)
+        for h in (1 << r for r in range(m))
+    )
     return LinearCode(
         name=f"hamming({n_lines},{n_lines - m})",
         length=n_lines,
         dimension=n_lines - m,
         radius=1,
-        h_rows=tuple(rows),
+        h_rows=rows,
     )
 
 
@@ -259,7 +264,7 @@ def words_of_weight(n: int, w: int) -> Iterator[int]:
         yield v
         low = v & -v
         carry = (v + low) & ~v
-        v = v + low | (carry // (low << 1)) - 1
+        v = v + low | (carry >> low.bit_length()) - 1
 
 
 @dataclass(frozen=True)
@@ -293,20 +298,18 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
     first pattern seen for each syndrome."""
     _check_table_cap(code)
     total = 1 << code.syndrome_bits
-    # the syndrome is linear: each pattern's is the XOR of its lines' syndromes
-    line_syndromes = [code.syndrome(1 << i) for i in range(code.length)]
+    lines = code.line_syndromes
     leaders: list[int | None] = [None] * total
     filled = 0
     for w in range(code.length + 1):
         if filled == total:
             break
         for e in words_of_weight(code.length, w):
-            s = 0
-            v = e
-            while v:
-                low = v & -v
-                s ^= line_syndromes[low.bit_length() - 1]
-                v ^= low
+            s, v = 0, e
+            while v:  # the XOR of e's lines' columns, as in CosetCodec.decode_int
+                i = v.bit_length() - 1
+                s ^= lines[i]
+                v ^= 1 << i
             if leaders[s] is None:
                 leaders[s] = e
                 filled += 1
@@ -705,15 +708,7 @@ class CosetCodec(_DifferentialCodec):
         assert tiers.all()  # reduceat needs strictly increasing starts
         self._by_weight = np.argsort(w, kind="stable")
         self._tier_starts = np.cumsum(tiers) - tiers
-        # the syndrome is linear: table j maps a byte on lines 8j..8j+7 to its own
-        lines = [code.syndrome(1 << i) for i in range(code.length)]
-        self._byte_syndromes = []
-        for base in range(0, code.length, 8):
-            table = [0]
-            for s in lines[base:base + 8]:
-                table += [t ^ s for t in table]
-            # lines past the code's length add nothing: repeat to 256 entries
-            self._byte_syndromes.append(tuple(table * (256 // len(table))))
+        self._lines = code.line_syndromes
 
     def encode_int(self, state: int, u: int) -> int:
         if not 0 <= u < self._size:
@@ -721,13 +716,15 @@ class CosetCodec(_DifferentialCodec):
         return self.leader_table.leaders[u] ^ state
 
     def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or x.bit_length() > self._n:
+        if (x | state) < 0 or (x | state).bit_length() > self._n:  # d must fit H: state too
             raise self._bus_error()
-        d = x ^ state
+        d = x ^ state  # an emitted word toggles a leader: at most covering-radius lines
+        lines = self._lines
         s = 0
-        for table in self._byte_syndromes:
-            s ^= table[d & 0xFF]
-            d >>= 8
+        while d:
+            i = d.bit_length() - 1
+            s ^= lines[i]
+            d ^= 1 << i
         return s
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:

@@ -101,7 +101,7 @@ def check_roundtrip(states_per_spec: int = 100, seed: int = 20260808) -> CheckRe
 
 
 def check_coset() -> CheckResult:
-    """Leader tables of the stock codes: weights, tiers, syndrome identity."""
+    """Leader tables of the stock codes: weights, tiers, columns of H, syndrome identity."""
     golay = make_golay23()
     dmin = min_distance(golay)
     if dmin != 7:
@@ -122,6 +122,8 @@ def check_coset() -> CheckResult:
             return CheckResult(
                 "coset", False, f"{code.name}: tiers {table.tier_counts()}, want {tiers}"
             )
+        if list(code.line_syndromes) != [code.syndrome(1 << i) for i in range(code.length)]:
+            return CheckResult("coset", False, f"{code.name}: columns of H != H*line")
         for s, leader in enumerate(table.leaders):
             if code.syndrome(leader) != s:
                 return CheckResult("coset", False, f"{code.name}: H*leader({s}) != {s}")

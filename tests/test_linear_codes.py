@@ -27,6 +27,18 @@ def brute_force_leader_weight(code, syndrome):
     return best
 
 
+def hamming_rows_by_loop(m):
+    """Oracle: row r sets line c when bit r of c + 1 is 1, one line at a time."""
+    rows = []
+    for r in range(m):
+        row = 0
+        for c in range((1 << m) - 1):
+            if ((c + 1) >> r) & 1:
+                row |= 1 << c
+        rows.append(row)
+    return tuple(rows)
+
+
 class TestRepetition:
     def test_three_line_parity_rows(self):
         code = make_repetition(3)
@@ -69,6 +81,10 @@ class TestHamming:
         with pytest.raises(ValueError):
             make_hamming(1)
 
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_rows_match_the_per_line_loop(self, m):
+        assert make_hamming(m).h_rows == hamming_rows_by_loop(m)
+
 
 class TestGolay:
     def test_shape(self):
@@ -82,6 +98,29 @@ class TestGolay:
         # construction would raise otherwise; double-check via a rank proxy
         code = make_golay23()
         assert len(set(code.h_rows)) == 11
+
+
+STOCK_CODES = [
+    *map(make_repetition, range(2, 18)),
+    *map(make_hamming, range(2, 17)),
+    make_golay23(),
+]
+
+
+class TestLineSyndromes:
+    @pytest.mark.parametrize("code", STOCK_CODES, ids=lambda c: c.name)
+    def test_each_column_is_the_syndrome_of_its_line(self, code):
+        expected = [code.syndrome(1 << i) for i in range(code.length)]
+        assert list(code.line_syndromes) == expected
+        if code.name.startswith("hamming"):
+            assert code.line_syndromes == tuple(range(1, code.length + 1))
+
+    def test_cached_columns_leave_the_fields_alone(self):
+        code = make_hamming(3)
+        before = (repr(code), hash(code))
+        assert code.line_syndromes is code.line_syndromes
+        assert (repr(code), hash(code)) == before
+        assert code == make_hamming(3)
 
 
 class TestLinearCodeValidation:

@@ -5,7 +5,8 @@ alone, over every n up to 64. Every family must invert its own encoding
 from random bus states, every differential outside a codebook must be
 rejected as corrupted, and DBI must toggle as many lines per step as the
 repetition coset past the exhaustive k <= 8 of the acceptance suite. The
-coset decoder's bytewise syndrome must equal the row-wise LinearCode.syndrome.
+coset decoder's syndrome, an XOR of H's columns, must equal the row-wise
+LinearCode.syndrome.
 """
 import math
 import random
@@ -287,14 +288,31 @@ def test_bytewise_syndrome_equals_the_row_oracle_exhaustively(code):
     ]
 
 
+SAMPLED_CODES = [make_golay23(), *map(make_hamming, (5, 6, 7, 8))]
+
+
+@pytest.fixture(scope="module")
+def hamming16():
+    # 65,535 lines: the leaders alone take ~275 MiB, so drop the codec after
+    yield make_codec(coset_spec(make_hamming(16)))
+    make_codec.cache_clear()
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.integers(0, (1 << 32) - 1))
-def test_bytewise_syndrome_equals_the_row_oracle_for_golay(d):
-    # drawn past the 23 lines too: the row oracle ignores lines the code does
-    # not have, and the kernel rejects a word on them
-    code = make_golay23()
+@given(st.sampled_from(SAMPLED_CODES), st.integers(0, 2**32 - 1))
+def test_column_syndrome_equals_the_row_oracle_on_sampled_words(hamming16, code, seed):
+    # drawn past the code's lines too: the row oracle ignores lines the code
+    # does not have, and the kernel rejects a word on them
+    rnd = random.Random(seed)
+    n = code.length
+    d = rnd.getrandbits(n + 9)
     codec = make_codec(coset_spec(code))
-    assert codec.info_int(d & ((1 << 23) - 1)) == code.syndrome(d)
-    if d >> 23:
-        with pytest.raises(ValueError, match=r"bus value outside \[0, 2\^23\)"):
+    assert codec.info_int(d & ((1 << n) - 1)) == code.syndrome(d)
+    if d >> n:
+        with pytest.raises(ValueError, match=rf"bus value outside \[0, 2\^{n}\)"):
             codec.info_int(d)
+    # a Hamming(16) leader sent from a random state on all 65,535 lines
+    state = rnd.getrandbits(hamming16.code.length)
+    u = rnd.getrandbits(16)
+    x = hamming16.encode_int(state, u)
+    assert hamming16.decode_int(state, x) == hamming16.code.syndrome(x ^ state) == u

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -361,6 +362,37 @@ class TestBudgets:
             tracemalloc.stop()
         assert stats.words_sent == sum(stats.weight_histogram) == 1 << 16
         assert peak < 12 * 2**20
+
+
+class TestCosetBudgets:
+    # Hamming k = 16 is the widest stock coset (65,535 lines). A 2-CPU x86
+    # host measured 0.9-1.2 s for the cold run below and a 2.0 MiB excess
+    # at k = 15; with a row-wise syndrome per line and n/8 byte tables of
+    # 256 ints, 6.7-8.7 s and 26 MiB. At k = 16 the 65,535 leader ints alone
+    # take 275 MiB, so memory is bounded as the excess over the leaders.
+    def test_cold_hamming_coset_at_the_syndrome_cap(self):
+        make_codec.cache_clear()
+        try:
+            start = time.perf_counter()
+            cfg = TraceConfig(spec=coset_spec(make_hamming(16)), trace_length=100_000, seed=1)
+            stats = run_trace(cfg)
+            elapsed = time.perf_counter() - start
+        finally:
+            make_codec.cache_clear()
+        assert stats.words_sent == 100_000
+        assert elapsed < 4.0
+
+    def test_hamming_coset_memory_beyond_its_leaders(self):
+        make_codec.cache_clear()
+        tracemalloc.start()
+        try:
+            codec = make_codec(coset_spec(make_hamming(15)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            make_codec.cache_clear()
+        leaders = sum(sys.getsizeof(l) for l in codec.leader_table.leaders)
+        assert peak - leaders < 8 * 2**20
 
 
 class TestScalarBudgets:
