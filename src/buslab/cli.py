@@ -13,6 +13,12 @@ printed as p/q next to decimals rounded to 9 significant digits. Family
 facts are lookups in the codec registry: a missing --b defaults to the
 family's required b, a wrong one fails the spec's own check, and the
 simulate reference is the family's exact_mean.
+
+An argv that starts with a command is parsed once, by that command's own
+parser; anything else (no args, -h, an unknown command, an option first)
+goes through the top-level parser, the one source of help and usage text.
+The sweep and codebook tables stream through _write in blocks of 1,024
+rows, each block formatted by one % call on a one-row template.
 """
 from __future__ import annotations
 
@@ -106,11 +112,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write(path: str | None, lines: Iterator[str]) -> None:
-    """Write lines to path (stdout when None) 1,024 at a time, never whole."""
+def _write(path: str | None, head: str, line: str, rows: Iterator[tuple], tail: str) -> None:
+    """Write head, then the rows through the one-row % template line, then
+    tail, to path (stdout when None): one % call per 1,024 rows, never whole."""
     with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        while block := "".join(islice(lines, 1024)):
-            fh.write(block)
+        fh.write(head)
+        while block := list(islice(rows, 1024)):
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
+        fh.write(tail)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -120,20 +129,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = analytics.sweep(k, b_max)
     rows = chain([next(rows)], rows)  # checks (k, b_max) before --out is opened
     # d_opt = num / 2^k and saving = 1 - d_opt / (k/2) = (k 2^k - 2 num) / (k 2^k);
-    # int / int is correctly rounded, the same float as float(Fraction)
+    # int / int is correctly rounded, the same float as float(Fraction), and
+    # %.9g formats it as {:.9g} does
     need, den = 1 << k, k << k
     bound = den - 2 * (need - 1)  # k 2^k times the saving of d_min = (2^k - 1) / 2^k
     if args.json:
         # the bytes of json.dumps(payload, indent=2), without its pure-Python
         # indenting encoder; every value is an int or a plain ASCII string
         head = f'{{\n  "k": {k},\n  "rows": [\n'
+        line = (
+            '    {\n      "b": %d,\n      "d_max": %d,\n'
+            '      "d_opt": "%s",\n      "d_opt_decimal": "%.9g",\n'
+            '      "saving": "%s",\n      "saving_decimal": "%.9g"\n    }%s\n'
+        )
         body = (
-            f'    {{\n      "b": {b},\n      "d_max": {dm},\n'
-            f'      "d_opt": "{fmt_ratio(num, need)}",\n'
-            f'      "d_opt_decimal": "{num / need:.9g}",\n'
-            f'      "saving": "{fmt_ratio(den - 2 * num, den)}",\n'
-            f'      "saving_decimal": "{(den - 2 * num) / den:.9g}"\n'
-            f'    }}{"," if b < b_max else ""}\n'
+            (b, dm, fmt_ratio(num, need), num / need,
+             fmt_ratio(den - 2 * num, den), (den - 2 * num) / den, "," if b < b_max else "")
             for b, dm, num in rows
         )
         tail = (
@@ -141,12 +152,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f'  "ppm_bound_decimal": "{bound / den:.9g}"\n}}\n'
         )
     else:
-        head = "b,d_max,d_opt,saving\n"
-        body = (
-            f"{b},{dm},{num / need:.9g},{(den - 2 * num) / den:.9g}\n" for b, dm, num in rows
-        )
+        head, line = "b,d_max,d_opt,saving\n", "%d,%d,%.9g,%.9g\n"
+        body = ((b, dm, num / need, (den - 2 * num) / den) for b, dm, num in rows)
         tail = f"ppm_bound,,,{bound / den:.9g}\n"
-    _write(args.out, chain([head], body, [tail]))
+    _write(args.out, head, line, body, tail)
     return 0
 
 
@@ -234,16 +243,18 @@ def cmd_codebook(args: argparse.Namespace) -> int:
     codec = spec.codec
     if not isinstance(codec, _DifferentialCodec):
         raise ValueError(f"family {spec.family.value!r} has no state-free codebook to dump")
-    n = spec.n
+    wide = f"0{spec.n}b"
     diffs = map(codec.differential_int, range(1 << spec.k))
-    _write(args.out, (f"{u},{d:0{n}b},{d.bit_count()}\n" for u, d in enumerate(diffs)))
+    rows = ((u, format(d, wide), d.bit_count()) for u, d in enumerate(diffs))
+    _write(args.out, "", "%d,%s,%d\n", rows, "")
     return 0
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import, and shared by later
-    # calls: parse_args fills a fresh Namespace each time
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name: built on
+    the first main() call, not at import, and shared, as each parse fills a
+    fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="buslab",
         description="Low-weight differential bus encoding: analysis, codecs, simulation.",
@@ -291,11 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_codebook)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no args, -h, an unknown command or an option first
+        args = parser.parse_args(argv)
+    else:
+        # what the top-level parser does with a leading command, in one parse:
+        # the rest of argv goes to that command's parser, and leftovers fail
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -6,13 +6,18 @@ families (optimal, ppm0, coset) map the info word to a low-weight
 differential d and transmit x = d XOR x_prev, so each step toggles exactly
 weight(d) lines. Each family's encode_int/decode_int is its whole kernel,
 the XOR with the state included; differential_int(u) is encode_int(0, u)
-and info_int(d) is decode_int(0, d). Each codec's vectorized step_histogram
-counts a chunk of info words' steps by lines toggled, without forming a bus
-word or a weight per word. Each codec class also carries its family's facts,
-found through the one registry _FAMILY_CODECS: required_b, the caps its spec
-check applies, an exact_mean that builds no codec (coset aside) and the
-trace_counters. The coset leader search and coset decode both take a syndrome
-as the XOR of H's columns at the word's lines, LinearCode.line_syndromes.
+and info_int(d) is decode_int(0, d). Every encode_int and decode_int
+rejects a state outside [0, 2^n); buslab.encode/decode check the Word
+lengths and call the kernel directly. Each codec's vectorized
+step_histogram counts a chunk of info words' steps by lines toggled,
+without forming a bus word: uncoded and DBI count the XOR weights two per
+bincount slot, optimal compares the words with its tier sums, and coset
+looks each word's leader weight up in a uint8 table. Each codec class also
+carries its family's facts, found through the one registry _FAMILY_CODECS:
+required_b, the caps its spec check applies, an exact_mean that builds no
+codec (coset aside) and the trace_counters. The coset leader search and
+coset decode both take a syndrome as the XOR of H's columns at the word's
+lines, LinearCode.line_syndromes.
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -448,7 +453,7 @@ class Codec:
         self._size = 1 << spec.k
         self.word_dtype = np.uint32 if spec.k <= 32 else np.uint64  # of trace chunks
 
-    # pure int kernels: u checked against k, x against n in O(1), not the state
+    # pure int kernels: u checked against k, x and the state against n, in O(1)
     def encode_int(self, state: int, u: int) -> int:
         raise NotImplementedError
 
@@ -463,22 +468,6 @@ class Codec:
         where the bus is all-zero); differential families ignore it.
         """
         raise NotImplementedError
-
-    def encode(self, state: Word, u: Word) -> Word:
-        n = self._n
-        if state.length != n:
-            raise ValueError(f"state length {state.length} != n={n}")
-        if u.length != self._k:
-            raise ValueError(f"info word length {u.length} != k={self._k}")
-        return Word(self.encode_int(state.value, u.value), n)
-
-    def decode(self, state: Word, x: Word) -> Word:
-        n = self._n
-        if state.length != n:
-            raise ValueError(f"state length {state.length} != n={n}")
-        if x.length != n:
-            raise ValueError(f"bus word length {x.length} != n={n}")
-        return Word(self.decode_int(state.value, x.value), self._k)
 
     def _info_error(self, u: int) -> ValueError:
         return ValueError(f"info value {u} out of range for k={self._k}")
@@ -515,12 +504,14 @@ class UncodedCodec(Codec):
         return analytics.d_unc(spec.k)
 
     def encode_int(self, state: int, u: int) -> int:
+        if state < 0 or state.bit_length() > self._n:
+            raise self._bus_error()
         if not 0 <= u < self._size:
             raise self._info_error(u)
         return u
 
     def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or x.bit_length() > self._n:
+        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
             raise self._bus_error()
         return x
 
@@ -557,13 +548,15 @@ class DbiCodec(Codec):
     def encode_int(self, state: int, u: int) -> int:
         # the inverted form is the plain one XOR all-ones, so it differs from
         # the state in n minus the plain form's lines: one popcount decides
+        if state < 0 or state.bit_length() > self._n:
+            raise self._bus_error()
         if not 0 <= u < self._size:
             raise self._info_error(u)
         plain = u << 1
         return plain if 2 * (plain ^ state).bit_count() <= self._n else plain ^ self._ones
 
     def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or x.bit_length() > self._n:
+        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
             raise self._bus_error()
         return (x ^ self._ones) >> 1 if x & 1 else x >> 1
 
@@ -591,12 +584,14 @@ class Ppm0Codec(_DifferentialCodec):
         return analytics.d_min(spec.k)
 
     def encode_int(self, state: int, u: int) -> int:
+        if state < 0 or state.bit_length() > self._n:
+            raise self._bus_error()
         if not 0 <= u < self._size:
             raise self._info_error(u)
         return state ^ (1 << (u - 1)) if u else state
 
     def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or x.bit_length() > self._n:
+        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
             raise self._bus_error()
         d = x ^ state
         if d == 0:
@@ -660,13 +655,15 @@ class OptimalCodec(_DifferentialCodec):
         return h
 
     def encode_int(self, state: int, u: int) -> int:
+        if state < 0 or state.bit_length() > self._n:
+            raise self._bus_error()
         if not 0 <= u < self._size:
             raise self._info_error(u)
         m = bisect_right(self.tier_sums, u)
         return self.table.unrank(u - self._bases[m], m, self._n) ^ state
 
     def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or x.bit_length() > self._n:
+        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
             raise self._bus_error()
         d = x ^ state
         m = d.bit_count()
@@ -701,22 +698,20 @@ class CosetCodec(_DifferentialCodec):
         assert code is not None
         self.code = code
         self.leader_table = build_coset_leader_table(code)
-        # syndromes sorted by leader weight, and where each weight starts; any
-        # sub-pattern of a leader leads its own coset, so no weight is skipped
-        w = np.array([l.bit_count() for l in self.leader_table.leaders], dtype=np.uint8)
-        tiers = np.bincount(w)
-        assert tiers.all()  # reduceat needs strictly increasing starts
-        self._by_weight = np.argsort(w, kind="stable")
-        self._tier_starts = np.cumsum(tiers) - tiers
+        # each syndrome's leader weight: at most k <= 16 columns reach it, so a uint8
+        self._weights = np.array([l.bit_count() for l in self.leader_table.leaders], np.uint8)
+        self._heaviest = int(self._weights.max())
         self._lines = code.line_syndromes
 
     def encode_int(self, state: int, u: int) -> int:
+        if state < 0 or state.bit_length() > self._n:
+            raise self._bus_error()
         if not 0 <= u < self._size:
             raise self._info_error(u)
         return self.leader_table.leaders[u] ^ state
 
     def decode_int(self, state: int, x: int) -> int:
-        if (x | state) < 0 or (x | state).bit_length() > self._n:  # d must fit H: state too
+        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
             raise self._bus_error()
         d = x ^ state  # an emitted word toggles a leader: at most covering-radius lines
         lines = self._lines
@@ -728,14 +723,29 @@ class CosetCodec(_DifferentialCodec):
         return s
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        per_syndrome = np.bincount(us, minlength=self._size)
-        return np.add.reduceat(per_syndrome[self._by_weight], self._tier_starts)
+        # a word toggles at least j lines iff its leader weighs >= j: count, then
+        # diff, as the optimal kernel does (np.take: fancy indexing is 3x slower)
+        w = np.take(self._weights, us)
+        at_least = (np.count_nonzero(w >= j) for j in range(1, self._heaviest + 1))
+        return -np.diff([us.size, *at_least, 0])
 
 
 def _xor_histogram(us: np.ndarray, prev: int, k: int) -> np.ndarray:
-    """k + 1 counts of popcount(u XOR the word before it; prev for the first)."""
-    h = np.bincount(np.bitwise_count(us[1:] ^ us[:-1]), minlength=k + 1)
-    h[(int(us[0]) ^ int(prev)).bit_count()] += 1
+    """k + 1 counts of popcount(u XOR the word before it; prev for the first).
+
+    bincount stalls on a few hot bins, so it counts the weights two at a
+    time: each uint16 of the uint8 weights holds two neighbouring weights,
+    and their joint counts fold along both axes (so either byte order), the
+    odd last weight counted alone."""
+    d = np.empty_like(us)
+    np.bitwise_xor(us[1:], us[:-1], out=d[1:])
+    d[0] = int(us[0]) ^ int(prev)
+    w = np.bitwise_count(d)
+    pairs = w[: w.size & ~1].view(np.uint16)
+    joint = np.bincount(pairs, minlength=(k + 1) << 8).reshape(k + 1, 256)[:, : k + 1]
+    h = joint.sum(0) + joint.sum(1)
+    if w.size & 1:
+        h[w[-1]] += 1
     return h
 
 
@@ -756,10 +766,22 @@ def make_codec(spec: CodecSpec) -> Codec:
 
 def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
     """Next bus word for info word u from the given state."""
-    return spec.codec.encode(state.x_prev, u)
+    codec, s = spec.codec, state.x_prev
+    n = codec._n
+    if s.length != n:
+        raise ValueError(f"state length {s.length} != n={n}")
+    if u.length != codec._k:
+        raise ValueError(f"info word length {u.length} != k={codec._k}")
+    return Word(codec.encode_int(s.value, u.value), n)
 
 
 def decode(spec: CodecSpec, state: BusState, x: Word) -> Word:
     """Recover the info word from the received bus word and the state."""
-    return spec.codec.decode(state.x_prev, x)
+    codec, s = spec.codec, state.x_prev
+    n = codec._n
+    if s.length != n:
+        raise ValueError(f"state length {s.length} != n={n}")
+    if x.length != n:
+        raise ValueError(f"bus word length {x.length} != n={n}")
+    return Word(codec.decode_int(s.value, x.value), codec._k)
 

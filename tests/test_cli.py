@@ -1,10 +1,21 @@
+import argparse
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+from buslab import analytics, cli
 from buslab.cli import main
-from buslab.codecs import dbi_spec
+from buslab.codecs import (
+    coset_spec,
+    dbi_spec,
+    make_golay23,
+    make_hamming,
+    make_repetition,
+    optimal_spec,
+    ppm0_spec,
+)
 from buslab.simulator import TraceConfig, run_trace
 
 
@@ -266,3 +277,109 @@ class TestCodebook:
         code, _, err = run_cli(capsys, "codebook", "optimal", "--k", "13", "--b", "2")
         assert code == 2
         assert "k" in err
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+VALID_ARGVS = [
+    ["analyze", "--k", "11", "--b", "12"],
+    ["analyze", "--k", "11", "--b", "12", "--json"],
+    ["analyze", "--k", "11", "--b", "12", "--csv"],
+    ["sweep", "--k", "11", "--b", "13"],
+    ["sweep", "--k", "4", "--b", "3", "--json"],
+    ["simulate", "optimal", "--k", "8", "--b", "4", "--length", "2000", "--seed", "1", "--csv"],
+    ["simulate", "--family", "dbi", "--k", "6", "--length", "2000", "--csv"],
+    ["verify", "rank"],
+    ["codebook", "ppm0", "--k", "3"],
+    ["codebook", "--family", "optimal", "--k", "4", "--b", "2"],
+]
+PARSE_ARGVS = VALID_ARGVS + [
+    ["-h"],
+    ["analyze", "-h"],
+    [],
+    ["bogus"],
+    ["analyze", "--k", "11", "--b", "12", "extra"],
+    ["analyze", "--k", "11", "--b", "12", "--json", "--csv"],
+    ["verify", "nope"],
+    ["--k", "3", "analyze"],
+]
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+    def test_each_command_parses_as_the_top_level_parser_does(self, capsys, monkeypatch, argv):
+        got = _outcome(capsys, argv)
+        # the oracle: no command parser to look up, so every argv goes through
+        # the top-level parse_args
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        assert got == _outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_a_valid_command_parses_once(self, capsys, monkeypatch, argv):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        code, _, _ = _outcome(capsys, argv)
+        assert (code, calls) == (0, [f"buslab {argv[0]}"])
+
+
+def _sweep_oracle(k, b_max, as_json):
+    """Per-row output from the Fraction closed forms: json.dumps or an f-string per row."""
+    half = Fraction(k, 2)
+    rows = [(b, analytics.d_max(k, b), analytics.d_opt(k, b)) for b in range(b_max + 1)]
+    bound = 1 - analytics.d_min(k) / half
+    if as_json:
+        payload = {
+            "k": k,
+            "rows": [
+                {"b": b, "d_max": dm, "d_opt": str(d), "d_opt_decimal": f"{float(d):.9g}",
+                 "saving": str(1 - d / half), "saving_decimal": f"{float(1 - d / half):.9g}"}
+                for b, dm, d in rows
+            ],
+            "ppm_bound": str(bound),
+            "ppm_bound_decimal": f"{float(bound):.9g}",
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    body = "".join(f"{b},{dm},{float(d):.9g},{float(1 - d / half):.9g}\n" for b, dm, d in rows)
+    return f"b,d_max,d_opt,saving\n{body}ppm_bound,,,{float(bound):.9g}\n"
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_blocks_match_per_row_formatting(self, capsys, tmp_path, rows, fmt):
+        argv = ["sweep", "--k", "5", "--b", str(rows - 1), f"--{fmt}"]
+        want = _sweep_oracle(5, rows - 1, fmt == "json")
+        assert _outcome(capsys, argv) == (0, want, "")
+        path = tmp_path / "sweep.out"
+        assert _outcome(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [optimal_spec(11, 12), optimal_spec(3, 1), ppm0_spec(10), ppm0_spec(2),
+         coset_spec(make_golay23()), coset_spec(make_repetition(4)), coset_spec(make_hamming(4))],
+        ids=lambda s: f"{s.family.value}-{s.k}-{s.b}",
+    )
+    def test_codebook_blocks_match_per_row_formatting(self, capsys, tmp_path, spec):
+        codec, n = spec.codec, spec.n
+        diffs = [codec.differential_int(u) for u in range(1 << spec.k)]
+        want = "".join(f"{u},{d:0{n}b},{d.bit_count()}\n" for u, d in enumerate(diffs))
+        argv = ["codebook", spec.family.value, "--k", str(spec.k), "--b", str(spec.b)]
+        assert _outcome(capsys, argv) == (0, want, "")
+        path = tmp_path / "book.csv"
+        assert _outcome(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == want.encode()

@@ -157,11 +157,12 @@ def test_decode_int_rejects_bus_values_outside_the_bus(spec):
             assert codec.decode_int(state, codec.encode_int(state, u)) == u
     if hasattr(codec, "info_int"):
         assert _message(codec.info_int, 1 << n) == text
-    if spec.code is not None:
-        # coset decode walks the lines of x ^ state: a negative state never
-        # runs out of lines, and a wider one runs past H
-        for state in (-1, -(1 << n), 1 << n):
-            assert _message(codec.decode_int, state, 0) == text
+    # every kernel holds the state to the bus as well, in both directions: a
+    # negative state never runs out of lines, and a wider one runs past them
+    for state in (-1, -(1 << n), 1 << n, 1 << (n + 8)):
+        assert _message(codec.encode_int, state, 0) == text
+        assert _message(codec.encode_int, state, top) == text
+        assert _message(codec.decode_int, state, 0) == text
 
 
 def test_optimal_and_clock_model_length_errors_keep_their_texts():

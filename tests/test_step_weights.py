@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buslab.codecs import (
+    _xor_histogram,
     coset_spec,
     dbi_spec,
     make_codec,
@@ -240,3 +241,21 @@ def test_both_word_dtypes_at_the_32_bit_edge(spec):
     else:
         weights = _scalar_walk(codec, us, 0)
     assert _hist(codec, us, 0) == _counts(weights, spec)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1023, 1025])
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64], ids=["uint32", "uint64"])
+def test_paired_weight_count_matches_one_bincount(size, dtype):
+    # the uncoded and DBI kernel counts the step weights two per bincount
+    # slot; a plain bincount of every step's weight is the oracle
+    rng = np.random.default_rng(size)
+    for k in range(1, 33 if dtype is np.uint32 else 65):
+        top = (1 << k) - 1
+        us = rng.integers(0, np.iinfo(np.uint64).max, size, dtype=np.uint64, endpoint=True) & top
+        us[1::4], us[2::4] = 0, top  # the heaviest step, k lines, as well
+        us = us.astype(dtype)
+        prev = top - (top >> 2)  # nonzero, and k bits wide like every info word
+        before = np.concatenate([np.array([prev], dtype=dtype), us[:-1]])
+        want = np.bincount(np.bitwise_count(us ^ before), minlength=k + 1)
+        got = _xor_histogram(us, prev, k)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), k
