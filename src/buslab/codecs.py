@@ -724,7 +724,8 @@ class CosetCodec(_DifferentialCodec):
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
         # a word toggles at least j lines iff its leader weighs >= j: count, then
-        # diff, as the optimal kernel does (np.take: fancy indexing is 3x slower)
+        # diff (np.take: fancy indexing is 3x slower; _xor_histogram's paired
+        # weights took Golay 184 -> 377 us, Hamming(15) 197 -> 433 us per 2^17 words)
         w = np.take(self._weights, us)
         at_least = (np.count_nonzero(w >= j) for j in range(1, self._heaviest + 1))
         return -np.diff([us.size, *at_least, 0])

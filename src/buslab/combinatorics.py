@@ -43,7 +43,7 @@ class CapacityError(OverflowError):
         )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """Fixed-width bit vector; bit i is the state of bus line i."""
 
@@ -56,9 +56,9 @@ class Word:
             raise ValueError(f"word length must be >= 0, got {length}")
         if not (0 <= value and value.bit_length() <= length):
             raise ValueError(f"value {value} does not fit in {length} bits")
-        # frozen: two instance-dict stores cost less than object.__setattr__
-        self.__dict__["value"] = value
-        self.__dict__["length"] = length
+        # frozen: the slots' own setters (below) cost less than object.__setattr__
+        _set_value(self, value)
+        _set_length(self, length)
 
     @classmethod
     def zero(cls, length: int) -> "Word":
@@ -76,6 +76,9 @@ class Word:
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
+
+
+_set_value, _set_length = Word.__dict__["value"].__set__, Word.__dict__["length"].__set__
 
 
 class BinomialTable:

@@ -134,15 +134,15 @@ def _shard_histogram(codec: Codec, length: int, seed: np.random.SeedSequence) ->
 def run_trace(cfg: TraceConfig) -> TransitionStats:
     """Feed trace_length uniform info words through the codec and count.
 
-    The trace is split into cfg.shards shards with SeedSequence-derived
-    child seeds, each starting from the all-zero bus; the shard histograms
-    add in shard order, and the counters are built once from their sum.
+    Shard i of cfg.shards is seeded by SeedSequence(cfg.seed, spawn_key=(i,)),
+    spawn's i-th child built directly, and starts from the all-zero bus; the
+    shard histograms add in shard order, and the counters are built once.
     """
     spec = cfg.spec
     codec = make_codec(spec)
     base, extra = divmod(cfg.trace_length, cfg.shards)
     lengths = [base + (1 if i < extra else 0) for i in range(cfg.shards)]
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.shards)
+    seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(cfg.shards)]
     hist = sum(_shard_histogram(codec, ln, sq) for ln, sq in zip(lengths, seeds))
     counts = [0] * (spec.n + 1)
     counts[:len(hist)] = hist.tolist()

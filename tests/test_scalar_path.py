@@ -1,5 +1,6 @@
 """The public scalar encode/decode path: one codec lookup per spec, the same
 error texts at every layer, and specs and words that stay plain values."""
+import copy
 import dataclasses
 import os
 import pickle
@@ -227,7 +228,12 @@ def test_word_is_still_a_frozen_dataclass():
         dataclasses.replace(w, value=256)
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.value = 1
-    assert pickle.loads(pickle.dumps(w)) == w
+    # slotted: the fields live in the slots, not in a per-instance dict
+    assert not hasattr(w, "__dict__")
+    assert copy.copy(w) == w and copy.deepcopy(w) == w
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(w, protocol))
+        assert clone == w and repr(clone) == repr(w)
     assert encode(dbi_spec(8), BusState(Word.zero(9)), w) == Word(5 << 1, 9)
 
 

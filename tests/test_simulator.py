@@ -424,6 +424,20 @@ class TestScalarBudgets:
             tracemalloc.stop()
         assert peak < 512 * 2**10
 
+    def test_retained_words_carry_no_instance_dict(self):
+        # 80 B per Word with its int on a 2-CPU x86 host; 184 B while each
+        # Word kept its two fields in an instance dict
+        words = [None] * 10_000  # the list is allocated before tracing starts
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(10_000):
+                words[i] = Word(1000 + i, 23)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / len(words) < 120
+
 
 class TestClosedFormBudgets:
     # A 2-CPU x86 host measured best-of-3 times of 0.14-0.16 s for the k = 20
