@@ -8,7 +8,6 @@ dimensions holds at least 2^k words.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -87,25 +86,30 @@ def d_opt(k: int, b: int) -> Fraction:
 def sweep(k: int, b_max: int) -> Iterator[tuple[int, int, int]]:
     """Yield (b, d_max(k,b), 2^k * d_opt(k,b)) for b = 0..b_max, in integers.
 
-    Carries s[i] = C(n,0) + ... + C(n,i) for i < d_max and their total short.
-    An added line turns s[i] into s[i] + s[i-1] (Pascal's rule) and short
-    into 2 * short - s[d_max - 1]; d_max only falls as n grows, and each tier
-    it falls past leaves short. (k, b_max) is checked before the first row.
+    Carries three integers, each updated in O(1) per added line and per tier
+    d_max falls past: c = C(n, d_max - 1), top = s[d_max - 1] and short, the
+    sum of s[i] = C(n,0) + ... + C(n,i) over i < d_max. By Pascal's rule an
+    added line turns short into 2 * short - top and top into 2 * top - c;
+    d_max only falls as n grows, and each tier it falls past leaves short.
+    (k, b_max) is checked before the first row.
     """
-    _check_kb(k, b_max)
+    n = _check_kb(k, b_max) - b_max
     need = 1 << k
-    s = list(accumulate(comb(k, i) for i in range(k)))
-    short = sum(s)
-    dm = k  # at b = 0 only the all-ones word lies outside radius k - 1
+    # at b = 0 only the all-ones word lies outside radius k - 1, and the s[i]
+    # sum to k 2^(k-1), so d_opt = k/2
+    dm, c, top, short = k, k, need - 1, k << (k - 1)
     for b in range(b_max + 1):
         yield b, dm, dm * need - short
-        short += short - s[dm - 1]
-        for i in range(dm - 1, 0, -1):
-            s[i] += s[i - 1]
+        short += short - top
+        top += top - c
+        n += 1
+        c = c * n // (n + 1 - dm)  # C(n, dm-1) from C(n-1, dm-1), exactly
         # up to 32 tiers at once: k = 64 falls from d_max 64 to 32 at b = 1
-        while s[dm - 1] >= need:
+        while top >= need:
+            short -= top
+            top -= c
             dm -= 1
-            short -= s[dm]
+            c = c * dm // (n - dm + 1)  # C(n, dm-1) from C(n, dm), exactly
 
 
 def d_min(k: int) -> Fraction:

@@ -8,11 +8,12 @@ Grammar:
     buslab verify   [SCOPE]
     buslab codebook [FAMILY | --family NAME] --k INT [--b INT] [--out PATH]
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Rationals are
-printed as p/q next to decimals rounded to 9 significant digits. Family
-facts are lookups in the codec registry: a missing --b defaults to the
-family's required b, a wrong one fails the spec's own check, and the
-simulate reference is the family's exact_mean.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 when the
+reader closes stdout early (128 + SIGPIPE). Rationals are printed as p/q
+next to decimals rounded to 9 significant digits. Family facts are lookups
+in the codec registry: a missing --b defaults to the family's required b, a
+wrong one fails the spec's own check, and the simulate reference is the
+family's exact_mean.
 
 An argv that starts with a command is parsed once, by that command's own
 parser; anything else (no args, -h, an unknown command, an option first)
@@ -27,6 +28,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -69,46 +71,43 @@ def _spec_for(args: argparse.Namespace) -> CodecSpec:
     return coset_spec_for(k, b) if fam is Family.COSET else CodecSpec(fam, k, b)
 
 
+# the bytes json.dumps gives the analyze record, without building it: k, b,
+# n, D_unc's p/q and d_max, then each later figure's p/q and its decimal, all
+# plain ASCII; %.9g formats a float as {:.9g} does
+_ANALYZE_JSON = '{"k": %d, "b": %d, "n": %d, "d_unc": "%s", "d_max": %d' + "".join(
+    f', "{key}": "%s", "{key}_decimal": "%.9g"'
+    for key in ("d_opt", "transition_ratio", "energy_saving", "d_min", "encoding_cost")
+) + "}"
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     k, b = args.k, args.b
     dm, num = analytics._scaled_d_opt(k, b)
-    # each figure as (p, q) from the two integers; D_opt / D_unc = 2 num / (k 2^k)
+    # the six figures as (p, q) from the two integers, in report order: D_unc,
+    # D_opt, D_opt / D_unc = 2 num / (k 2^k), the saving, D_min, the cost
     need, den = 1 << k, k << k
-    rec = {
-        "k": k,
-        "b": b,
-        "n": k + b,
-        "d_unc": (k, 2),
-        "d_max": dm,
-        "d_opt": (num, need),
-        "transition_ratio": (2 * num, den),
-        "energy_saving": (den - 2 * num, den),
-        "d_min": (need - 1, need),
-        "encoding_cost": ((k + b + 2) * num + (dm + 1) * need, need),
-    }
-    frac = {key: fmt_ratio(*v) for key, v in rec.items() if isinstance(v, tuple)}
-    dec = {key: f"{rec[key][0] / rec[key][1]:.9g}" for key in frac}
-    if args.csv:
-        print(",".join(rec))
-        print(",".join(dec.get(key, str(v)) for key, v in rec.items()))
-        return 0
+    figures = ((k, 2), (num, need), (2 * num, den), (den - 2 * num, den),
+               (need - 1, need), ((k + b + 2) * num + (dm + 1) * need, need))
+    frac = [fmt_ratio(p, q) for p, q in figures]
+    vals = [p / q for p, q in figures]
     if args.json:
-        out = {}
-        for key, v in rec.items():
-            out[key] = frac.get(key, v)
-            if key in dec and key != "d_unc":
-                out[f"{key}_decimal"] = dec[key]
-        print(json.dumps(out))
+        pairs = chain.from_iterable(zip(frac[1:], vals[1:]))
+        print(_ANALYZE_JSON % (k, b, k + b, frac[0], dm, *pairs))
         return 0
-    pair = {key: f"{frac[key]} = {dec[key]}" for key in frac}
-    print(f"bus encoding analysis: k={k}, b={b} (n={rec['n']} lines)")
-    print(f"  uncoded average distance    D_unc = {pair['d_unc']}")
-    print(f"  codebook maximum weight     d_max = {rec['d_max']}")
-    print(f"  optimal average distance    D_opt = {pair['d_opt']}")
-    print(f"  transition ratio      D_opt/D_unc = {pair['transition_ratio']}")
-    print(f"  energy saving           1 - ratio = {pair['energy_saving']}")
-    print(f"  floor over all b            D_min = {pair['d_min']}")
-    print(f"  encoding cost   (n+2)*D_opt+d_max+1 = {pair['encoding_cost']} comparison units")
+    dec = [f"{v:.9g}" for v in vals]
+    if args.csv:
+        print("k,b,n,d_unc,d_max,d_opt,transition_ratio,energy_saving,d_min,encoding_cost")
+        print(",".join((str(k), str(b), str(k + b), dec[0], str(dm), *dec[1:])))
+        return 0
+    pair = [f"{f} = {d}" for f, d in zip(frac, dec)]
+    print(f"bus encoding analysis: k={k}, b={b} (n={k + b} lines)")
+    print(f"  uncoded average distance    D_unc = {pair[0]}")
+    print(f"  codebook maximum weight     d_max = {dm}")
+    print(f"  optimal average distance    D_opt = {pair[1]}")
+    print(f"  transition ratio      D_opt/D_unc = {pair[2]}")
+    print(f"  energy saving           1 - ratio = {pair[3]}")
+    print(f"  floor over all b            D_min = {pair[4]}")
+    print(f"  encoding cost   (n+2)*D_opt+d_max+1 = {pair[5]} comparison units")
     return 0
 
 
@@ -129,9 +128,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = analytics.sweep(k, b_max)
     rows = chain([next(rows)], rows)  # checks (k, b_max) before --out is opened
     # d_opt = num / 2^k and saving = 1 - d_opt / (k/2) = (k 2^k - 2 num) / (k 2^k);
-    # int / int is correctly rounded, the same float as float(Fraction), and
-    # %.9g formats it as {:.9g} does
-    need, den = 1 << k, k << k
+    # float(num) is correctly rounded and scaling it by 2^-k is exact, so
+    # num * 2.0**-k is the float of Fraction(num, 2^k); int / int is correctly
+    # rounded too, and %.9g formats either as {:.9g} does
+    need, den, scale = 1 << k, k << k, 2.0**-k
     bound = den - 2 * (need - 1)  # k 2^k times the saving of d_min = (2^k - 1) / 2^k
     if args.json:
         # the bytes of json.dumps(payload, indent=2), without its pure-Python
@@ -139,21 +139,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         head = f'{{\n  "k": {k},\n  "rows": [\n'
         line = (
             '    {\n      "b": %d,\n      "d_max": %d,\n'
-            '      "d_opt": "%s",\n      "d_opt_decimal": "%.9g",\n'
+            '      "d_opt": "%d%s",\n      "d_opt_decimal": "%.9g",\n'
             '      "saving": "%s",\n      "saving_decimal": "%.9g"\n    }%s\n'
         )
-        body = (
-            (b, dm, fmt_ratio(num, need), num / need,
-             fmt_ratio(den - 2 * num, den), (den - 2 * num) / den, "," if b < b_max else "")
-            for b, dm, num in rows
-        )
+        # num / 2^k in lowest terms, no gcd: the lowest set bit 2^t of num | 2^k
+        # gives t = min(trailing zeros of num, k), the shift and "/2^(k-t)"
+        shifts = {1 << t: (t, f"/{1 << (k - t)}") for t in range(k)}
+        shifts[need] = (k, "")
+
+        def json_rows() -> Iterator[tuple]:
+            for b, dm, num in rows:
+                t, over = shifts[(low := num | need) & -low]
+                saving = den - 2 * num
+                yield (b, dm, num >> t, over, num * scale,
+                       fmt_ratio(saving, den), saving / den, "," if b < b_max else "")
+
+        body = json_rows()
         tail = (
             f'  ],\n  "ppm_bound": "{fmt_ratio(bound, den)}",\n'
             f'  "ppm_bound_decimal": "{bound / den:.9g}"\n}}\n'
         )
     else:
         head, line = "b,d_max,d_opt,saving\n", "%d,%d,%.9g,%.9g\n"
-        body = ((b, dm, num / need, (den - 2 * num) / den) for b, dm, num in rows)
+        body = ((b, dm, num * scale, (den - 2 * num) / den) for b, dm, num in rows)
         tail = f"ppm_bound,,,{bound / den:.9g}\n"
     _write(args.out, head, line, body, tail)
     return 0
@@ -320,10 +328,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.command = argv[0]
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # a reader that closed stdout early, not a usage error
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: stdout goes to devnull so the shutdown
+        # flush stays silent, and the exit code is 128 + SIGPIPE, as `yes | head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

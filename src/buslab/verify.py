@@ -131,28 +131,31 @@ def check_coset() -> CheckResult:
     return CheckResult("coset", True, "; ".join(details))
 
 
-def _greedy_mean_weight(k: int, n: int) -> Fraction:
-    """Mean weight of the 2^k lowest-weight n-tuples, by sorting all weights."""
-    weights = sorted(v.bit_count() for v in range(1 << n))
-    return Fraction(sum(weights[: 1 << k]), 1 << k)
+def _greedy_weights(k: int, n: int) -> tuple[int, int]:
+    """(d_max, 2^k * mean weight) of the 2^k lowest-weight n-tuples, by
+    sorting all weights."""
+    low = sorted(v.bit_count() for v in range(1 << n))[: 1 << k]
+    return low[-1], sum(low)
 
 
 def check_optimal_weight_law(k_limit: int = 10, b_limit: int = 8, n_limit: int = 18) -> CheckResult:
-    """Codec mean weight == closed form == greedy enumeration, over a grid."""
+    """Codec mean weight == closed form == greedy enumeration == sweep row, over a grid."""
     cells = 0
     for k in range(1, k_limit + 1):
-        for b in range(0, b_limit + 1):
+        for b, row in zip(range(b_limit + 1), analytics.sweep(k, b_limit)):
             n = k + b
             if n > n_limit:
                 break
             closed = analytics.d_opt(k, b)
             codec_mean = exact_average_distance(optimal_spec(k, b)).exact_mean
-            greedy = _greedy_mean_weight(k, n)
-            if not closed == codec_mean == greedy:
+            dm, total = _greedy_weights(k, n)
+            greedy = Fraction(total, 1 << k)
+            if not (closed == codec_mean == greedy and row == (b, dm, total)):
                 return CheckResult(
                     "optimal",
                     False,
-                    f"k={k} b={b}: closed {closed}, codec {codec_mean}, greedy {greedy}",
+                    f"k={k} b={b}: closed {closed}, codec {codec_mean}, greedy {greedy} "
+                    f"(d_max {dm}), sweep row {row}",
                 )
             cells += 1
     return CheckResult("optimal", True, f"weight law exact on {cells} (k, b) cells")

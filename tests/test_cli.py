@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,25 @@ class TestSweep:
         assert code == 2
         assert "n=4194305" in err
         assert not out.exists()
+
+    def test_a_reader_closing_the_pipe_exits_141_silently(self):
+        # 128 + SIGPIPE, as `yes | head` reports, not the usage-error code 2
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "buslab", "sweep", "--k", "20", "--b", "100000"],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"b,d_max,d_opt,saving\n"
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+        assert err == b""
 
 
 class TestSimulate:

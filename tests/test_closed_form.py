@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buslab import analytics
 from buslab import cli
@@ -108,6 +110,30 @@ def test_incremental_sweep_matches_the_per_b_closed_forms(k):
         assert dm == analytics.d_max(k, b) and Fraction(num, 1 << k) == analytics.d_opt(k, b)
 
 
+@pytest.mark.parametrize("k", [20, 33, 63, 64])
+def test_sweep_matches_the_per_b_closed_forms_far_out_in_b(k):
+    # the carried binomial and partial sums over 10^5 added lines: every row
+    # where d_max falls and the row before it, so a fall one row early or
+    # late shows, plus the last row and random rows
+    b_max = 100_000
+    rows = list(analytics.sweep(k, b_max))
+    falls = [b for b in range(1, b_max + 1) if rows[b][1] != rows[b - 1][1]]
+    assert len(falls) >= 3
+    rnd = random.Random(k)
+    sample = {b_max, *rnd.sample(range(b_max + 1), 40)}
+    sample |= {b - d for b in falls for d in (0, 1)}
+    for b in sorted(sample):
+        _, dm, num = rows[b]
+        assert (dm, Fraction(num, 1 << k)) == d_opt_by_fractions(k, b), (k, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 64), b=st.integers(0, 20_000))
+def test_sweep_row_matches_the_one_cell_closed_form(k, b):
+    *_, last = analytics.sweep(k, b)
+    assert last == (b, *analytics._scaled_d_opt(k, b))
+
+
 def test_sweep_d_max_falls_many_tiers_in_one_step():
     # one added line halves the k = 64 ball's radius: C(65, 0..32) sums to 2^64
     assert [dm for _, dm, _ in analytics.sweep(64, 2)] == [64, 32, 30]
@@ -125,7 +151,9 @@ def test_analyze_json_matches_the_closed_forms(capsys):
     rnd = random.Random(14)
     for _ in range(200):
         k, b = rnd.randint(1, 64), rnd.randint(0, 5000)
-        got = json.loads(_cli(capsys, "analyze", "--k", str(k), "--b", str(b), "--json"))
+        out = _cli(capsys, "analyze", "--k", str(k), "--b", str(b), "--json")
+        got = json.loads(out)
+        assert out == json.dumps(got) + "\n"  # the bytes json.dumps prints
         assert got["d_max"] == analytics.d_max(k, b)
         for key, want in (
             ("d_opt", analytics.d_opt(k, b)),

@@ -440,11 +440,13 @@ class TestScalarBudgets:
 
 
 class TestClosedFormBudgets:
-    # A 2-CPU x86 host measured best-of-3 times of 0.14-0.16 s for the k = 20
-    # sweep (0.33-0.41 s rebuilding the partial sums per row, 2.3 s with a
-    # Fraction sum per row), 0.010-0.017 s for k = 64 (0.02 s, 0.18-0.24 s),
-    # and 4-40 us for each exact average (1.0 s and 0.22 s with a loop over
-    # the states, 30-100 us while it also built a tuple of 2^n per-state means).
+    # A 2-CPU x86 host measured best-of-3 times of 0.11-0.19 s for the k = 20
+    # sweep (0.12-0.20 s updating the whole column of partial sums per row,
+    # 0.33-0.41 s rebuilding it per row, 2.3 s with a Fraction sum per row),
+    # 0.005-0.011 s for k = 64 (0.008-0.014 s, 0.02 s, 0.18-0.24 s), and
+    # 4-40 us for each exact average (1.0 s and 0.22 s with a loop over the
+    # states, 30-100 us while it also built a tuple of 2^n per-state means).
+    # Each sweep row now costs O(1) integer steps at any k.
     def _best_of_3(self, fn):
         best = float("inf")
         for _ in range(3):
@@ -460,21 +462,23 @@ class TestClosedFormBudgets:
         assert len((tmp_path / "s.csv").read_text().splitlines()) == b_max + 3
 
     def test_sweep_json(self, capsys):
-        # 0.24-0.36 s (0.49-0.56 s rebuilding the partial sums per row); 1.8 s
-        # through json.dumps(indent=2) and a Fraction per p/q string
+        # 0.23-0.36 s (0.26-0.44 s with a gcd per d_opt string, 0.49-0.56 s
+        # rebuilding the partial sums per row); 1.8 s through
+        # json.dumps(indent=2) and a Fraction per p/q string
         argv = ["sweep", "--k", "20", "--b", "100000", "--json"]
         assert self._best_of_3(lambda: main(argv)) < 0.8
         assert capsys.readouterr().out.count('"b": ') == 3 * 100_001
 
     def test_analyze_in_process(self, capsys):
-        # 0.008-0.011 s (~0.013 s with Fraction arithmetic per figure); >= 0.127 s
-        # when every main() call rebuilt the argparse tree
+        # 0.004-0.007 s (0.005-0.009 s building dicts for json.dumps, ~0.013 s
+        # with Fraction arithmetic per figure); >= 0.127 s when every main()
+        # call rebuilt the argparse tree
         rnd = random.Random(5)
         argvs = [
             ["analyze", "--k", str(rnd.randint(1, 64)), "--b", str(rnd.randint(0, 5000)), "--json"]
             for _ in range(100)
         ]
-        assert self._best_of_3(lambda: [main(argv) for argv in argvs]) < 0.03
+        assert self._best_of_3(lambda: [main(argv) for argv in argvs]) < 0.025
         assert capsys.readouterr().out.count('"d_opt": ') == 3 * 100
 
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["csv", "json"])
