@@ -4,20 +4,20 @@ All families share one contract: given the previous bus word and the current
 info word, produce the next bus word; decoding inverts it. The differential
 families (optimal, ppm0, coset) map the info word to a low-weight
 differential d and transmit x = d XOR x_prev, so each step toggles exactly
-weight(d) lines. Each family's encode_int/decode_int is its whole kernel,
-the XOR with the state included; differential_int(u) is encode_int(0, u)
-and info_int(d) is decode_int(0, d). Every encode_int and decode_int
-rejects a state outside [0, 2^n); buslab.encode/decode check the Word
-lengths and call the kernel directly. Each codec's vectorized
-step_histogram counts a chunk of info words' steps by lines toggled,
-without forming a bus word: uncoded and DBI count the XOR weights two per
-bincount slot, optimal compares the words with its tier sums, and coset
-looks each word's leader weight up in a uint8 table. Each codec class also
-carries its family's facts, found through the one registry _FAMILY_CODECS:
-required_b, the caps its spec check applies, an exact_mean that builds no
-codec (coset aside) and the trace_counters. The coset leader search and
-coset decode both take a syndrome as the XOR of H's columns at the word's
-lines, LinearCode.line_syndromes.
+weight(d) lines. Each family's _encode/_decode is its whole kernel, the XOR
+with the state included; Codec.encode_int/decode_int hold the state and x to
+[0, 2^n) and u to [0, 2^k) once for every family, then call it.
+differential_int(u) is encode_int(0, u) and info_int(d) is decode_int(0, d).
+buslab.encode/decode check the Word lengths and call the kernel directly, as
+a Word of the right length is in range. Each codec's vectorized
+step_histogram counts a chunk of info words' steps by lines toggled, without
+forming a bus word: uncoded and DBI count the XOR weights two per bincount
+slot, optimal compares the words with its tier sums, and coset looks each
+word's leader weight up in a uint8 table. Each codec class also carries its
+family's facts, found through the one registry _FAMILY_CODECS: required_b,
+the caps its spec check applies, an exact_mean that builds no codec (coset
+aside) and the trace_counters. The coset leader search and coset decode both
+take a syndrome as the XOR of H's columns at the word's lines (line_syndromes).
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -311,7 +311,7 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
             break
         for e in words_of_weight(code.length, w):
             s, v = 0, e
-            while v:  # the XOR of e's lines' columns, as in CosetCodec.decode_int
+            while v:  # the XOR of e's lines' columns, as in CosetCodec._decode
                 i = v.bit_length() - 1
                 s ^= lines[i]
                 v ^= 1 << i
@@ -385,6 +385,8 @@ def coset_spec_for(k: int, b: int) -> CodecSpec:
     b = 1 gives the repetition code on k+1 lines; b = 2^k - 1 - k gives the
     Hamming code with k parity bits; (11, 12) gives the Golay code.
     """
+    if k < 1:  # CodecSpec's own text, before a repetition code of k + 1 < 2 lines
+        raise ValueError(f"k={k} must be >= 1")
     if k > MAX_SYNDROME_BITS:  # each has k syndrome bits: fail before any build
         raise ValueError(f"coset k={k} exceeds the {MAX_SYNDROME_BITS}-bit syndrome table cap")
     if (k, b) == (11, 12):
@@ -411,8 +413,8 @@ class BusState:
 # ---------------------------------------------------------------------------
 
 class Codec:
-    """Common interface; subclasses implement the int-level kernels and
-    carry their family's facts as class attributes."""
+    """Common interface and its one int-level range check; subclasses implement
+    the kernels _encode/_decode and carry their family's facts as class attributes."""
 
     max_lines: int | None = MAX_OPTIMAL_LINES
     max_k: int | None = None  # ppm0 caps k instead: its n is 2^k - 1
@@ -453,11 +455,24 @@ class Codec:
         self._size = 1 << spec.k
         self.word_dtype = np.uint32 if spec.k <= 32 else np.uint64  # of trace chunks
 
-    # pure int kernels: u checked against k, x and the state against n, in O(1)
+    # the one range check, in O(1): the state and x against n, then u against k
     def encode_int(self, state: int, u: int) -> int:
-        raise NotImplementedError
+        if state < 0 or state.bit_length() > self._n:
+            raise ValueError(f"bus value outside [0, 2^{self._n}) for n={self._n}")
+        if not 0 <= u < self._size:
+            raise ValueError(f"info value {u} out of range for k={self._k}")
+        return self._encode(state, u)
 
     def decode_int(self, state: int, x: int) -> int:
+        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
+            raise ValueError(f"bus value outside [0, 2^{self._n}) for n={self._n}")
+        return self._decode(state, x)
+
+    # pure int kernels: each family's, run on values already in range
+    def _encode(self, state: int, u: int) -> int:
+        raise NotImplementedError
+
+    def _decode(self, state: int, x: int) -> int:
         raise NotImplementedError
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
@@ -468,12 +483,6 @@ class Codec:
         where the bus is all-zero); differential families ignore it.
         """
         raise NotImplementedError
-
-    def _info_error(self, u: int) -> ValueError:
-        return ValueError(f"info value {u} out of range for k={self._k}")
-
-    def _bus_error(self) -> ValueError:
-        return ValueError(f"bus value outside [0, 2^{self._n}) for n={self._n}")
 
 
 class _DifferentialCodec(Codec):
@@ -503,16 +512,10 @@ class UncodedCodec(Codec):
     def exact_mean(spec: CodecSpec) -> Fraction:
         return analytics.d_unc(spec.k)
 
-    def encode_int(self, state: int, u: int) -> int:
-        if state < 0 or state.bit_length() > self._n:
-            raise self._bus_error()
-        if not 0 <= u < self._size:
-            raise self._info_error(u)
+    def _encode(self, state: int, u: int) -> int:
         return u
 
-    def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
-            raise self._bus_error()
+    def _decode(self, state: int, x: int) -> int:
         return x
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
@@ -545,19 +548,13 @@ class DbiCodec(Codec):
         super().__init__(spec)
         self._ones = (1 << spec.n) - 1
 
-    def encode_int(self, state: int, u: int) -> int:
+    def _encode(self, state: int, u: int) -> int:
         # the inverted form is the plain one XOR all-ones, so it differs from
         # the state in n minus the plain form's lines: one popcount decides
-        if state < 0 or state.bit_length() > self._n:
-            raise self._bus_error()
-        if not 0 <= u < self._size:
-            raise self._info_error(u)
         plain = u << 1
         return plain if 2 * (plain ^ state).bit_count() <= self._n else plain ^ self._ones
 
-    def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
-            raise self._bus_error()
+    def _decode(self, state: int, x: int) -> int:
         return (x ^ self._ones) >> 1 if x & 1 else x >> 1
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
@@ -583,16 +580,10 @@ class Ppm0Codec(_DifferentialCodec):
     def exact_mean(spec: CodecSpec) -> Fraction:
         return analytics.d_min(spec.k)
 
-    def encode_int(self, state: int, u: int) -> int:
-        if state < 0 or state.bit_length() > self._n:
-            raise self._bus_error()
-        if not 0 <= u < self._size:
-            raise self._info_error(u)
+    def _encode(self, state: int, u: int) -> int:
         return state ^ (1 << (u - 1)) if u else state
 
-    def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
-            raise self._bus_error()
+    def _decode(self, state: int, x: int) -> int:
         d = x ^ state
         if d == 0:
             return 0
@@ -638,10 +629,8 @@ class OptimalCodec(_DifferentialCodec):
         return (pulses, self._n * pulses + (self.d_max + 1) * words, 2 * pulses)
 
     def pulse_count(self, u: int) -> int:
-        """Smallest m whose tier sum exceeds the info value."""
-        if not 0 <= u < self._size:
-            raise self._info_error(u)
-        return bisect_right(self.tier_sums, u)
+        """Smallest m whose tier sum exceeds the info value: its differential's weight."""
+        return self.differential_int(u).bit_count()
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
         # Every pulse count lies between those of the chunk's extremes, and a
@@ -654,29 +643,19 @@ class OptimalCodec(_DifferentialCodec):
         h[lo:hi + 1] = -np.diff(at_least)
         return h
 
-    def encode_int(self, state: int, u: int) -> int:
-        if state < 0 or state.bit_length() > self._n:
-            raise self._bus_error()
-        if not 0 <= u < self._size:
-            raise self._info_error(u)
+    def _encode(self, state: int, u: int) -> int:
         m = bisect_right(self.tier_sums, u)
         return self.table.unrank(u - self._bases[m], m, self._n) ^ state
 
-    def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
-            raise self._bus_error()
+    def _decode(self, state: int, x: int) -> int:
         d = x ^ state
         m = d.bit_count()
         if m > self.d_max:
-            raise CorruptedWordError(
-                f"differential weight {m} exceeds d_max={self.d_max}"
-            )
+            raise CorruptedWordError(f"differential weight {m} exceeds d_max={self.d_max}")
         rank = self.table.rank(d)
         u = self._bases[m] + rank
         if u >= self._size:
-            raise CorruptedWordError(
-                f"weight-{m} rank {rank} is outside the emitted codebook"
-            )
+            raise CorruptedWordError(f"weight-{m} rank {rank} is outside the emitted codebook")
         return u
 
 
@@ -694,25 +673,17 @@ class CosetCodec(_DifferentialCodec):
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        code = spec.code
-        assert code is not None
-        self.code = code
+        self.code = code = spec.code
         self.leader_table = build_coset_leader_table(code)
         # each syndrome's leader weight: at most k <= 16 columns reach it, so a uint8
         self._weights = np.array([l.bit_count() for l in self.leader_table.leaders], np.uint8)
         self._heaviest = int(self._weights.max())
         self._lines = code.line_syndromes
 
-    def encode_int(self, state: int, u: int) -> int:
-        if state < 0 or state.bit_length() > self._n:
-            raise self._bus_error()
-        if not 0 <= u < self._size:
-            raise self._info_error(u)
+    def _encode(self, state: int, u: int) -> int:
         return self.leader_table.leaders[u] ^ state
 
-    def decode_int(self, state: int, x: int) -> int:
-        if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
-            raise self._bus_error()
+    def _decode(self, state: int, x: int) -> int:
         d = x ^ state  # an emitted word toggles a leader: at most covering-radius lines
         lines = self._lines
         s = 0
@@ -766,23 +737,25 @@ def make_codec(spec: CodecSpec) -> Codec:
 
 
 def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
-    """Next bus word for info word u from the given state."""
+    """Next bus word for info word u from the given state. A Word holds 0 <= value
+    < 2^length, so equal lengths put the state and u in range: no encode_int check."""
     codec, s = spec.codec, state.x_prev
     n = codec._n
     if s.length != n:
         raise ValueError(f"state length {s.length} != n={n}")
     if u.length != codec._k:
         raise ValueError(f"info word length {u.length} != k={codec._k}")
-    return Word(codec.encode_int(s.value, u.value), n)
+    return Word(codec._encode(s.value, u.value), n)
 
 
 def decode(spec: CodecSpec, state: BusState, x: Word) -> Word:
-    """Recover the info word from the received bus word and the state."""
+    """Recover the info word from the received bus word and the state. A Word holds
+    0 <= value < 2^length, so equal lengths put the state and x in [0, 2^n)."""
     codec, s = spec.codec, state.x_prev
     n = codec._n
     if s.length != n:
         raise ValueError(f"state length {s.length} != n={n}")
     if x.length != n:
         raise ValueError(f"bus word length {x.length} != n={n}")
-    return Word(codec.decode_int(s.value, x.value), codec._k)
+    return Word(codec._decode(s.value, x.value), codec._k)
 

@@ -29,6 +29,10 @@ from .simulator import exact_average_distance
 
 __all__ = ["CheckResult", "SCOPES", "run_checks"]
 
+RANK_MAX_N = 12
+ROUNDTRIP_STATES, ROUNDTRIP_SEED = 100, 20260808
+OPTIMAL_MAX_K, OPTIMAL_MAX_B, OPTIMAL_MAX_N = 10, 8, 18
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -37,11 +41,11 @@ class CheckResult:
     detail: str
 
 
-def check_rank_bijection(n_limit: int = 12) -> CheckResult:
-    """Unrank must invert rank and walk subsets in colex order, exhaustively."""
-    table = BinomialTable(n_limit)
+def check_rank_bijection() -> CheckResult:
+    """Unrank must invert rank and walk subsets in colex order, for every n <= RANK_MAX_N."""
+    table = BinomialTable(RANK_MAX_N)
     checked = 0
-    for n in range(n_limit + 1):
+    for n in range(RANK_MAX_N + 1):
         for m in range(n + 1):
             expected = sorted(combinations(range(n), m), key=lambda t: t[::-1])
             count = table.binom(n, m)
@@ -57,7 +61,7 @@ def check_rank_bijection(n_limit: int = 12) -> CheckResult:
                 if table.rank(d) != x:
                     return CheckResult("rank", False, f"rank(unrank({x},{m},{n})) != {x}")
                 checked += 1
-    return CheckResult("rank", True, f"bijection holds for n <= {n_limit} ({checked} patterns)")
+    return CheckResult("rank", True, f"bijection holds for n <= {RANK_MAX_N} ({checked} patterns)")
 
 
 def _roundtrip_specs() -> list[CodecSpec]:
@@ -78,13 +82,13 @@ def _roundtrip_specs() -> list[CodecSpec]:
     return specs
 
 
-def check_roundtrip(states_per_spec: int = 100, seed: int = 20260808) -> CheckResult:
-    """decode(encode(u)) == u for every info word and random states, all families."""
-    rnd = random.Random(seed)
+def check_roundtrip() -> CheckResult:
+    """decode(encode(u)) == u for every u, family and ROUNDTRIP_STATES states (ROUNDTRIP_SEED)."""
+    rnd = random.Random(ROUNDTRIP_SEED)
     tried = 0
     for spec in _roundtrip_specs():
         codec = make_codec(spec)
-        states = [0] + [rnd.getrandbits(spec.n) for _ in range(states_per_spec - 1)]
+        states = [0] + [rnd.getrandbits(spec.n) for _ in range(ROUNDTRIP_STATES - 1)]
         for s in states:
             for u in range(1 << spec.k):
                 x = codec.encode_int(s, u)
@@ -138,13 +142,14 @@ def _greedy_weights(k: int, n: int) -> tuple[int, int]:
     return low[-1], sum(low)
 
 
-def check_optimal_weight_law(k_limit: int = 10, b_limit: int = 8, n_limit: int = 18) -> CheckResult:
-    """Codec mean weight == closed form == greedy enumeration == sweep row, over a grid."""
+def check_optimal_weight_law() -> CheckResult:
+    """Codec mean weight == closed form == greedy enumeration == sweep row, on
+    the grid k <= OPTIMAL_MAX_K, b <= OPTIMAL_MAX_B, n <= OPTIMAL_MAX_N."""
     cells = 0
-    for k in range(1, k_limit + 1):
-        for b, row in zip(range(b_limit + 1), analytics.sweep(k, b_limit)):
+    for k in range(1, OPTIMAL_MAX_K + 1):
+        for b, row in zip(range(OPTIMAL_MAX_B + 1), analytics.sweep(k, OPTIMAL_MAX_B)):
             n = k + b
-            if n > n_limit:
+            if n > OPTIMAL_MAX_N:
                 break
             closed = analytics.d_opt(k, b)
             codec_mean = exact_average_distance(optimal_spec(k, b)).exact_mean

@@ -99,14 +99,14 @@ def test_c04_codebook_optimality_oracle():
 
 def test_c05_round_trip_bijection():
     start = time.perf_counter()
-    result = check_roundtrip(states_per_spec=100)
+    result = check_roundtrip()
     assert result.passed, result.detail
     report(5, result.detail, start, 60)
 
 
 def test_c06_rank_unrank_bijection():
     start = time.perf_counter()
-    result = check_rank_bijection(12)
+    result = check_rank_bijection()
     assert result.passed, result.detail
     report(6, result.detail, start, 10)
 

@@ -115,19 +115,19 @@ class TestSweep:
         # 128 + SIGPIPE, as `yes | head` reports, not the usage-error code 2
         src = str(Path(__file__).parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(  # its exit closes stderr too: no ResourceWarning
             [sys.executable, "-m", "buslab", "sweep", "--k", "20", "--b", "100000"],
             env=dict(os.environ, PYTHONPATH=path),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.readline() == b"b,d_max,d_opt,saving\n"
-        proc.stdout.close()
-        try:
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 141
-        finally:
-            proc.kill()
+        ) as proc:
+            assert proc.stdout.readline() == b"b,d_max,d_opt,saving\n"
+            proc.stdout.close()
+            try:
+                err = proc.stderr.read()
+                assert proc.wait(timeout=60) == 141
+            finally:
+                proc.kill()
         assert err == b""
 
 
@@ -195,6 +195,13 @@ class TestSimulate:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert f"coset k={k} exceeds the 16-bit syndrome table cap" in err
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_coset_k_below_1_reports_k_like_every_family(self, capsys, k):
+        # b = 1 used to build a repetition code of k + 1 lines and report that
+        code, out, err = run_cli(capsys, "simulate", "coset", "--k", str(k), "--b", "1")
+        assert (code, out) == (2, "")
+        assert f"k={k} must be >= 1" in err and "repetition" not in err
 
     def test_missing_family_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--k", "4")

@@ -50,6 +50,13 @@ def test_every_family_has_one_codec_class(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_the_range_check_lives_in_codec_and_the_families_keep_only_kernels(family):
+    cls = _FAMILY_CODECS[family]
+    assert not {"encode_int", "decode_int"} & set(vars(cls))
+    assert cls._encode is not Codec._encode and cls._decode is not Codec._decode
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 @pytest.mark.parametrize("k", [1, 4, 8])
 def test_a_fixed_b_is_required_and_a_free_b_is_not(family, k):
     b = _FAMILY_CODECS[family].required_b(k)

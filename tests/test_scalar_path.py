@@ -89,16 +89,18 @@ def test_one_word_and_one_kernel_call_per_scalar_call(i, monkeypatch):
         return counted
 
     monkeypatch.setattr(codecs, "Word", CountingWord)
-    # every int-level entry point, so a kernel that calls another counts twice
-    for name in ("encode_int", "decode_int", "differential_int", "info_int"):
+    # every int-level entry point, checked or not, so a kernel that calls
+    # another counts twice, and a Word path that rechecks its ints shows
+    names = ("_encode", "_decode", "encode_int", "decode_int", "differential_int", "info_int")
+    for name in names:
         if hasattr(codec, name):
             monkeypatch.setattr(codec, name, spy(name, getattr(codec, name)))
     x = encode(spec, state, u)
-    assert (words, kernels) == ([x.value], ["encode_int"])
+    assert (words, kernels) == ([x.value], ["_encode"])
     words.clear()
     kernels.clear()
     y = decode(spec, state, x)
-    assert (words, kernels) == ([u.value], ["decode_int"]) and y.value == u.value
+    assert (words, kernels) == ([u.value], ["_decode"]) and y.value == u.value
 
 
 def test_dbi_encode_past_the_width_cap_raises_every_time():
