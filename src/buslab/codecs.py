@@ -9,7 +9,9 @@ with the state included; Codec.encode_int/decode_int hold the state and x to
 [0, 2^n) and u to [0, 2^k) once for every family, then call it.
 differential_int(u) is encode_int(0, u) and info_int(d) is decode_int(0, d).
 buslab.encode/decode check the Word lengths and call the kernel directly, as
-a Word of the right length is in range. Each codec's vectorized
+a Word of the right length is in range, then build the result Word in its
+slots, unchecked, as every kernel keeps its result in range (the argument,
+family by family, is in their docstrings). Each codec's vectorized
 step_histogram counts a chunk of info words' steps by lines toggled, without
 forming a bus word: uncoded and DBI count the XOR weights two per bincount
 slot, optimal compares the words with its tier sums, and coset looks each
@@ -33,12 +35,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
+from operator import index
 from typing import Iterator
 
 import numpy as np
 
 from . import analytics
-from .combinatorics import BinomialTable, Word
+from .combinatorics import BinomialTable, Word, _set_length, _set_value
 
 __all__ = [
     "MAX_OPTIMAL_LINES",
@@ -401,7 +404,7 @@ def coset_spec_for(k: int, b: int) -> CodecSpec:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BusState:
     """Previous word on the bus; all-zero at trace start."""
 
@@ -455,8 +458,10 @@ class Codec:
         self._size = 1 << spec.k
         self.word_dtype = np.uint32 if spec.k <= 32 else np.uint64  # of trace chunks
 
-    # the one range check, in O(1): the state and x against n, then u against k
+    # the one range check, in O(1): the state and x against n, then u against k;
+    # index() first, so a numpy scalar is a Python int and a float a TypeError
     def encode_int(self, state: int, u: int) -> int:
+        state, u = index(state), index(u)
         if state < 0 or state.bit_length() > self._n:
             raise ValueError(f"bus value outside [0, 2^{self._n}) for n={self._n}")
         if not 0 <= u < self._size:
@@ -464,6 +469,7 @@ class Codec:
         return self._encode(state, u)
 
     def decode_int(self, state: int, x: int) -> int:
+        state, x = index(state), index(x)
         if x < 0 or state < 0 or x.bit_length() > self._n or state.bit_length() > self._n:
             raise ValueError(f"bus value outside [0, 2^{self._n}) for n={self._n}")
         return self._decode(state, x)
@@ -645,14 +651,15 @@ class OptimalCodec(_DifferentialCodec):
 
     def _encode(self, state: int, u: int) -> int:
         m = bisect_right(self.tier_sums, u)
-        return self.table.unrank(u - self._bases[m], m, self._n) ^ state
+        # u < 2^k <= tier_sums[d_max] puts m <= d_max <= n and the rank below C(n, m)
+        return self.table._unrank(u - self._bases[m], m, self._n) ^ state
 
     def _decode(self, state: int, x: int) -> int:
         d = x ^ state
         m = d.bit_count()
         if m > self.d_max:
             raise CorruptedWordError(f"differential weight {m} exceeds d_max={self.d_max}")
-        rank = self.table.rank(d)
+        rank = self.table._rank(d)  # d < 2^n, the table's n_max
         u = self._bases[m] + rank
         if u >= self._size:
             raise CorruptedWordError(f"weight-{m} rank {rank} is outside the emitted codebook")
@@ -737,25 +744,45 @@ def make_codec(spec: CodecSpec) -> Codec:
 
 
 def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
-    """Next bus word for info word u from the given state. A Word holds 0 <= value
-    < 2^length, so equal lengths put the state and u in range: no encode_int check."""
+    """Next bus word for info word u from the given state.
+
+    A Word holds 0 <= value < 2^length, so equal lengths put the state and u
+    in range: no encode_int check. Every kernel then keeps its result below
+    2^n, so the result Word is built in its slots, unchecked: uncoded returns
+    u < 2^k = 2^n; DBI's u << 1 < 2^n, and its complement, stay on n lines;
+    ppm0 flips line u - 1 < 2^k - 1 = n; optimal's unrank sets lines below n;
+    coset leaders have n lines; and the XOR with a state below 2^n stays
+    below 2^n.
+    """
     codec, s = spec.codec, state.x_prev
     n = codec._n
     if s.length != n:
         raise ValueError(f"state length {s.length} != n={n}")
     if u.length != codec._k:
         raise ValueError(f"info word length {u.length} != k={codec._k}")
-    return Word(codec._encode(s.value, u.value), n)
+    x = object.__new__(Word)
+    _set_value(x, codec._encode(s.value, u.value))
+    _set_length(x, n)
+    return x
 
 
 def decode(spec: CodecSpec, state: BusState, x: Word) -> Word:
-    """Recover the info word from the received bus word and the state. A Word holds
-    0 <= value < 2^length, so equal lengths put the state and x in [0, 2^n)."""
+    """Recover the info word from the received bus word and the state.
+
+    A Word holds 0 <= value < 2^length, so equal lengths put the state and x
+    in [0, 2^n). Every kernel then returns a value below 2^k or raises, so the
+    result Word is built in its slots, unchecked: uncoded returns x < 2^n =
+    2^k; DBI's x >> 1 (of x or its complement) has n - 1 = k lines; ppm0's
+    bit_length() of a d below 2^n is at most n = 2^k - 1; optimal raises
+    CorruptedWordError unless u < 2^k; and coset XORs k-bit columns of H.
+    """
     codec, s = spec.codec, state.x_prev
     n = codec._n
     if s.length != n:
         raise ValueError(f"state length {s.length} != n={n}")
     if x.length != n:
         raise ValueError(f"bus word length {x.length} != n={n}")
-    return Word(codec._decode(s.value, x.value), codec._k)
-
+    u = object.__new__(Word)
+    _set_value(u, codec._decode(s.value, x.value))
+    _set_length(u, codec._k)
+    return u

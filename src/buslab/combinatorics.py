@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import index
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -52,6 +53,7 @@ class Word:
 
     # explicit rather than generated: one call fewer than __post_init__
     def __init__(self, value: int, length: int):
+        value, length = index(value), index(length)  # Python ints: no numpy scalar, no float
         if length < 0:
             raise ValueError(f"word length must be >= 0, got {length}")
         if not (0 <= value and value.bit_length() <= length):
@@ -78,6 +80,9 @@ class Word:
         return format(self.value, f"0{self.length}b") if self.length else ""
 
 
+# The slots' setters, for Word.__init__ and for buslab.encode/decode, which
+# build their result as object.__new__(Word) and these two setters. They check
+# nothing: use them only for a Python int that a kernel proves in range.
 _set_value, _set_length = Word.__dict__["value"].__set__, Word.__dict__["length"].__set__
 
 
@@ -86,7 +91,10 @@ class BinomialTable:
 
     Column j lists C(i, j) for i = 0..n_max: zero below the diagonal, then
     strictly increasing, so it is sorted and a comparator bank can search it.
-    rank and unrank work on bitmask words (bit s set for a pulse on line s).
+    rank and unrank work on bitmask words (bit s set for a pulse on line s):
+    each checks its arguments, then runs its unchecked kernel _rank/_unrank,
+    one comparator-bank loop. OptimalCodec calls the kernels directly, since
+    its tier bisect and Codec's range check already bound their arguments.
     """
 
     __slots__ = ("n_max", "_cols")
@@ -119,33 +127,43 @@ class BinomialTable:
         return self._cols[k][n]
 
     def unrank(self, x: int, m: int, n: int) -> int:
-        """Bitmask of the m-subset of {0..n-1} with colex rank x.
+        """Bitmask of the m-subset of {0..n-1} with colex rank x: the checks,
+        then _unrank."""
+        if not 0 <= m <= n:
+            raise ValueError(f"m={m} out of range 0..{n}")
+        if n > self.n_max:
+            raise ValueError(f"n={n} exceeds table range (n_max={self.n_max})")
+        size = self._cols[m][n]
+        if not 0 <= x < size:
+            raise ValueError(f"rank {x} out of range for C({n},{m})={size}")
+        return self._unrank(x, m, n)
+
+    def _unrank(self, x: int, m: int, n: int) -> int:
+        """unrank's kernel, for 0 <= m <= n <= n_max and 0 <= x < C(n, m).
 
         For l = m down to 1, pulse l sits on the largest line i with
         C(i, l) <= remainder: one bisect of column l, bounded by the line
         of pulse l + 1, since the remainder is then below C(that line, l).
         """
-        if not 0 <= m <= n:
-            raise ValueError(f"m={m} out of range 0..{n}")
-        if n > self.n_max:
-            raise ValueError(f"n={n} exceeds table range (n_max={self.n_max})")
-        cols = self._cols
-        if not 0 <= x < cols[m][n]:
-            raise ValueError(f"rank {x} out of range for C({n},{m})={cols[m][n]}")
         d = 0
         i = n
-        for col in cols[m:0:-1]:
+        for col in self._cols[m:0:-1]:
             i = bisect_right(col, x, 0, i) - 1
             d |= 1 << i
             x -= col[i]
         return d
 
     def rank(self, d: int) -> int:
-        """Colex rank of the pulse pattern d among the subsets of its weight."""
+        """Colex rank of the pulse pattern d among the subsets of its weight:
+        the check, then _rank."""
         if d < 0 or d.bit_length() > self.n_max:
             raise ValueError(
                 f"pulse pattern must be a nonnegative word of at most {self.n_max} lines"
             )
+        return self._rank(d)
+
+    def _rank(self, d: int) -> int:
+        """rank's kernel, for 0 <= d < 2^n_max."""
         cols = self._cols
         x = 0
         l = d.bit_count()

@@ -5,6 +5,8 @@ import pytest
 
 from buslab.codecs import (
     LinearCode,
+    _gf2_kernel_basis,
+    _gf2_reduce,
     build_coset_leader_table,
     coset_spec,
     make_codec,
@@ -139,6 +141,19 @@ class TestLinearCodeValidation:
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):
             LinearCode(name="bad", length=3, dimension=1, radius=0, h_rows=(0b011,))
+
+    @pytest.mark.parametrize(
+        "code",
+        [make_golay23(), *map(make_hamming, range(2, 6)), *map(make_repetition, range(2, 10))],
+        ids=lambda c: c.name,
+    )
+    def test_kernel_basis_is_a_basis_of_the_code(self, code):
+        basis = _gf2_kernel_basis(code.h_rows, code.length)
+        assert len(basis) == code.dimension
+        # codewords on the code's own lines, each with syndrome 0
+        assert all(0 < v < 1 << code.length and code.syndrome(v) == 0 for v in basis)
+        # independent: elimination keeps every vector
+        assert len(_gf2_reduce(tuple(basis))) == code.dimension
 
     def test_min_distance_cap(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,7 @@ from buslab.codecs import (
 )
 from buslab.combinatorics import BinomialTable, Word
 from buslab.simulator import exact_average_distance
+from buslab.verify import _roundtrip_specs
 
 TABLE = BinomialTable(64)
 
@@ -142,6 +143,32 @@ def test_word_and_int_apis_agree(spec, data):
     x = codec.encode_int(s, u)
     assert encode(spec, state, Word(u, spec.k)).value == x
     assert decode(spec, state, Word(x, spec.n)).value == codec.decode_int(s, x) == u
+
+
+# verify roundtrip's grid and the widest optimal and ppm0 buses
+IN_PLACE_SPECS = (
+    *_roundtrip_specs(), optimal_spec(24, 16), optimal_spec(40, 24), optimal_spec(64, 0),
+    ppm0_spec(18),
+)
+
+
+@pytest.mark.parametrize("spec", IN_PLACE_SPECS, ids=_label)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_place_results_equal_checked_words(spec, data):
+    # encode/decode build their result in its slots, past Word's check: each
+    # must still be the Word the checked constructor makes, over a Python int
+    n = spec.n
+    u = Word(data.draw(st.integers(0, (1 << spec.k) - 1)), spec.k)
+    s = data.draw(st.sampled_from([0, (1 << n) - 1, None]))  # None: a random state
+    if s is None:
+        s = random.Random(data.draw(st.integers(0, 2**32 - 1))).getrandbits(n)
+    state = BusState(Word(s, n))
+    x = encode(spec, state, u)
+    y = decode(spec, state, x)
+    for r in (x, y):
+        assert type(r) is Word and type(r.value) is int and r == Word(r.value, r.length)
+    assert x.length == n and y == u
 
 
 def _outcome(call, *args):

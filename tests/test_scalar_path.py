@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from buslab import codecs
@@ -75,12 +76,16 @@ def test_one_word_and_one_kernel_call_per_scalar_call(i, monkeypatch):
     spec = _specs()[i]
     codec = spec.codec
     state, u = BusState(Word((1 << spec.n) - 2, spec.n)), Word((1 << spec.k) - 1, spec.k)
-    words, kernels = [], []
+    builds, checked, kernels = [], [], []
+    set_value, word_init = codecs._set_value, Word.__init__
 
-    class CountingWord(Word):
-        def __init__(self, value, length):
-            words.append(value)
-            super().__init__(value, length)
+    def built(word, value):
+        builds.append(value)
+        set_value(word, value)
+
+    def constructed(word, value, length):
+        checked.append(value)
+        word_init(word, value, length)
 
     def spy(name, kernel):
         def counted(*args):
@@ -88,19 +93,25 @@ def test_one_word_and_one_kernel_call_per_scalar_call(i, monkeypatch):
             return kernel(*args)
         return counted
 
-    monkeypatch.setattr(codecs, "Word", CountingWord)
-    # every int-level entry point, checked or not, so a kernel that calls
-    # another counts twice, and a Word path that rechecks its ints shows
-    names = ("_encode", "_decode", "encode_int", "decode_int", "differential_int", "info_int")
-    for name in names:
-        if hasattr(codec, name):
-            monkeypatch.setattr(codec, name, spy(name, getattr(codec, name)))
-    x = encode(spec, state, u)
-    assert (words, kernels) == ([x.value], ["_encode"])
-    words.clear()
-    kernels.clear()
-    y = decode(spec, state, x)
-    assert (words, kernels) == ([u.value], ["_decode"]) and y.value == u.value
+    with monkeypatch.context() as m:
+        # the result is built in its slots, once: count those builds, and any
+        # checked Word construction, which the scalar path no longer makes
+        m.setattr(codecs, "_set_value", built)
+        m.setattr(Word, "__init__", constructed)
+        # every int-level entry point, checked or not, so a kernel that calls
+        # another counts twice, and a Word path that rechecks its ints shows
+        names = ("_encode", "_decode", "encode_int", "decode_int", "differential_int", "info_int")
+        for name in names:
+            if hasattr(codec, name):
+                m.setattr(codec, name, spy(name, getattr(codec, name)))
+        x = encode(spec, state, u)
+        assert (builds, checked, kernels) == ([x.value], [], ["_encode"])
+        builds.clear()
+        kernels.clear()
+        y = decode(spec, state, x)
+        assert (builds, checked, kernels) == ([u.value], [], ["_decode"])
+    # the in-place Words are the Words the checked constructor makes
+    assert x == Word(x.value, x.length) and y == u == Word(y.value, y.length)
 
 
 def test_dbi_encode_past_the_width_cap_raises_every_time():
@@ -166,6 +177,53 @@ def test_decode_int_rejects_bus_values_outside_the_bus(spec):
         assert _message(codec.encode_int, state, 0) == text
         assert _message(codec.encode_int, state, top) == text
         assert _message(codec.decode_int, state, 0) == text
+
+
+FIVE_FAMILIES = [
+    uncoded_spec(8), dbi_spec(32), ppm0_spec(4), optimal_spec(11, 12), coset_spec(make_golay23()),
+]
+
+
+@pytest.mark.parametrize("spec", FIVE_FAMILIES, ids=_label)
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int64, np.uint64])
+def test_numpy_integer_scalars_give_the_python_int_result(spec, dtype):
+    # computed in the scalar's width, dbi-32's u << 1 would wrap at u = 2^32 - 1
+    codec = make_codec(spec)
+    big = int(np.iinfo(dtype).max)
+
+    def scalar(v):  # the numpy scalar where the dtype holds v, else the int
+        return dtype(v) if v <= big else v
+
+    for s in (0, 5, (1 << spec.n) - 1):
+        for u in (0, 1, min((1 << spec.k) - 1, big)):
+            x = codec.encode_int(s, u)
+            for got, want in (
+                (codec.encode_int(scalar(s), dtype(u)), x),
+                (codec.decode_int(scalar(s), scalar(x)), u),
+            ):
+                assert type(got) is int and got == want
+    if hasattr(codec, "differential_int"):
+        d = codec.differential_int(dtype(1))
+        assert type(d) is int and type(codec.info_int(scalar(d))) is int
+    w = Word(dtype(1), dtype(spec.k))
+    assert type(w.value) is type(w.length) is int and w == Word(1, spec.k)
+    state = BusState(Word(dtype(0), spec.n))
+    assert decode(spec, state, encode(spec, state, w)) == w
+
+
+@pytest.mark.parametrize("spec", FIVE_FAMILIES, ids=_label)
+def test_floats_are_not_ints(spec):
+    codec = make_codec(spec)
+    calls = [
+        (codec.encode_int, 0, 2.0), (codec.encode_int, 0.0, 1),
+        (codec.decode_int, 0, 1.0), (codec.decode_int, 0.0, 0),
+        (Word, 2.0, spec.k), (Word, 0, float(spec.k)),
+    ]
+    if hasattr(codec, "differential_int"):
+        calls += [(codec.differential_int, 1.0), (codec.info_int, 0.0)]
+    for call, *args in calls:
+        with pytest.raises(TypeError):
+            call(*args)
 
 
 def test_optimal_and_clock_model_length_errors_keep_their_texts():

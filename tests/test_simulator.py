@@ -289,6 +289,15 @@ class TestConvergence:
         assert report.passed
         assert report.rel_deviation < report.tolerance
 
+    def test_pass_at_exactly_the_tolerance(self):
+        # the tolerance is the trace's own deviation: the bound is inclusive
+        cfg = TraceConfig(spec=optimal_spec(11, 12), trace_length=1000, seed=1)
+        reference = analytics.d_opt(11, 12)
+        rel = convergence_check(cfg, reference, 1.0).rel_deviation
+        assert rel > 0
+        report = convergence_check(cfg, reference, rel)
+        assert report.rel_deviation == report.tolerance and report.passed
+
     def test_undersampled_trace_fails_honestly(self):
         # ten samples cannot land within 0.01% of 2921/1024: step size is 0.1
         cfg = TraceConfig(spec=optimal_spec(11, 12), trace_length=10, seed=1)
