@@ -34,8 +34,8 @@ spec = optimal_spec(11, 12)  # 11 info bits on 23 lines
 codec = make_codec(spec)
 print("tier sums for n=23:", codec.tier_sums, "-> d_max =", codec.d_max)
 for u in (0, 1, 24, 276, 277, 2047):
-    pulses = lines(codec.differential_int(u))
-    print(f"  u={u:>4} -> {codec.pulse_count(u)} pulse(s) at {pulses}")
+    d = codec.differential_int(u)
+    print(f"  u={u:>4} -> {d.bit_count()} pulse(s) at {lines(d)}")
 print()
 
 # -- differential encoding on the bus ---------------------------------------

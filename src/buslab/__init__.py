@@ -47,11 +47,9 @@ from .simulator import (
     ExactAverageReport,
     TraceConfig,
     TransitionStats,
-    clock_model,
     convergence_check,
     exact_average_distance,
     run_trace,
-    word_cost,
 )
 
 __version__ = "0.1.0"

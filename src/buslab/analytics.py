@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import index
 from typing import Iterator
 
 __all__ = [
@@ -30,39 +31,48 @@ MAX_INFO_BITS = 64
 MAX_LINES = 1 << 22
 
 
-def _check_k(k: int) -> None:
+# index() first, as Codec.encode_int: a numpy scalar's 1 << k cannot wrap, a float fails
+def _check_k(k: int) -> int:
+    k = index(k)
     if not 1 <= k <= MAX_INFO_BITS:
         raise ValueError(f"k={k} out of range 1..{MAX_INFO_BITS}")
+    return k
 
 
-def _check_kb(k: int, b: int) -> int:
-    _check_k(k)
+def _check_kb(k: int, b: int) -> tuple[int, int]:
+    k, b = _check_k(k), index(b)
     if b < 0:
         raise ValueError(f"b={b} must be >= 0")
-    n = k + b
-    if n > MAX_LINES:
-        raise ValueError(f"n={n} exceeds the supported line count {MAX_LINES}")
-    return n
+    if k + b > MAX_LINES:
+        raise ValueError(f"n={k + b} exceeds the supported line count {MAX_LINES}")
+    return k, b
+
+
+def _modulator_counts(n: int, d_max: int, pulses: int, words: int) -> tuple[int, int, int]:
+    """(clocks, comparisons, additions) of the pulse-by-pulse modulator sending
+    words info words, pulses pulses in all, on n lines: per pulse one clock, n
+    comparisons and 2 add/subtracts; per word, d_max + 1 comparisons pick its pulse count."""
+    return (pulses, n * pulses + (d_max + 1) * words, 2 * pulses)
 
 
 def uncoded_distance_pmf(k: int) -> list[Fraction]:
     """P(two uniform k-bit words differ in exactly d lines), d = 0..k."""
-    _check_k(k)
+    k = _check_k(k)
     denom = 1 << k
     return [Fraction(comb(k, d), denom) for d in range(k + 1)]
 
 
 def d_unc(k: int) -> Fraction:
     """Average transitions per word on an uncoded k-line bus: k/2."""
-    _check_k(k)
-    return Fraction(k, 2)
+    return Fraction(_check_k(k), 2)
 
 
 def _scaled_d_opt(k: int, b: int) -> tuple[int, int]:
     """(d_max, 2^k * d_opt) in integers: 2^k * d_opt is d_max * 2^k less the
     sum of s[i] = C(n,0) + ... + C(n,i) over i < d_max, as each word missing
     from the radius-d_max ball is traded down from weight d_max tier by tier."""
-    n = _check_kb(k, b)
+    k, b = _check_kb(k, b)
+    n = k + b
     need = 1 << k
     total = 1
     short = m = 0
@@ -80,7 +90,7 @@ def d_max(k: int, b: int) -> int:
 
 def d_opt(k: int, b: int) -> Fraction:
     """Average weight of the 2^k lowest-weight n-tuples."""
-    return Fraction(_scaled_d_opt(k, b)[1], 1 << k)
+    return Fraction(_scaled_d_opt(k, b)[1], 1 << index(k))  # k checked by _scaled_d_opt
 
 
 def sweep(k: int, b_max: int) -> Iterator[tuple[int, int, int]]:
@@ -93,8 +103,8 @@ def sweep(k: int, b_max: int) -> Iterator[tuple[int, int, int]]:
     d_max only falls as n grows, and each tier it falls past leaves short.
     (k, b_max) is checked before the first row.
     """
-    n = _check_kb(k, b_max) - b_max
-    need = 1 << k
+    k, b_max = _check_kb(k, b_max)
+    n, need = k, 1 << k
     # at b = 0 only the all-ones word lies outside radius k - 1, and the s[i]
     # sum to k 2^(k-1), so d_opt = k/2
     dm, c, top, short = k, k, need - 1, k << (k - 1)
@@ -114,7 +124,7 @@ def sweep(k: int, b_max: int) -> Iterator[tuple[int, int, int]]:
 
 def d_min(k: int) -> Fraction:
     """Floor over all b: average weight 1 - 2^-k of the pulse-or-zero codebook."""
-    _check_k(k)
+    k = _check_k(k)
     return Fraction((1 << k) - 1, 1 << k)
 
 
@@ -124,11 +134,9 @@ def energy_saving(k: int, b: int) -> Fraction:
 
 
 def encoding_cost(k: int, b: int) -> Fraction:
-    """Average modulator cost per word, in comparison units.
-
-    Unranking a weight-m word costs n*m comparisons plus 2*m add/subtracts
-    (counted at comparison weight), and picking the pulse count costs another
-    d_max + 1 comparisons, so the average is (n+2)*d_opt(k,b) + d_max + 1.
-    """
+    """Average modulator cost per word, in comparison units: the comparisons
+    and additions of _modulator_counts over the 2^k info words, which come to
+    (n+2)*d_opt(k,b) + d_max + 1."""
+    k, b = _check_kb(k, b)
     dm, num = _scaled_d_opt(k, b)
-    return Fraction((k + b + 2) * num, 1 << k) + dm + 1
+    return Fraction(sum(_modulator_counts(k + b, dm, num, 1 << k)[1:]), 1 << k)

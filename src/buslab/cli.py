@@ -84,10 +84,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     k, b = args.k, args.b
     dm, num = analytics._scaled_d_opt(k, b)
     # the six figures as (p, q) from the two integers, in report order: D_unc,
-    # D_opt, D_opt / D_unc = 2 num / (k 2^k), the saving, D_min, the cost
+    # D_opt, D_opt / D_unc = 2 num / (k 2^k), the saving, D_min, and the cost:
+    # the modulator's comparisons + additions over all 2^k words (num pulses)
     need, den = 1 << k, k << k
+    cost = sum(analytics._modulator_counts(k + b, dm, num, need)[1:])
     figures = ((k, 2), (num, need), (2 * num, den), (den - 2 * num, den),
-               (need - 1, need), ((k + b + 2) * num + (dm + 1) * need, need))
+               (need - 1, need), (cost, need))
     frac = [fmt_ratio(p, q) for p, q in figures]
     vals = [p / q for p, q in figures]
     if args.json:

@@ -18,8 +18,9 @@ slot, optimal compares the words with its tier sums, and coset looks each
 word's leader weight up in a uint8 table. Each codec class also carries its
 family's facts, found through the one registry _FAMILY_CODECS: required_b,
 the caps its spec check applies, an exact_mean that builds no codec (coset
-aside) and the trace_counters. The coset leader search and coset decode both
-take a syndrome as the XOR of H's columns at the word's lines (line_syndromes).
+aside) and the trace_counters, optimal's from analytics' one cost model. The
+coset leader search and coset decode both take a syndrome as the XOR of H's
+columns at the word's lines (line_syndromes).
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -340,6 +341,9 @@ class CodecSpec:
     code: LinearCode | None = None
 
     def __post_init__(self):
+        # Python ints, as Codec.encode_int takes them: no numpy scalar, no float
+        object.__setattr__(self, "k", index(self.k))
+        object.__setattr__(self, "b", index(self.b))
         if self.k < 1:
             raise ValueError(f"k={self.k} must be >= 1")
         if self.code is None and self.family is Family.COSET:
@@ -371,6 +375,7 @@ def dbi_spec(k: int) -> CodecSpec:
 
 
 def ppm0_spec(k: int) -> CodecSpec:
+    k = index(k)  # before 1 << k, which a numpy scalar would wrap
     return CodecSpec(Family.PPM0, k, Ppm0Codec.required_b(k))
 
 
@@ -630,13 +635,7 @@ class OptimalCodec(_DifferentialCodec):
         return analytics.d_opt(spec.k, spec.b)
 
     def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
-        # one clock per pulse; n comparisons and 2 additions per pulse, plus
-        # d_max + 1 comparisons per word to pick the pulse count
-        return (pulses, self._n * pulses + (self.d_max + 1) * words, 2 * pulses)
-
-    def pulse_count(self, u: int) -> int:
-        """Smallest m whose tier sum exceeds the info value: its differential's weight."""
-        return self.differential_int(u).bit_count()
+        return analytics._modulator_counts(self._n, self.d_max, pulses, words)
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
         # Every pulse count lies between those of the chunk's extremes, and a

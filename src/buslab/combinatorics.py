@@ -92,14 +92,15 @@ class BinomialTable:
     Column j lists C(i, j) for i = 0..n_max: zero below the diagonal, then
     strictly increasing, so it is sorted and a comparator bank can search it.
     rank and unrank work on bitmask words (bit s set for a pulse on line s):
-    each checks its arguments, then runs its unchecked kernel _rank/_unrank,
-    one comparator-bank loop. OptimalCodec calls the kernels directly, since
-    its tier bisect and Codec's range check already bound their arguments.
+    each takes index() of its arguments, as Word does, and checks them, then
+    runs its unchecked comparator-bank kernel _rank/_unrank. OptimalCodec calls
+    the kernels directly: its tier bisect and Codec's range check bound them.
     """
 
     __slots__ = ("n_max", "_cols")
 
     def __init__(self, n_max: int):
+        n_max = index(n_max)
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
@@ -118,6 +119,7 @@ class BinomialTable:
 
     def binom(self, n: int, k: int) -> int:
         """C(n, k); zero when k > n, error when out of the table's range."""
+        n, k = index(n), index(k)
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n={n} out of table range 0..{self.n_max}")
         if k < 0:
@@ -129,6 +131,7 @@ class BinomialTable:
     def unrank(self, x: int, m: int, n: int) -> int:
         """Bitmask of the m-subset of {0..n-1} with colex rank x: the checks,
         then _unrank."""
+        x, m, n = index(x), index(m), index(n)
         if not 0 <= m <= n:
             raise ValueError(f"m={m} out of range 0..{n}")
         if n > self.n_max:
@@ -156,6 +159,7 @@ class BinomialTable:
     def rank(self, d: int) -> int:
         """Colex rank of the pulse pattern d among the subsets of its weight:
         the check, then _rank."""
+        d = index(d)
         if d < 0 or d.bit_length() > self.n_max:
             raise ValueError(
                 f"pulse pattern must be a nonnegative word of at most {self.n_max} lines"

@@ -1,4 +1,4 @@
-"""Monte Carlo traces, exhaustive averages, and modulator cost accounting.
+"""Monte Carlo traces and exhaustive averages.
 
 Traces drive a codec with uniform random info words from the all-zero bus
 state and count line transitions per step. Each shard draws its words in
@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .codecs import _FAMILY_CODECS, Codec, CodecSpec, Family, _DifferentialCodec, make_codec
-from .combinatorics import Word
 
 __all__ = [
     "TraceConfig",
@@ -34,8 +33,6 @@ __all__ = [
     "ConvergenceReport",
     "run_trace",
     "exact_average_distance",
-    "clock_model",
-    "word_cost",
     "convergence_check",
 ]
 
@@ -67,9 +64,8 @@ class TransitionStats:
     """Accumulated trace counters.
 
     weight_histogram[w] counts steps that toggled exactly w lines. The
-    clock, comparison, and addition counters model the pulse-by-pulse
-    modulator and are filled only for the optimal family (additions are
-    tracked separately but carry comparison weight in cost totals).
+    clock, comparison and addition counters are the codec's trace_counters:
+    the modulator cost model for the optimal family, zero for the others.
     """
 
     n_lines: int
@@ -166,23 +162,6 @@ def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:
         raise ValueError(f"k={spec.k} too large for exhaustive average")
     # the exhaustive mean, even where the family has a closed form
     return ExactAverageReport(spec, _DifferentialCodec.exact_mean(spec))
-
-
-def clock_model(spec: CodecSpec, u: Word) -> tuple[int, int]:
-    """(clocks for the pulse-position modulator, clocks for the bit-serial
-    baseline) when encoding u: the pulse count m versus n."""
-    if spec.family is not Family.OPTIMAL_MPPM:
-        raise ValueError(f"clock_model needs an optimal spec, got {spec.family.value}")
-    if u.length != spec.k:
-        raise ValueError(f"info word length {u.length} != k={spec.k}")
-    return (spec.codec.pulse_count(u.value), spec.n)
-
-
-def word_cost(spec: CodecSpec, u: Word) -> tuple[int, int]:
-    """(comparisons, additions) to encode u with the pulse-based modulator,
-    including the d_max + 1 comparisons of the pulse-count selection."""
-    _, comparisons, additions = spec.codec.trace_counters(clock_model(spec, u)[0], 1)
-    return (comparisons, additions)
 
 
 def convergence_check(

@@ -10,18 +10,16 @@ from fractions import Fraction
 from buslab import analytics
 from buslab.cli import main
 from buslab.codecs import (
+    BusState,
     coset_spec,
     dbi_spec,
+    encode,
     make_codec,
-    make_golay23,
-    make_hamming,
     make_repetition,
-    min_distance,
     optimal_spec,
 )
 from buslab.combinatorics import Word
-from buslab.simulator import clock_model, word_cost
-from buslab.verify import check_rank_bijection, check_roundtrip
+from buslab.verify import check_coset, check_rank_bijection, check_roundtrip
 
 GRID = [
     (k, b)
@@ -113,18 +111,8 @@ def test_c06_rank_unrank_bijection():
 
 def test_c07_coset_correctness():
     start = time.perf_counter()
-    ham = make_codec(coset_spec(make_hamming(4))).leader_table
-    assert ham.max_weight <= 1
-    assert ham.tier_counts() == (1, 15)
-    golay_code = make_golay23()
-    golay = make_codec(coset_spec(golay_code)).leader_table
-    assert golay.max_weight <= 3
-    assert golay.tier_counts() == (1, 23, 253, 1771)
-    for s in range(1 << 4):
-        assert make_hamming(4).syndrome(ham.leaders[s]) == s
-    for s in range(1 << 11):
-        assert golay_code.syndrome(golay.leaders[s]) == s
-    assert min_distance(golay_code) == 7
+    result = check_coset()
+    assert result.passed, result.detail
     report(7, "hamming/golay leader tables and golay d_min = 7", start, 30)
 
 
@@ -167,30 +155,43 @@ def test_c09_monte_carlo_consistency(capsys):
     report(9, "1e6-word traces within 1% of 2921/1024 (3 seeds) and 11/2", start, 60)
 
 
-def test_c10_clock_claim():
+def test_c10_clock_claim(capsys):
     start = time.perf_counter()
+    # one clock per pulse: from the all-zero bus, u's word toggles its pulse
+    # lines, where the bit-serial baseline clocks all 23
     spec = optimal_spec(11, 12)
-    codec = make_codec(spec)
-    total = 0
-    max_clocks = 0
-    for u in range(1 << 11):
-        clocks, baseline = clock_model(spec, Word(u, 11))
-        assert baseline == 23
-        assert clocks == codec.differential_int(u).bit_count()
-        total += clocks
-        max_clocks = max(max_clocks, clocks)
-    assert max_clocks == 3
-    assert Fraction(total, 1 << 11) == Fraction(2921, 1024)
+    zero = BusState(Word.zero(23))
+    clocks = [encode(spec, zero, Word(u, 11)).weight() for u in range(1 << 11)]
+    assert max(clocks) == 3
+    assert Fraction(sum(clocks), 1 << 11) == Fraction(2921, 1024)
+    # a trace's modulator clocks are its transitions, n per word for the baseline
+    length = 100_000
+    assert main([
+        "simulate", "optimal", "--k", "11", "--b", "12",
+        "--length", str(length), "--seed", "1", "--json",
+    ]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["clock_cycles"] == data["total_transitions"]
+    assert data["baseline_clock_cycles"] == 23 * length
+    assert not any(data["weight_histogram"][4:])
     report(10, "pulse clocks = weight, max 3 vs baseline 23, mean 2921/1024", start, 5)
 
 
 def test_c11_cost_formula():
     start = time.perf_counter()
     for k, b in GRID:
-        spec = optimal_spec(k, b)
-        total = 0
-        for u in range(1 << k):
-            comparisons, additions = word_cost(spec, Word(u, k))
-            total += comparisons + additions
-        assert Fraction(total, 1 << k) == analytics.encoding_cost(k, b), (k, b)
+        n = k + b
+        codec = make_codec(optimal_spec(k, b))
+        pulses = [codec.differential_int(u).bit_count() for u in range(1 << k)]
+        # the modulator word by word: d_max + 1 comparisons against the tier
+        # sums pick the pulse count m, the word's weight (the heaviest is
+        # d_max), then each pulse takes n comparisons and 2 add/subtracts
+        d_max = max(pulses)
+        comparisons = sum(d_max + 1 + n * m for m in pulses)
+        additions = sum(2 * m for m in pulses)
+        assert codec.trace_counters(sum(pulses), 1 << k) == (
+            sum(pulses), comparisons, additions
+        ), (k, b)
+        # additions carry comparison weight in the average cost
+        assert Fraction(comparisons + additions, 1 << k) == analytics.encoding_cost(k, b), (k, b)
     report(11, f"per-word cost average == (n+2)*d_opt + d_max + 1 on {len(GRID)} cells", start, 30)

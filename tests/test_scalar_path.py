@@ -6,12 +6,13 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from buslab import codecs
+from buslab import analytics, codecs
 from buslab.codecs import (
     BusState,
     CorruptedWordError,
@@ -27,8 +28,7 @@ from buslab.codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from buslab.combinatorics import Word
-from buslab.simulator import clock_model, word_cost
+from buslab.combinatorics import BinomialTable, Word
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -152,8 +152,6 @@ def test_info_value_range_error_keeps_its_text(i, u):
     assert _message(codec.encode_int, 0, u) == f"info value {u} out of range for k={k}"
     if hasattr(codec, "differential_int"):
         assert _message(codec.differential_int, u) == f"info value {u} out of range for k={k}"
-    if hasattr(codec, "pulse_count"):
-        assert _message(codec.pulse_count, u) == f"info value {u} out of range for k={k}"
 
 
 @pytest.mark.parametrize(
@@ -226,13 +224,59 @@ def test_floats_are_not_ints(spec):
             call(*args)
 
 
-def test_optimal_and_clock_model_length_errors_keep_their_texts():
-    spec = optimal_spec(11, 12)
-    for call in (clock_model, word_cost):
-        assert _message(call, spec, Word.zero(10)) == "info word length 10 != k=11"
-    assert _message(clock_model, dbi_spec(3), Word.zero(3)) == (
-        "clock_model needs an optimal spec, got dbi"
-    )
+# every checked entry point that takes k, b or a table index, with the Python
+# ints its case is named after: near 64, where a numpy scalar's 1 << k wraps
+K_AND_B_CALLS = {
+    "d_max-63-1": (analytics.d_max, (63, 1)),
+    "d_opt-64-1": (analytics.d_opt, (64, 1)),
+    "d_min-64": (analytics.d_min, (64,)),
+    "d_unc-63": (analytics.d_unc, (63,)),
+    "uncoded_distance_pmf-12": (analytics.uncoded_distance_pmf, (12,)),
+    "energy_saving-64-1": (analytics.energy_saving, (64, 1)),
+    "encoding_cost-63-1": (analytics.encoding_cost, (63, 1)),
+    "sweep-64-3": (lambda k, b: list(analytics.sweep(k, b)), (64, 3)),
+    "optimal_spec-63-1": (optimal_spec, (63, 1)),
+    "uncoded_spec-64": (uncoded_spec, (64,)),
+    "dbi_spec-63": (dbi_spec, (63,)),
+    "ppm0_spec-4": (ppm0_spec, (4,)),
+    "CodecSpec-11-12": (lambda k, b: codecs.CodecSpec(codecs.Family.OPTIMAL_MPPM, k, b), (11, 12)),
+    "binom-64-32": (BinomialTable(64).binom, (64, 32)),
+    "rank-3": (BinomialTable(12).rank, (3,)),
+    "unrank-2-1-3": (BinomialTable(12).unrank, (2, 1, 3)),
+    "BinomialTable-12": (lambda n: BinomialTable(n).binom(12, 6), (12,)),
+}
+
+
+def _assert_plain(got, want):
+    """got equals want in Python ints throughout; a spec's codec also spans
+    the whole info range."""
+    assert got == want
+    if isinstance(want, codecs.CodecSpec):
+        assert type(got.k) is type(got.b) is int
+        top = (1 << want.k) - 1
+        assert got.codec.encode_int(0, top) == want.codec.encode_int(0, top)
+    elif isinstance(want, Fraction):
+        assert type(got.numerator) is type(got.denominator) is int
+    elif isinstance(want, (list, tuple)):
+        for g, w in zip(got, want):
+            _assert_plain(g, w)
+    else:
+        assert type(got) is int
+
+
+@pytest.mark.parametrize("name", K_AND_B_CALLS)
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.uint64])
+def test_numpy_k_and_b_give_the_python_int_result(name, dtype):
+    call, args = K_AND_B_CALLS[name]
+    _assert_plain(call(*map(dtype, args)), call(*args))
+
+
+@pytest.mark.parametrize("name", K_AND_B_CALLS)
+def test_float_k_and_b_are_not_ints(name):
+    call, args = K_AND_B_CALLS[name]
+    for i in range(len(args)):
+        with pytest.raises(TypeError):
+            call(*args[:i], float(args[i]), *args[i + 1:])
 
 
 @pytest.mark.parametrize(

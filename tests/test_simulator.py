@@ -26,11 +26,9 @@ from buslab.simulator import (
     TraceConfig,
     _draw,
     _shard_histogram,
-    clock_model,
     convergence_check,
     exact_average_distance,
     run_trace,
-    word_cost,
 )
 
 
@@ -241,45 +239,59 @@ class TestExactAverage:
 
 
 class TestClockModel:
+    """The modulator spends one clock per pulse, against n for bit-serial."""
+
     def test_zero_word_needs_no_clocks(self):
-        assert clock_model(optimal_spec(11, 12), Word.zero(11)) == (0, 23)
+        codec = optimal_spec(11, 12).codec
+        assert codec.differential_int(0) == 0
+        # no pulse: no clock and no addition, only the d_max + 1 tier comparisons
+        assert codec.trace_counters(0, 1) == (0, 4, 0)
 
     def test_top_info_word(self):
-        assert clock_model(optimal_spec(11, 12), Word(2047, 11)) == (3, 23)
+        codec = optimal_spec(11, 12).codec
+        assert codec.differential_int(2047).bit_count() == codec.d_max == 3
+        assert codec.trace_counters(3, 1) == (3, 23 * 3 + 4, 6)
 
     def test_clocks_equal_differential_weight(self):
-        spec = optimal_spec(11, 12)
-        codec = make_codec(spec)
-        total = 0
-        for u in range(1 << 11):
-            m, n = clock_model(spec, Word(u, 11))
-            assert n == 23
-            assert m == codec.differential_int(u).bit_count()
-            total += m
+        stats = run_trace(TraceConfig(spec=optimal_spec(11, 12), trace_length=20_000, seed=3))
+        assert stats.clock_cycles_total == stats.total_transitions
+        assert stats.baseline_clock_cycles == 23 * 20_000
+        codec = optimal_spec(11, 12).codec
+        total = sum(codec.differential_int(u).bit_count() for u in range(1 << 11))
         assert Fraction(total, 1 << 11) == analytics.d_opt(11, 12)
 
     def test_pulse_budget_never_exceeds_half_the_lines(self):
         for k, b in ((4, 1), (8, 4), (11, 12), (12, 8)):
-            spec = optimal_spec(k, b)
-            n = k + b
+            codec = optimal_spec(k, b).codec
             for u in range(1 << k):
-                m, _ = clock_model(spec, Word(u, k))
-                assert 2 * m <= n
+                assert 2 * codec.differential_int(u).bit_count() <= k + b
 
     def test_requires_optimal_family(self):
-        with pytest.raises(ValueError):
-            clock_model(ppm0_spec(4), Word.zero(4))
+        # only the optimal family's trace fills the modulator counters
+        for spec in (uncoded_spec(8), dbi_spec(8), ppm0_spec(4), coset_spec(make_golay23())):
+            stats = run_trace(TraceConfig(spec=spec, trace_length=1000, seed=1))
+            assert stats.total_transitions > 0
+            assert (stats.clock_cycles_total, stats.comparisons_total, stats.additions_total) == (
+                0, 0, 0
+            )
 
 
 class TestWordCost:
     def test_average_cost_matches_closed_form(self):
+        # a trace's counters, step by step from its weight histogram: d_max + 1
+        # comparisons per word, n comparisons and 2 additions per toggled line
         for k, b in ((1, 1), (4, 3), (8, 4), (11, 12)):
-            spec = optimal_spec(k, b)
-            total = 0
-            for u in range(1 << k):
-                comparisons, additions = word_cost(spec, Word(u, k))
-                total += comparisons + additions
-            assert Fraction(total, 1 << k) == analytics.encoding_cost(k, b)
+            n, d_max = k + b, analytics.d_max(k, b)
+            stats = run_trace(TraceConfig(spec=optimal_spec(k, b), trace_length=5000, seed=2))
+            steps = list(enumerate(stats.weight_histogram))
+            assert stats.comparisons_total == sum(c * (d_max + 1 + n * w) for w, c in steps)
+            assert stats.additions_total == sum(c * 2 * w for w, c in steps)
+            # over all 2^k words, one per info value, the average is encoding_cost
+            codec = optimal_spec(k, b).codec
+            cost = sum(
+                d_max + 1 + (n + 2) * codec.differential_int(u).bit_count() for u in range(1 << k)
+            )
+            assert Fraction(cost, 1 << k) == analytics.encoding_cost(k, b)
 
 
 class TestConvergence:
