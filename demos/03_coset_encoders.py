@@ -21,7 +21,8 @@ from buslab import (
 
 for code in (make_repetition(5), make_hamming(4), make_golay23()):
     table = build_coset_leader_table(code)
-    mean = Fraction(sum(l.bit_count() for l in table.leaders), len(table.leaders))
+    mean = Fraction(sum(table.leader(s).bit_count() for s in range(table.weights.size)),
+                    table.weights.size)
     print(f"{code.name}: {code.length} lines, {code.syndrome_bits} info bits")
     print(f"  min distance     : {min_distance(code)}")
     print(f"  leader tiers     : {'/'.join(map(str, table.tier_counts()))}")

@@ -30,6 +30,7 @@ a 1 (line 0 printed rightmost).
 from __future__ import annotations
 
 import enum
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +80,7 @@ __all__ = [
 MAX_OPTIMAL_LINES = 64
 MAX_PPM0_INFO_BITS = 20
 MAX_SYNDROME_BITS = 16
+_WORD_LINES = 64  # the widest code whose coset leaders fit a 64-bit word
 
 
 class CorruptedWordError(ValueError):
@@ -173,13 +175,19 @@ class LinearCode:
 
     @cached_property
     def line_syndromes(self) -> tuple[int, ...]:
-        """Column i of H (the syndrome of line i alone), by one transposition of the rows."""
-        bits = (format(row, f"0{self.length}b") for row in reversed(self.h_rows))
-        return tuple(int("".join(col), 2) for col in reversed(list(zip(*bits))))
+        """Column i of H (the syndrome of line i alone): bit r of column i is
+        bit i of row r, each row unpacked to one byte per line and shifted in."""
+        n = self.length
+        cols = np.zeros(n, np.uint64 if self.syndrome_bits <= 64 else object)
+        for r, row in enumerate(self.h_rows):
+            line_bits = np.frombuffer(row.to_bytes((n + 7) // 8, "little"), np.uint8)
+            cols |= np.unpackbits(line_bits, count=n, bitorder="little").astype(cols.dtype) << r
+        return tuple(cols.tolist())
 
 
 def make_repetition(n_lines: int) -> LinearCode:
     """(N, 1) repetition code; parity row r ties line r to the last line."""
+    n_lines = index(n_lines)  # before 1 << ..., which a numpy scalar would wrap
     if n_lines < 2:
         raise ValueError(f"repetition code needs at least 2 lines, got {n_lines}")
     top = 1 << (n_lines - 1)
@@ -195,6 +203,7 @@ def make_repetition(n_lines: int) -> LinearCode:
 
 def make_hamming(m: int) -> LinearCode:
     """(2^m - 1, 2^m - 1 - m) Hamming code; column c holds the value c + 1."""
+    m = index(m)
     if m < 2:
         raise ValueError(f"Hamming parameter m must be >= 2, got {m}")
     n_lines = (1 << m) - 1
@@ -276,22 +285,52 @@ def words_of_weight(n: int, w: int) -> Iterator[int]:
         v = v + low | (carry >> low.bit_length()) - 1
 
 
-@dataclass(frozen=True)
-class CosetLeaderTable:
-    """Minimum-weight representative of every syndrome's coset."""
+class _LineRows:
+    """Coset leaders as rows of line indices, read back as ints: row s holds
+    leader s's lines, as many as the heaviest leader has, padded with n."""
 
-    code: LinearCode
-    leaders: tuple[int, ...]
+    __slots__ = ("rows", "width", "n")
+
+    def __init__(self, rows: array, width: int, n: int):
+        self.rows, self.width, self.n = rows, width, n
+
+    def __getitem__(self, s: int) -> int:
+        e = 0
+        for i in self.rows[s * self.width:(s + 1) * self.width]:
+            if i == self.n:  # the padding after the last line
+                break
+            e |= 1 << i
+        return e
+
+
+class CosetLeaderTable:
+    """Minimum-weight representative (coset leader) of every syndrome's coset.
+
+    leader(s) is syndrome s's leader as an int, and weights[s] its weight, a
+    uint8 (at most k <= 16 columns of H reach any syndrome). store[s] is
+    leader(s) without the method call, for scalar coset encode. The store is
+    chosen by the code's width n, because each works only on its own side,
+    and neither holds an n-bit int per syndrome:
+    - n <= 64: one 64-bit word per syndrome, an array('Q'), so a leader is
+      one lookup (a row read costs 0.4-0.5 us more);
+    - n > 64: no word holds a leader, so each syndrome gets a row of its
+      leader's line indices, as wide as the heaviest leader (the covering
+      radius) and padded with n: an array('H'), or 'I' past 65,535 lines,
+      whose rows store[s] ORs as shifts. Hamming(16)'s rows take 128 KiB.
+    """
+
+    def __init__(self, code: LinearCode, store: array | _LineRows, weights: np.ndarray):
+        self.code, self.store, self.weights = code, store, weights
+
+    def leader(self, s: int) -> int:
+        return self.store[s]
 
     @property
     def max_weight(self) -> int:
-        return max(l.bit_count() for l in self.leaders)
+        return int(self.weights.max())
 
     def tier_counts(self) -> tuple[int, ...]:
-        counts = [0] * (self.max_weight + 1)
-        for l in self.leaders:
-            counts[l.bit_count()] += 1
-        return tuple(counts)
+        return tuple(np.bincount(self.weights).tolist())
 
 
 def _check_table_cap(code: LinearCode) -> None:
@@ -302,29 +341,86 @@ def _check_table_cap(code: LinearCode) -> None:
         )
 
 
+def _leader_tiers(code: LinearCode) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(w, syndromes, lines) of new coset leaders of weight w >= 1, a few
+    thousand at a time: their syndromes, and a (count, w) matrix of their
+    lines, lowest line first.
+
+    Patterns go by weight, then by integer value, which for line tuples is
+    colexicographic order; the first pattern seen for each syndrome leads
+    it. The lines c1 < ... < c(w-1) above the lowest step through colex
+    order, and the lowest line then runs through every line below c1; the
+    syndrome, the XOR of the lines' columns, follows each step, so no
+    pattern is ever formed as an n-bit int.
+    """
+    cols, n = code.line_syndromes, code.length
+    seen = bytearray(1 << code.syndrome_bits)
+    seen[0] = 1  # the empty pattern leads the code itself
+    left = len(seen) - 1
+    for w in range(1, n + 1):
+        if not left:
+            return
+        found, flat = array("I"), array("I")
+        upper = [*range(1, w), n]  # c1 .. c(w-1), then n as a sentinel
+        s_upper = 0
+        for i in upper[:-1]:
+            s_upper ^= cols[i]
+        while True:
+            for c0 in range(upper[0]):
+                s = s_upper ^ cols[c0]
+                if not seen[s]:
+                    seen[s] = 1
+                    found.append(s)
+                    flat.append(c0)
+                    flat.extend(upper)
+                    left -= 1
+                    if not left:
+                        break
+            # the next upper lines: raise the lowest that can rise, reset those below it
+            j = 0
+            while j < w - 1 and upper[j] + 1 == upper[j + 1]:
+                j += 1
+            last = j == w - 1 or not left
+            # in chunks, so the build's peak stays near the table's own size
+            if len(found) >= 4096 or last and found:
+                lines = np.frombuffer(flat, "I").reshape(-1, w + 1)[:, :w]  # drop the sentinel
+                yield w, np.frombuffer(found, "I"), lines
+                found, flat = array("I"), array("I")
+            if last:
+                break
+            s_upper ^= cols[upper[j]] ^ cols[upper[j] + 1]
+            upper[j] += 1
+            for i in range(j):
+                s_upper ^= cols[upper[i]] ^ cols[i + 1]
+                upper[i] = i + 1
+
+
 def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
     """Enumerate error patterns by weight, then by integer value, keeping the
-    first pattern seen for each syndrome."""
+    first pattern seen for each syndrome; one enumeration fills either store,
+    through a numpy view of its array."""
     _check_table_cap(code)
-    total = 1 << code.syndrome_bits
-    lines = code.line_syndromes
-    leaders: list[int | None] = [None] * total
-    filled = 0
-    for w in range(code.length + 1):
-        if filled == total:
-            break
-        for e in words_of_weight(code.length, w):
-            s, v = 0, e
-            while v:  # the XOR of e's lines' columns, as in CosetCodec._decode
-                i = v.bit_length() - 1
-                s ^= lines[i]
-                v ^= 1 << i
-            if leaders[s] is None:
-                leaders[s] = e
-                filled += 1
-                if filled == total:
-                    break
-    return CosetLeaderTable(code=code, leaders=tuple(leaders))  # type: ignore[arg-type]
+    n, total = code.length, 1 << code.syndrome_bits
+    weights = np.zeros(total, np.uint8)
+    if n <= _WORD_LINES:
+        store = array("Q", [0]) * total
+        words = np.frombuffer(store, np.uint64)
+        for w, syndromes, lines in _leader_tiers(code):
+            weights[syndromes] = w
+            tier = np.zeros(syndromes.size, np.uint64)
+            for line in lines.T:
+                tier |= np.uint64(1) << line
+            words[syndromes] = tier
+    else:
+        tiers = list(_leader_tiers(code))  # the last weight is the rows' width
+        typecode = "H" if n <= 0xFFFF else "I"
+        width = tiers[-1][0] if tiers else 0
+        store = _LineRows(array(typecode, [n]) * (total * width), width, n)
+        rows = np.frombuffer(store.rows, typecode).reshape(total, width)
+        for w, syndromes, lines in tiers:
+            weights[syndromes] = w
+            rows[syndromes, :w] = lines
+    return CosetLeaderTable(code, store, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +489,7 @@ def coset_spec_for(k: int, b: int) -> CodecSpec:
     b = 1 gives the repetition code on k+1 lines; b = 2^k - 1 - k gives the
     Hamming code with k parity bits; (11, 12) gives the Golay code.
     """
+    k, b = index(k), index(b)  # as CodecSpec takes them, before 1 << k
     if k < 1:  # CodecSpec's own text, before a repetition code of k + 1 < 2 lines
         raise ValueError(f"k={k} must be >= 1")
     if k > MAX_SYNDROME_BITS:  # each has k syndrome bits: fail before any build
@@ -680,14 +777,13 @@ class CosetCodec(_DifferentialCodec):
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
         self.code = code = spec.code
-        self.leader_table = build_coset_leader_table(code)
-        # each syndrome's leader weight: at most k <= 16 columns reach it, so a uint8
-        self._weights = np.array([l.bit_count() for l in self.leader_table.leaders], np.uint8)
-        self._heaviest = int(self._weights.max())
+        self.leader_table = table = build_coset_leader_table(code)
+        self._leaders, self._weights = table.store, table.weights
+        self._heaviest = table.max_weight
         self._lines = code.line_syndromes
 
     def _encode(self, state: int, u: int) -> int:
-        return self.leader_table.leaders[u] ^ state
+        return self._leaders[u] ^ state
 
     def _decode(self, state: int, x: int) -> int:
         d = x ^ state  # an emitted word toggles a leader: at most covering-radius lines

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -51,6 +52,9 @@ class TraceConfig:
     shards: int = 1
 
     def __post_init__(self):
+        # Python ints, so a float fails here and the counters are Python ints
+        for name in ("trace_length", "seed", "shards"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.trace_length < 1:
             raise ValueError(f"trace_length must be >= 1, got {self.trace_length}")
         if self.seed < 0:

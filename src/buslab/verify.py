@@ -128,8 +128,8 @@ def check_coset() -> CheckResult:
             )
         if list(code.line_syndromes) != [code.syndrome(1 << i) for i in range(code.length)]:
             return CheckResult("coset", False, f"{code.name}: columns of H != H*line")
-        for s, leader in enumerate(table.leaders):
-            if code.syndrome(leader) != s:
+        for s in range(1 << code.syndrome_bits):
+            if code.syndrome(table.leader(s)) != s:
                 return CheckResult("coset", False, f"{code.name}: H*leader({s}) != {s}")
         details.append(f"{code.name} tiers {'/'.join(map(str, tiers))}")
     return CheckResult("coset", True, "; ".join(details))

@@ -1,6 +1,7 @@
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from buslab.codecs import (
@@ -117,6 +118,12 @@ class TestLineSyndromes:
         if code.name.startswith("hamming"):
             assert code.line_syndromes == tuple(range(1, code.length + 1))
 
+    def test_columns_wider_than_64_bits(self):
+        # 69 parity rows: each column is a Python int past any numpy word
+        code = make_repetition(70)
+        assert list(code.line_syndromes) == [code.syndrome(1 << i) for i in range(code.length)]
+        assert code.line_syndromes[-1] == (1 << 69) - 1
+
     def test_cached_columns_leave_the_fields_alone(self):
         code = make_hamming(3)
         before = (repr(code), hash(code))
@@ -178,7 +185,7 @@ class TestCosetLeaderTable:
     def test_zero_syndrome_has_zero_leader(self):
         for code in (make_repetition(5), make_hamming(3), make_golay23()):
             table = build_coset_leader_table(code)
-            assert table.leaders[0] == 0
+            assert table.leader(0) == 0 and table.weights[0] == 0
 
     def test_hamming_15_11_leader_tiers(self):
         table = build_coset_leader_table(make_hamming(4))
@@ -195,22 +202,25 @@ class TestCosetLeaderTable:
     )
     def test_leaders_are_minimum_weight(self, code):
         table = build_coset_leader_table(code)
-        for s, leader in enumerate(table.leaders):
-            assert code.syndrome(leader) == s
-            assert leader.bit_count() == brute_force_leader_weight(code, s)
+        for s in range(1 << code.syndrome_bits):
+            assert code.syndrome(table.leader(s)) == s
+            assert table.leader(s).bit_count() == brute_force_leader_weight(code, s)
 
     def test_leaders_satisfy_syndrome_identity(self):
         code = make_golay23()
         table = build_coset_leader_table(code)
-        for s, leader in enumerate(table.leaders):
-            assert code.syndrome(leader) == s
+        for s in range(1 << code.syndrome_bits):
+            assert code.syndrome(table.leader(s)) == s
 
     @pytest.mark.parametrize(
-        "code", [make_repetition(17), make_golay23(), make_hamming(4)], ids=lambda c: c.name
+        "code",
+        [make_repetition(17), make_golay23(), make_hamming(4), make_repetition(9), make_hamming(7)],
+        ids=lambda c: c.name,
     )
     def test_leaders_match_a_per_pattern_syndrome_scan(self, code):
-        # reference: every pattern by weight, then by integer value, each
-        # syndrome computed from the parity rows
+        # reference for both stores (Hamming(7)'s 127 lines take rows): every
+        # pattern by weight, then by integer value, each syndrome computed
+        # from the parity rows
         leaders = {}
         for w in range(code.length + 1):
             patterns = sorted(sum(1 << i for i in c) for c in combinations(range(code.length), w))
@@ -218,14 +228,34 @@ class TestCosetLeaderTable:
                 leaders.setdefault(code.syndrome(e), e)
             if len(leaders) == 1 << code.syndrome_bits:
                 break
-        expected = tuple(leaders[s] for s in range(1 << code.syndrome_bits))
-        assert build_coset_leader_table(code).leaders == expected
+        expected = [leaders[s] for s in range(1 << code.syndrome_bits)]
+        table = build_coset_leader_table(code)
+        assert [table.leader(s) for s in range(len(expected))] == expected
+        assert table.weights.tolist() == [e.bit_count() for e in expected]
 
     def test_tie_break_is_lowest_integer_in_tier(self):
         # repetition(6): syndrome 0b00111 has two weight-3 patterns,
         # 0b000111 and 0b111000; the smaller integer must win
         table = build_coset_leader_table(make_repetition(6))
-        assert table.leaders[0b00111] == 0b000111
+        assert table.leader(0b00111) == 0b000111
+
+    @pytest.mark.parametrize(
+        "code, typecode, width",
+        [(make_golay23(), "Q", 1), (make_repetition(17), "Q", 1), (make_hamming(6), "Q", 1),
+         (make_hamming(7), "H", 1), (make_hamming(16), "H", 1)],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_store_is_words_up_to_64_lines_then_rows(self, code, typecode, width):
+        # one 64-bit word per syndrome, or a covering-radius row of line
+        # indices padded with n: Hamming(16)'s 65,536 rows take 128 KiB
+        table = build_coset_leader_table(code)
+        total = 1 << code.syndrome_bits
+        store = table.store.rows if typecode == "H" else table.store
+        assert (store.typecode, len(store)) == (typecode, total * width)
+        assert table.weights.dtype == np.uint8 and table.weights.size == total
+        if typecode == "H":
+            assert store[0] == code.length  # syndrome 0: all padding
+            assert table.leader(total - 1) == 1 << (code.length - 1)
 
     def test_syndrome_width_cap(self):
         with pytest.raises(ValueError):

@@ -320,7 +320,7 @@ SAMPLED_CODES = [make_golay23(), *map(make_hamming, (5, 6, 7, 8))]
 
 @pytest.fixture(scope="module")
 def hamming16():
-    # 65,535 lines: the leaders alone take ~275 MiB, so drop the codec after
+    # 65,535 lines, one row of line indices per syndrome; drop the codec after
     yield make_codec(coset_spec(make_hamming(16)))
     make_codec.cache_clear()
 

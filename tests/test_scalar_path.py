@@ -240,6 +240,11 @@ K_AND_B_CALLS = {
     "dbi_spec-63": (dbi_spec, (63,)),
     "ppm0_spec-4": (ppm0_spec, (4,)),
     "CodecSpec-11-12": (lambda k, b: codecs.CodecSpec(codecs.Family.OPTIMAL_MPPM, k, b), (11, 12)),
+    "coset_spec_for-8-1": (codecs.coset_spec_for, (8, 1)),
+    "coset_spec_for-4-11": (codecs.coset_spec_for, (4, 11)),
+    "coset_spec_for-11-12": (codecs.coset_spec_for, (11, 12)),
+    "make_repetition-9": (codecs.make_repetition, (9,)),
+    "make_hamming-9": (codecs.make_hamming, (9,)),
     "binom-64-32": (BinomialTable(64).binom, (64, 32)),
     "rank-3": (BinomialTable(12).rank, (3,)),
     "unrank-2-1-3": (BinomialTable(12).unrank, (2, 1, 3)),
@@ -255,6 +260,10 @@ def _assert_plain(got, want):
         assert type(got.k) is type(got.b) is int
         top = (1 << want.k) - 1
         assert got.codec.encode_int(0, top) == want.codec.encode_int(0, top)
+        if want.code is not None:
+            _assert_plain(got.code, want.code)
+    elif isinstance(want, codecs.LinearCode):
+        assert all(type(v) is int for v in (got.length, got.dimension, got.radius, *got.h_rows))
     elif isinstance(want, Fraction):
         assert type(got.numerator) is type(got.denominator) is int
     elif isinstance(want, (list, tuple)):

@@ -136,6 +136,17 @@ class TestRunTrace:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             TraceConfig(spec=uncoded_spec(4), trace_length=10, seed=-1)
 
+    def test_config_fields_are_python_ints(self):
+        spec = optimal_spec(11, 12)
+        cfg = TraceConfig(spec, np.int64(1_000), np.uint8(3), np.int64(2))
+        assert type(cfg.trace_length) is type(cfg.seed) is type(cfg.shards) is int
+        stats = run_trace(cfg)
+        assert type(stats.words_sent) is type(stats.comparisons_total) is int
+        assert stats == run_trace(TraceConfig(spec, 1_000, 3, 2))
+        for fields in ((10.5, 1), (10, 1.0), (10, 1, 2.0)):
+            with pytest.raises(TypeError):
+                TraceConfig(spec, *fields)
+
 
 def _integers(seed, k, size):
     return np.random.Generator(np.random.PCG64(seed)).integers(0, 1 << k, size, dtype=np.uint64)
@@ -387,10 +398,10 @@ class TestBudgets:
 
 class TestCosetBudgets:
     # Hamming k = 16 is the widest stock coset (65,535 lines). A 2-CPU x86
-    # host measured 0.9-1.2 s for the cold run below and a 2.0 MiB excess
-    # at k = 15; with a row-wise syndrome per line and n/8 byte tables of
-    # 256 ints, 6.7-8.7 s and 26 MiB. At k = 16 the 65,535 leader ints alone
-    # take 275 MiB, so memory is bounded as the excess over the leaders.
+    # host measured 0.03-0.07 s for the cold run below, and a tracemalloc
+    # peak of 3.8 MiB; while each leader was an n-bit int, 0.9-1.2 s and
+    # 280 MiB, and with a row-wise syndrome per line and n/8 byte tables of
+    # 256 ints, 6.7-8.7 s.
     def test_cold_hamming_coset_at_the_syndrome_cap(self):
         make_codec.cache_clear()
         try:
@@ -403,17 +414,18 @@ class TestCosetBudgets:
         assert stats.words_sent == 100_000
         assert elapsed < 4.0
 
-    def test_hamming_coset_memory_beyond_its_leaders(self):
+    def test_cold_hamming_coset_memory_at_the_syndrome_cap(self):
         make_codec.cache_clear()
         tracemalloc.start()
         try:
-            codec = make_codec(coset_spec(make_hamming(15)))
+            cfg = TraceConfig(spec=coset_spec(make_hamming(16)), trace_length=100_000, seed=1)
+            stats = run_trace(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             make_codec.cache_clear()
-        leaders = sum(sys.getsizeof(l) for l in codec.leader_table.leaders)
-        assert peak - leaders < 8 * 2**20
+        assert stats.words_sent == 100_000
+        assert peak < 32 * 2**20
 
 
 class TestScalarBudgets:

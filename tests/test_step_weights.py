@@ -74,7 +74,8 @@ def _heaviest(spec):
         while sum(comb(n, i) for i in range(m + 1)) < 1 << k:
             m += 1
         return m
-    return max(l.bit_count() for l in make_codec(spec).leader_table.leaders)
+    table = make_codec(spec).leader_table
+    return max(table.leader(s).bit_count() for s in range(1 << spec.k))
 
 
 def _counts(weights, spec):
