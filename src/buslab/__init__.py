@@ -35,7 +35,6 @@ from .codecs import (
     optimal_spec,
     ppm0_spec,
     uncoded_spec,
-    words_of_weight,
 )
 from .combinatorics import (
     BinomialTable,

@@ -74,7 +74,6 @@ __all__ = [
     "make_golay23",
     "min_distance",
     "build_coset_leader_table",
-    "words_of_weight",
 ]
 
 MAX_OPTIMAL_LINES = 64
@@ -267,22 +266,6 @@ def min_distance(code: LinearCode) -> int:
         c ^= basis[(msg & -msg).bit_length() - 1]
         best = min(best, c.bit_count())
     return best
-
-
-def words_of_weight(n: int, w: int) -> Iterator[int]:
-    """All weight-w words of n bits, in increasing integer order."""
-    if not 0 <= w <= n:
-        return
-    if w == 0:
-        yield 0
-        return
-    v = (1 << w) - 1
-    limit = 1 << n
-    while v < limit:
-        yield v
-        low = v & -v
-        carry = (v + low) & ~v
-        v = v + low | (carry >> low.bit_length()) - 1
 
 
 class _LineRows:

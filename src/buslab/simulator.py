@@ -67,9 +67,12 @@ class TraceConfig:
 class TransitionStats:
     """Accumulated trace counters.
 
-    weight_histogram[w] counts steps that toggled exactly w lines. The
-    clock, comparison and addition counters are the codec's trace_counters:
-    the modulator cost model for the optimal family, zero for the others.
+    weight_histogram[w] counts steps that toggled exactly w lines, for w from
+    0 to the family's heaviest step, with no entries past it: k for uncoded,
+    n // 2 for DBI, 1 for ppm0, d_max for optimal and the heaviest coset
+    leader for coset. The clock, comparison and addition counters are the
+    codec's trace_counters: the modulator cost model for the optimal family,
+    zero for the others.
     """
 
     n_lines: int
@@ -144,12 +147,10 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
     lengths = [base + (1 if i < extra else 0) for i in range(cfg.shards)]
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(cfg.shards)]
     hist = sum(_shard_histogram(codec, ln, sq) for ln, sq in zip(lengths, seeds))
-    counts = [0] * (spec.n + 1)
-    counts[:len(hist)] = hist.tolist()
     total = int(hist @ np.arange(hist.size))
     # trace_counters gives the last three fields: clocks, comparisons, additions
     counters = codec.trace_counters(total, cfg.trace_length)
-    return TransitionStats(spec.n, cfg.trace_length, total, counts, *counters)
+    return TransitionStats(spec.n, cfg.trace_length, total, hist.tolist(), *counters)
 
 
 def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:

@@ -14,6 +14,7 @@ from buslab.cli import main
 from buslab.codecs import (
     coset_spec,
     dbi_spec,
+    make_codec,
     make_golay23,
     make_hamming,
     make_repetition,
@@ -252,6 +253,28 @@ class TestSimulate:
         cfg = TraceConfig(spec=dbi_spec(6), trace_length=5000, seed=9, shards=2)
         assert two["jobs"] == 2
         assert two["weight_histogram"] == run_trace(cfg).weight_histogram
+
+    @pytest.mark.parametrize(
+        "argv, entries",
+        [
+            (("ppm0", "--k", "20", "--length", "100000"), 2),
+            (("coset", "--k", "16", "--b", "65519", "--length", "100000"), 2),
+            (("dbi", "--k", "8"), 5),
+        ],
+        ids=["ppm0-20", "hamming-16", "dbi-8"],
+    )
+    def test_json_histogram_ends_at_the_heaviest_step(self, capsys, argv, entries):
+        # one entry per step weight up to the family's heaviest step, not one
+        # per bus line (ppm0 k = 20 has 2^20 - 1 lines, Hamming k = 16 65,535)
+        try:
+            code, out, _ = run_cli(capsys, "simulate", *argv, "--json")
+        finally:
+            make_codec.cache_clear()
+        assert code == 0
+        assert len(out.encode()) < 1024
+        data = json.loads(out)
+        assert len(data["weight_histogram"]) == entries
+        assert sum(data["weight_histogram"]) == data["length"]
 
 
 class TestVerify:

@@ -14,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from buslab.analytics import d_max
 from buslab.codecs import (
     coset_spec,
     dbi_spec,
+    make_codec,
     make_golay23,
     make_hamming,
     make_repetition,
@@ -52,6 +54,20 @@ def _spec(entry):
     return coset_spec(make_repetition(k + b))
 
 
+def _heaviest_step(spec):
+    """The family's heaviest step, stated apart from the step_histogram kernels."""
+    family = spec.family.value
+    if family == "uncoded":
+        return spec.k
+    if family == "dbi":
+        return spec.n // 2
+    if family == "ppm0":
+        return 1
+    if family == "optimal":
+        return d_max(spec.k, spec.b)
+    return make_codec(spec).leader_table.max_weight
+
+
 def _label(entry):
     return f"{entry['family']}-{entry['code'] or entry['k']}-{entry['b']}-s{entry['seed']}x{entry['shards']}"
 
@@ -76,8 +92,9 @@ def test_trace_reproduces_the_golden_record(entry):
     spec = _spec(entry)
     assert spec.b == entry["b"]
     stats = run_trace(TraceConfig(spec, entry["length"], entry["seed"], entry["shards"]))
-    hist = [0] * (spec.n + 1)
+    hist = [0] * (_heaviest_step(spec) + 1)
     for w, c in entry["weight_histogram"]:
+        assert w < len(hist)
         hist[w] = c
     assert stats.total_transitions == entry["total_transitions"]
     assert stats.weight_histogram == hist

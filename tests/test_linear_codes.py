@@ -15,7 +15,6 @@ from buslab.codecs import (
     make_hamming,
     make_repetition,
     min_distance,
-    words_of_weight,
 )
 
 
@@ -165,20 +164,6 @@ class TestLinearCodeValidation:
     def test_min_distance_cap(self):
         with pytest.raises(ValueError):
             min_distance(make_hamming(5))  # dimension 26
-
-
-class TestWordsOfWeight:
-    def test_increasing_integer_order(self):
-        vals = list(words_of_weight(6, 2))
-        assert vals == sorted(vals)
-        assert len(vals) == 15
-        assert vals[0] == 0b000011 and vals[-1] == 0b110000
-
-    def test_weight_zero(self):
-        assert list(words_of_weight(5, 0)) == [0]
-
-    def test_out_of_range(self):
-        assert list(words_of_weight(3, 4)) == []
 
 
 class TestCosetLeaderTable:
