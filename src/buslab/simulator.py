@@ -2,14 +2,22 @@
 
 Traces drive a codec with uniform random info words from the all-zero bus
 state and count line transitions per step. Each shard draws its words in
-chunks of 2^17 and adds up the codec's vectorized step_histogram of each: it
-forms no bus word and no per-word weight, and runs no per-word Python code.
-Randomness comes from numpy's PCG64 seeded through SeedSequence, so runs are
-reproducible and a trace can be split into shards with independently derived
-child seeds; shards run one after another, and their step histograms add in
-shard order before the counters, trace_counters included, are built once.
+chunks of 2^19 bytes (2^17 words for k <= 32, 2^16 for k > 32) and adds up
+the codec's vectorized step_histogram of each: it forms no bus word and no
+per-word weight, and runs no per-word Python code. Randomness comes from
+numpy's PCG64 seeded through SeedSequence, so runs are reproducible and a
+trace can be split into shards with independently derived child seeds.
 Each word is the top k bits of PCG64's next raw 32-bit (uint32, k <= 32) or
 64-bit output, exactly the stream of Generator.integers(0, 2**k, uint64).
+
+A shard of at least 4 chunks per CPU runs as up to one part per CPU, each a
+run of whole chunks: part j advance()s its own PCG64 past the raw outputs
+before its first word, so it draws exactly the serial stream's words. Part 0
+runs on the calling thread and the others on a thread pool made on the first
+split (a forked child drops it and makes its own). Part histograms add in
+part order and shards in shard order before the counters, trace_counters
+included, are built once, so every count is the serial run's whatever the
+CPU count.
 
 Exact averages are sums, not traces: a differential family's step histogram
 over all 2^k info words (k <= 20), or, for the uncoded bus and DBI at every
@@ -19,6 +27,8 @@ form); every bus state has that same mean.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -37,8 +47,14 @@ __all__ = [
     "convergence_check",
 ]
 
-# even: an odd chunk mid-shard would drop the half output integers() keeps
+# words per chunk for k <= 32, twice those for k > 32, as 64-bit words: even,
+# since an odd chunk mid-shard would drop the half output integers() keeps
 _CHUNK = 1 << 17
+# fewer chunks per part do not pay for a thread: 2-chunk parts measured 9-19% slower
+_MIN_PART_CHUNKS = 4
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+_pool_lock = threading.Lock()
 _EXHAUSTIVE_INFO_BITS = 20
 
 
@@ -123,14 +139,71 @@ def _draw(bitgen: np.random.PCG64, k: int, size: int) -> np.ndarray:
     return us
 
 
-def _shard_histogram(codec: Codec, length: int, seed: np.random.SeedSequence) -> np.ndarray:
-    """int64 step counts by lines toggled of one shard of length words."""
+def _part_pool():
+    """The pool for parts 1.. of a split shard; concurrent.futures is imported
+    here, not with buslab, since it pulls in logging (about 12 ms)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="buslab-part")
+        return _pool
+
+
+def _drop_pool():
+    # a forked child has none of the parent's pool threads: work queued on the
+    # inherited pool would never run, so the child makes its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _part_histogram(codec: Codec, seed: np.random.SeedSequence, start: int, stop: int,
+                    chunk: int) -> np.ndarray:
+    """int64 step counts of a shard's words start..stop-1 (start 0 or a
+    chunk boundary)."""
+    k = codec.spec.k
     bitgen = np.random.PCG64(seed)
     hist = prev = 0
-    for start in range(0, length, _CHUNK):
-        us = _draw(bitgen, codec.spec.k, min(_CHUNK, length - start))
+    if start:
+        # words start-2 and start-1 fill one raw output (k <= 32) or two
+        bitgen.advance((start - 2) // 2 if k <= 32 else start - 2)
+        prev = int(_draw(bitgen, k, 2)[1])
+    for lo in range(start, stop, chunk):
+        us = _draw(bitgen, k, min(chunk, stop - lo))
         hist = hist + codec.step_histogram(us, prev)
         prev = int(us[-1])
+    return hist
+
+
+def _shard_histogram(codec: Codec, length: int, seed: np.random.SeedSequence) -> np.ndarray:
+    """int64 step counts by lines toggled of one shard of length words."""
+    chunk = _CHUNK if codec.spec.k <= 32 else _CHUNK // 2
+    chunks = -(-length // chunk)
+    parts = min(_CPUS, chunks // _MIN_PART_CHUNKS)
+    if parts <= 1:
+        return _part_histogram(codec, seed, 0, length, chunk)
+    # part j runs words bounds[j]..bounds[j+1]-1: whole chunks, the first
+    # chunks % parts parts one more; the last part ends with any odd tail
+    base, extra = divmod(chunks, parts)
+    bounds = [min(length, chunk * (j * base + min(j, extra))) for j in range(parts + 1)]
+    pool = _part_pool()
+    try:
+        futures = [pool.submit(_part_histogram, codec, seed, lo, hi, chunk)
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    except RuntimeError:  # no pool takes work once the interpreter exits (atexit)
+        return _part_histogram(codec, seed, 0, length, chunk)
+    try:
+        hist = _part_histogram(codec, seed, 0, bounds[1], chunk)
+    finally:
+        for f in futures:
+            f.exception()  # wait, so no part outlives the call
+    for f in futures:
+        hist = hist + f.result()
     return hist
 
 
@@ -140,6 +213,12 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
     Shard i of cfg.shards is seeded by SeedSequence(cfg.seed, spawn_key=(i,)),
     spawn's i-th child built directly, and starts from the all-zero bus; the
     shard histograms add in shard order, and the counters are built once.
+    Shards run one after another. A shard of at least 4 chunks (2^19 bytes
+    of words each) per CPU splits into up to one part per CPU, runs of whole
+    chunks that jump the shard's PCG64 ahead to their first word and run on
+    a thread pool, and whose histograms add in part order; so the result is
+    the same, count for count, on any number of CPUs. A part's error is
+    raised here once every part has stopped.
     """
     spec = cfg.spec
     codec = make_codec(spec)

@@ -6,14 +6,18 @@ loop. It must never be regenerated from the current code: it is the proof
 that a (spec, seed, shards) input still gives the same trace. Every trace
 is 270,001 words, so with one or two shards each shard spans more than one
 2^17-word chunk and the carry of the last word across chunks is covered.
-Histograms are stored sparsely as [weight, count] pairs.
+Histograms are stored sparsely as [weight, count] pairs. Every record is
+also replayed with each shard split into parts that jump the stream ahead,
+whatever the CPU count of the host that runs the tests.
 """
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+import test_simulator
 
+from buslab import simulator
 from buslab.analytics import d_max
 from buslab.codecs import (
     coset_spec,
@@ -68,6 +72,16 @@ def _heaviest_step(spec):
     return make_codec(spec).leader_table.max_weight
 
 
+@pytest.fixture
+def three_parts(cpus, monkeypatch):
+    """Split any shard of 1 chunk or more into up to 3 parts, as on a 3-CPU
+    host: a 270,001-word shard runs as parts of 1, 1 and 0.06 chunks of 2^17
+    words for k <= 32, and of 2, 2 and 0.12 chunks of 2^16 for k > 32, the
+    last one the odd tail."""
+    cpus(3)
+    monkeypatch.setattr(simulator, "_MIN_PART_CHUNKS", 1)
+
+
 def _label(entry):
     return f"{entry['family']}-{entry['code'] or entry['k']}-{entry['b']}-s{entry['seed']}x{entry['shards']}"
 
@@ -101,3 +115,14 @@ def test_trace_reproduces_the_golden_record(entry):
     assert stats.clock_cycles_total == entry["clock_cycles_total"]
     assert stats.comparisons_total == entry["comparisons_total"]
     assert stats.additions_total == entry["additions_total"]
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=_label)
+def test_golden_record_in_three_parts(entry, three_parts):
+    test_trace_reproduces_the_golden_record(entry)
+
+
+def test_sharded_merge_in_three_parts(three_parts, monkeypatch):
+    # 7,501-word shards are 4 chunks of 2^11 words, split 2 + 1 + 1 (1,357 words)
+    monkeypatch.setattr(simulator, "_CHUNK", 1 << 11)
+    test_simulator.TestRunTrace().test_sharded_merge_equals_serial()

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from buslab import analytics, simulator
 from buslab.cli import main
 from buslab.codecs import (
     DbiCodec,
+    UncodedCodec,
     coset_spec,
     dbi_spec,
     make_codec,
@@ -195,6 +200,96 @@ class TestDraw:
         assert [run_trace(cfg) for cfg in cfgs] == default
 
 
+def _run_python(code):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+# the parent splits a 2M-word trace on its pool, then a forked child runs one:
+# with the parent's pool kept, the child's parts would wait on threads that
+# are not there, so it is killed after 20 s
+_FORK_AFTER_A_SPLIT = """
+import os, signal, sys, time, warnings
+from buslab import simulator
+from buslab.codecs import optimal_spec
+from buslab.simulator import TraceConfig, run_trace
+
+simulator._CPUS = 2
+cfg = TraceConfig(optimal_spec(11, 12), 2_000_000, seed=5)
+parent = run_trace(cfg)
+assert simulator._pool is not None
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)  # 3.12+: fork of a threaded process
+    pid = os.fork()
+if pid == 0:
+    code = 1
+    try:
+        code = 0 if run_trace(cfg) == parent else 3
+    finally:
+        os._exit(code)
+deadline = time.monotonic() + 20
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("forked child still running after 20 s")
+"""
+
+
+class TestParts:
+    """A shard of 4 chunks or more per CPU runs as parts on a thread pool."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_its_own_pool(self):
+        proc = _run_python(_FORK_AFTER_A_SPLIT)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_failing_part_raises_and_the_next_trace_runs(self, cpus, monkeypatch):
+        # 2^20 words are 8 chunks: on 2 CPUs, part 1 runs chunks 4..7 on the pool
+        cfg = TraceConfig(uncoded_spec(16), 1 << 20, seed=2)
+        cpus(1)
+        serial = run_trace(cfg)
+        cpus(2)
+        kernel, caller = UncodedCodec.step_histogram, threading.get_ident()
+
+        def failing(self, us, prev):
+            if threading.get_ident() != caller:
+                raise RuntimeError("part 1 failed")
+            return kernel(self, us, prev)
+
+        monkeypatch.setattr(UncodedCodec, "step_histogram", failing)
+        with pytest.raises(RuntimeError, match="part 1 failed"):
+            run_trace(cfg)
+        monkeypatch.setattr(UncodedCodec, "step_histogram", kernel)
+        assert run_trace(cfg) == serial
+
+    def test_a_trace_at_interpreter_exit_runs_in_one_piece(self):
+        # atexit handlers run after the pools are shut down
+        proc = _run_python(
+            "import atexit\n"
+            "from buslab import simulator\n"
+            "from buslab.codecs import optimal_spec\n"
+            "simulator._CPUS = 2\n"
+            "cfg = simulator.TraceConfig(optimal_spec(11, 12), 2_000_000, seed=5)\n"
+            "atexit.register(lambda: print(simulator.run_trace(cfg).weight_histogram))\n"
+            "print(simulator.run_trace(cfg).weight_histogram)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        during, at_exit = proc.stdout.splitlines()
+        assert during == at_exit
+
+    def test_import_leaves_the_pool_module_out(self):
+        # concurrent.futures pulls in logging (about 12 ms): it loads on the first split
+        proc = _run_python("import sys, buslab, buslab.cli, buslab.verify\n"
+                           "print('concurrent.futures' in sys.modules)")
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 class TestEstimatorConsistency:
     @pytest.mark.parametrize(
         "spec",
@@ -358,6 +453,23 @@ class TestBudgets:
         assert elapsed < 1.0
 
     def test_ten_million_words_in_bounded_memory(self):
+        cfg = TraceConfig(spec=optimal_spec(24, 16), trace_length=10_000_000, seed=1)
+        tracemalloc.start()
+        try:
+            stats, elapsed = self._timed(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.words_sent == 10_000_000
+        assert elapsed < 3.0
+        assert peak < 16 * 2**20
+
+    def test_ten_million_words_on_four_cpus_in_bounded_memory(self, cpus):
+        # a GitHub runner's 4 CPUs split the trace into 4 parts, each beyond
+        # the first holding one more chunk's working set at once (2^19 bytes of
+        # words and the kernel's temporaries): a 2-CPU x86 host peaked at 1.8
+        # MiB serially, 2.6 MiB in 2 parts and 3.3 MiB in 4, about 0.8 MiB a part
+        cpus(4)
         cfg = TraceConfig(spec=optimal_spec(24, 16), trace_length=10_000_000, seed=1)
         tracemalloc.start()
         try:
