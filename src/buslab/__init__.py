@@ -38,7 +38,6 @@ from .codecs import (
 )
 from .combinatorics import (
     BinomialTable,
-    CapacityError,
     Word,
 )
 from .simulator import (

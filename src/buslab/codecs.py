@@ -5,22 +5,12 @@ info word, produce the next bus word; decoding inverts it. The differential
 families (optimal, ppm0, coset) map the info word to a low-weight
 differential d and transmit x = d XOR x_prev, so each step toggles exactly
 weight(d) lines. Each family's _encode/_decode is its whole kernel, the XOR
-with the state included; Codec.encode_int/decode_int hold the state and x to
-[0, 2^n) and u to [0, 2^k) once for every family, then call it.
-differential_int(u) is encode_int(0, u) and info_int(d) is decode_int(0, d).
-buslab.encode/decode check the Word lengths and call the kernel directly, as
-a Word of the right length is in range, then build the result Word in its
-slots, unchecked, as every kernel keeps its result in range (the argument,
-family by family, is in their docstrings). Each codec's vectorized
-step_histogram counts a chunk of info words' steps by lines toggled, without
-forming a bus word: uncoded and DBI count the XOR weights two per bincount
-slot, optimal compares the words with its tier sums, and coset looks each
-word's leader weight up in a uint8 table. Each codec class also carries its
-family's facts, found through the one registry _FAMILY_CODECS: required_b,
-the caps its spec check applies, an exact_mean that builds no codec (coset
-aside) and the trace_counters, optimal's from analytics' one cost model. The
-coset leader search and coset decode both take a syndrome as the XOR of H's
-columns at the word's lines (line_syndromes).
+with the state included. Codec.encode_int/decode_int hold the state and x to
+[0, 2^n) and u to [0, 2^k) once for every family, then call it;
+buslab.encode/decode call it directly, as a Word of the right length is in
+range. Each codec class also carries its family's facts (required_b, caps,
+exact_mean, trace_counters, step_histogram), found through the one registry
+_FAMILY_CODECS.
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -697,18 +687,22 @@ class OptimalCodec(_DifferentialCodec):
     exceeding u) and the colex rank u minus the previous tier sum within
     that tier. Within the top tier only the first 2^k - (tier sum below)
     patterns in rank order are ever emitted; the decoder rejects anything
-    past that bound as corrupted. Every call ranks or unranks afresh through
-    the binomial table; nothing is kept per info word.
+    past that bound as corrupted. Encoding toggles the tier's rank straight
+    onto the bus state with the table's unrank kernel, and decoding ranks the
+    differential with its rank kernel, both bound once per codec; nothing is
+    kept per info word.
     """
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
         n = self._n
-        self.table = BinomialTable(n)
+        self.table = table = BinomialTable(n)
         self.d_max = analytics.d_max(spec.k, spec.b)
-        self.tier_sums = tuple(accumulate(self.table.binom(n, m) for m in range(self.d_max + 1)))
+        self.tier_sums = tuple(accumulate(table.binom(n, m) for m in range(self.d_max + 1)))
         # _bases[m] is the first info value of the weight-m tier
         self._bases = (0, *self.tier_sums)
+        # the table's kernels, bound once: one call per word
+        self._unrank, self._rank = table._unrank, table._rank
 
     @staticmethod
     def exact_mean(spec: CodecSpec) -> Fraction:
@@ -731,14 +725,14 @@ class OptimalCodec(_DifferentialCodec):
     def _encode(self, state: int, u: int) -> int:
         m = bisect_right(self.tier_sums, u)
         # u < 2^k <= tier_sums[d_max] puts m <= d_max <= n and the rank below C(n, m)
-        return self.table._unrank(u - self._bases[m], m, self._n) ^ state
+        return self._unrank(u - self._bases[m], m, self._n, state)
 
     def _decode(self, state: int, x: int) -> int:
         d = x ^ state
         m = d.bit_count()
         if m > self.d_max:
             raise CorruptedWordError(f"differential weight {m} exceeds d_max={self.d_max}")
-        rank = self.table._rank(d)  # d < 2^n, the table's n_max
+        rank = self._rank(d, m)  # d < 2^n, the table's n_max
         u = self._bases[m] + rank
         if u >= self._size:
             raise CorruptedWordError(f"weight-{m} rank {rank} is outside the emitted codebook")
@@ -821,6 +815,9 @@ def make_codec(spec: CodecSpec) -> Codec:
     return _FAMILY_CODECS[spec.family](spec)
 
 
+_new = object.__new__  # encode/decode's result Words, built in their slots
+
+
 def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
     """Next bus word for info word u from the given state.
 
@@ -828,7 +825,7 @@ def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
     in range: no encode_int check. Every kernel then keeps its result below
     2^n, so the result Word is built in its slots, unchecked: uncoded returns
     u < 2^k = 2^n; DBI's u << 1 < 2^n, and its complement, stay on n lines;
-    ppm0 flips line u - 1 < 2^k - 1 = n; optimal's unrank sets lines below n;
+    ppm0 flips line u - 1 < 2^k - 1 = n; optimal's unrank toggles lines below n;
     coset leaders have n lines; and the XOR with a state below 2^n stays
     below 2^n.
     """
@@ -838,7 +835,7 @@ def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
         raise ValueError(f"state length {s.length} != n={n}")
     if u.length != codec._k:
         raise ValueError(f"info word length {u.length} != k={codec._k}")
-    x = object.__new__(Word)
+    x = _new(Word)
     _set_value(x, codec._encode(s.value, u.value))
     _set_length(x, n)
     return x
@@ -860,7 +857,7 @@ def decode(spec: CodecSpec, state: BusState, x: Word) -> Word:
         raise ValueError(f"state length {s.length} != n={n}")
     if x.length != n:
         raise ValueError(f"bus word length {x.length} != n={n}")
-    u = object.__new__(Word)
+    u = _new(Word)
     _set_value(u, codec._decode(s.value, x.value))
     _set_length(u, codec._k)
     return u

@@ -4,10 +4,13 @@ Pulse patterns on a bus are m-subsets of the n line indices, held as
 bitmask ints (bit s set for a pulse on line s). The rank of a subset
 (s_1 < ... < s_m) is C(s_1,1) + C(s_2,2) + ... + C(s_m,m), which enumerates
 all m-subsets of {0..n-1} in colexicographic order as the rank runs over
-0 .. C(n,m)-1. The table stores one column C(0..n_max, l) per
-pulse index l; unranking places each pulse with one binary search of the
-remainder in its column, the software form of a bank of parallel comparators
-against the stored coefficients followed by a priority select.
+0 .. C(n,m)-1 (Knuth, TAOCP Vol. 4A, 7.2.1.3). The table stores one column
+C(0..n_max, l) per pulse index l, and per pulse count m the run of columns
+m down to 2. Unranking places pulses m..2 with one binary search of the
+remainder in each column of the run, the software form of a bank of
+parallel comparators against the stored coefficients followed by a priority
+select; pulse 1 needs no search, since C(i, 1) = i puts it on line x, the
+remainder left.
 
 Conventions used across the package: bit i of a word is bus line i, line 0
 is the least significant bit, and printed words show line 0 rightmost.
@@ -16,32 +19,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import index
+from operator import add, index
 
 __all__ = [
-    "DEFAULT_CAPACITY",
-    "CapacityError",
     "Word",
     "BinomialTable",
 ]
-
-# Entries are exact Python integers; the explicit bound keeps the table an
-# honest stand-in for fixed-width coefficient storage (128-bit words cover
-# every C(n, m) with n <= 64 and far beyond).
-DEFAULT_CAPACITY = (1 << 128) - 1
-
-
-class CapacityError(OverflowError):
-    """A binomial coefficient exceeded the 128-bit storage capacity."""
-
-    def __init__(self, n: int, k: int, value: int, capacity: int):
-        self.n = n
-        self.k = k
-        self.value = value
-        self.capacity = capacity
-        super().__init__(
-            f"C({n},{k}) = {value} exceeds the table capacity {capacity}"
-        )
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -91,31 +74,28 @@ class BinomialTable:
 
     Column j lists C(i, j) for i = 0..n_max: zero below the diagonal, then
     strictly increasing, so it is sorted and a comparator bank can search it.
-    rank and unrank work on bitmask words (bit s set for a pulse on line s):
-    each takes index() of its arguments, as Word does, and checks them, then
-    runs its unchecked comparator-bank kernel _rank/_unrank. OptimalCodec calls
-    the kernels directly: its tier bisect and Codec's range check bound them.
+    The run of m pulses is columns m down to 2, built once per table. rank
+    and unrank work on bitmask words (bit s set for a pulse on line s): each
+    takes index() of its arguments, as Word does, and checks them, then runs
+    the one unchecked kernel _rank/_unrank. OptimalCodec binds the kernels
+    once and calls them per word: its tier bisect and Codec's range check
+    bound their arguments.
     """
 
-    __slots__ = ("n_max", "_cols")
+    __slots__ = ("n_max", "_cols", "_runs")
 
     def __init__(self, n_max: int):
         n_max = index(n_max)
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        rows: list[list[int]] = [[1] + [0] * n_max]  # zero-padded to n_max + 1
-        for i in range(1, n_max + 1):
-            prev = rows[i - 1]
-            row = [1]
-            for j in range(1, i):
-                v = prev[j - 1] + prev[j]
-                if v > DEFAULT_CAPACITY:
-                    raise CapacityError(i, j, v, DEFAULT_CAPACITY)
-                row.append(v)
-            row.append(1)
-            rows.append(row + [0] * (n_max - i))
-        self._cols = tuple(zip(*rows))
+        row = [1] + [0] * n_max  # row i is C(i, 0..n_max), zero-padded
+        rows = [row]
+        for _ in range(n_max):
+            row = [1, *map(add, row, row[1:])]  # Pascal's rule
+            rows.append(row)
+        cols = self._cols = tuple(zip(*rows))
+        self._runs = tuple(cols[m:1:-1] for m in range(n_max + 1))
 
     def binom(self, n: int, k: int) -> int:
         """C(n, k); zero when k > n, error when out of the table's range."""
@@ -130,7 +110,7 @@ class BinomialTable:
 
     def unrank(self, x: int, m: int, n: int) -> int:
         """Bitmask of the m-subset of {0..n-1} with colex rank x: the checks,
-        then _unrank."""
+        then _unrank onto the empty word."""
         x, m, n = index(x), index(m), index(n)
         if not 0 <= m <= n:
             raise ValueError(f"m={m} out of range 0..{n}")
@@ -139,22 +119,23 @@ class BinomialTable:
         size = self._cols[m][n]
         if not 0 <= x < size:
             raise ValueError(f"rank {x} out of range for C({n},{m})={size}")
-        return self._unrank(x, m, n)
+        return self._unrank(x, m, n, 0)
 
-    def _unrank(self, x: int, m: int, n: int) -> int:
-        """unrank's kernel, for 0 <= m <= n <= n_max and 0 <= x < C(n, m).
+    def _unrank(self, x: int, m: int, n: int, d: int) -> int:
+        """unrank's kernel, for 0 <= m <= n <= n_max and 0 <= x < C(n, m):
+        the word d with the m pulses toggled onto it.
 
-        For l = m down to 1, pulse l sits on the largest line i with
+        For l = m down to 2, pulse l sits on the largest line i with
         C(i, l) <= remainder: one bisect of column l, bounded by the line
-        of pulse l + 1, since the remainder is then below C(that line, l).
+        of pulse l + 1 (n holds it), since the remainder is then below
+        C(that line, l). Pulse 1 sits on the line the remainder names, as
+        C(i, 1) = i.
         """
-        d = 0
-        i = n
-        for col in self._cols[m:0:-1]:
-            i = bisect_right(col, x, 0, i) - 1
-            d |= 1 << i
-            x -= col[i]
-        return d
+        for col in self._runs[m]:
+            n = bisect_right(col, x, 0, n) - 1
+            d ^= 1 << n
+            x -= col[n]
+        return d ^ (1 << x) if m else d
 
     def rank(self, d: int) -> int:
         """Colex rank of the pulse pattern d among the subsets of its weight:
@@ -164,16 +145,14 @@ class BinomialTable:
             raise ValueError(
                 f"pulse pattern must be a nonnegative word of at most {self.n_max} lines"
             )
-        return self._rank(d)
+        return self._rank(d, d.bit_count())
 
-    def _rank(self, d: int) -> int:
-        """rank's kernel, for 0 <= d < 2^n_max."""
-        cols = self._cols
+    def _rank(self, d: int, m: int) -> int:
+        """rank's kernel, for 0 <= d < 2^n_max with m = popcount(d): pulses
+        m..2 read their columns, and pulse 1 adds its own line."""
         x = 0
-        l = d.bit_count()
-        while d:
+        for col in self._runs[m]:
             i = d.bit_length() - 1
-            x += cols[l][i]
-            l -= 1
+            x += col[i]
             d ^= 1 << i
-        return x
+        return x + d.bit_length() - 1 if m else 0

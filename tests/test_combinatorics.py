@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from buslab.combinatorics import DEFAULT_CAPACITY, BinomialTable, CapacityError, Word
+from buslab.combinatorics import BinomialTable, Word
 
 
 def colex_subsets(n, m):
@@ -41,16 +41,7 @@ class TestBinomialTable:
         table = BinomialTable(6)
         assert table.binom(3, 5) == 0
 
-    def test_capacity_error_names_entry(self):
-        BinomialTable(131)  # C(131,65) still fits 128 bits
-        with pytest.raises(CapacityError) as err:
-            BinomialTable(132)
-        # first Pascal sum past 2^128 - 1 is the central C(132,64)
-        assert (err.value.n, err.value.k, err.value.value) == (132, 64, math.comb(132, 64))
-        assert err.value.capacity == DEFAULT_CAPACITY == (1 << 128) - 1
-        assert "C(132,64)" in str(err.value)
-
-    def test_large_table_within_default_capacity(self):
+    def test_widest_table_holds_the_central_binomial(self):
         table = BinomialTable(64)
         assert table.binom(64, 32) == math.comb(64, 32)
 

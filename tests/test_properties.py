@@ -75,11 +75,13 @@ def ranked_subsets(draw):
 
 class TestRankOracle:
     @settings(max_examples=300, deadline=None)
-    @given(ranked_subsets())
-    def test_unrank_matches_colex_oracle(self, xmn):
+    @given(ranked_subsets(), st.integers(0, 2**64 - 1))
+    def test_unrank_matches_colex_oracle(self, xmn, start):
         x, m, n = xmn
-        expected = colex_unrank(x, m, n)
-        assert TABLE.unrank(x, m, n) == _mask(expected)
+        expected = _mask(colex_unrank(x, m, n))
+        assert TABLE.unrank(x, m, n) == expected
+        # the kernel toggles the pulses onto its start word
+        assert TABLE._unrank(x, m, n, start) == start ^ expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.sets(st.integers(0, 63), max_size=64))
@@ -100,6 +102,14 @@ class TestRankOracle:
             top = math.comb(n, m) - 1
             assert TABLE.unrank(0, m, n) == (1 << m) - 1
             assert TABLE.unrank(top, m, n) == ((1 << m) - 1) << (n - m)
+        # one pulse takes no search: it sits on the line its rank names
+        for x in range(n):
+            assert TABLE.unrank(x, 1, n) == _mask(colex_unrank(x, 1, n)) == 1 << x
+            assert TABLE.rank(1 << x) == colex_rank((x,)) == x
+        # no pulse: the empty pattern, rank 0, and a start word left as it is
+        assert TABLE.unrank(0, 0, n) == _mask(colex_unrank(0, 0, n)) == 0
+        assert TABLE.rank(0) == colex_rank(()) == 0
+        assert TABLE._unrank(0, 0, n, (1 << n) - 1) == (1 << n) - 1
 
     def test_rank_rejects_words_wider_than_the_table(self):
         table = BinomialTable(8)
@@ -108,6 +118,25 @@ class TestRankOracle:
             table.rank(1 << 8)
         with pytest.raises(ValueError):
             table.rank(-1)
+
+
+def test_optimal_64_0_tier_edges_against_the_oracle():
+    # the last word of each tier and the first of the next, from math.comb
+    # alone, through the Word path from a nonzero state
+    spec, state = optimal_spec(64, 0), BusState(Word(0xA5A5_5A5A_0F0F_F0F0, 64))
+    base = 0
+    for m in range(64):
+        top = base + math.comb(64, m)  # tier_sums[m]
+        edges = ((top - 1, m, top - 1 - base), (top, m + 1, 0))
+        for u, weight, rank in edges:
+            d = _mask(colex_unrank(rank, weight, 64))
+            x = encode(spec, state, Word(u, 64))
+            assert x.value ^ state.x_prev.value == d
+            assert decode(spec, state, x) == Word(u, 64)
+        base = top
+    x = encode(spec, state, Word(2**64 - 1, 64))
+    assert x.value == state.x_prev.value ^ (2**64 - 1)
+    assert decode(spec, state, x) == Word(2**64 - 1, 64)
 
 
 ROUNDTRIP_SPECS = (
