@@ -28,7 +28,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
 from operator import index
-from typing import Iterator
 
 import numpy as np
 
@@ -277,13 +276,15 @@ class _LineRows:
 
 
 class CosetLeaderTable:
-    """Minimum-weight representative (coset leader) of every syndrome's coset.
+    """Minimum-weight representative (coset leader) of every syndrome's coset,
+    the lowest integer among its patterns of least weight.
 
     leader(s) is syndrome s's leader as an int, and weights[s] its weight, a
-    uint8 (at most k <= 16 columns of H reach any syndrome). store[s] is
-    leader(s) without the method call, for scalar coset encode. The store is
-    chosen by the code's width n, because each works only on its own side,
-    and neither holds an n-bit int per syndrome:
+    uint8 (at most k <= 16 columns of H reach any syndrome); tier_counts()
+    counts the leaders of each weight. store[s] is leader(s) without the
+    method call, for scalar coset encode. The store is chosen by the code's
+    width n, because each works only on its own side, and neither holds an
+    n-bit int per syndrome:
     - n <= 64: one 64-bit word per syndrome, an array('Q'), so a leader is
       one lookup (a row read costs 0.4-0.5 us more);
     - n > 64: no word holds a leader, so each syndrome gets a row of its
@@ -314,85 +315,56 @@ def _check_table_cap(code: LinearCode) -> None:
         )
 
 
-def _leader_tiers(code: LinearCode) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(w, syndromes, lines) of new coset leaders of weight w >= 1, a few
-    thousand at a time: their syndromes, and a (count, w) matrix of their
-    lines, lowest line first.
-
-    Patterns go by weight, then by integer value, which for line tuples is
-    colexicographic order; the first pattern seen for each syndrome leads
-    it. The lines c1 < ... < c(w-1) above the lowest step through colex
-    order, and the lowest line then runs through every line below c1; the
-    syndrome, the XOR of the lines' columns, follows each step, so no
-    pattern is ever formed as an n-bit int.
-    """
-    cols, n = code.line_syndromes, code.length
-    seen = bytearray(1 << code.syndrome_bits)
-    seen[0] = 1  # the empty pattern leads the code itself
-    left = len(seen) - 1
-    for w in range(1, n + 1):
-        if not left:
-            return
-        found, flat = array("I"), array("I")
-        upper = [*range(1, w), n]  # c1 .. c(w-1), then n as a sentinel
-        s_upper = 0
-        for i in upper[:-1]:
-            s_upper ^= cols[i]
-        while True:
-            for c0 in range(upper[0]):
-                s = s_upper ^ cols[c0]
-                if not seen[s]:
-                    seen[s] = 1
-                    found.append(s)
-                    flat.append(c0)
-                    flat.extend(upper)
-                    left -= 1
-                    if not left:
-                        break
-            # the next upper lines: raise the lowest that can rise, reset those below it
-            j = 0
-            while j < w - 1 and upper[j] + 1 == upper[j + 1]:
-                j += 1
-            last = j == w - 1 or not left
-            # in chunks, so the build's peak stays near the table's own size
-            if len(found) >= 4096 or last and found:
-                lines = np.frombuffer(flat, "I").reshape(-1, w + 1)[:, :w]  # drop the sentinel
-                yield w, np.frombuffer(found, "I"), lines
-                found, flat = array("I"), array("I")
-            if last:
-                break
-            s_upper ^= cols[upper[j]] ^ cols[upper[j] + 1]
-            upper[j] += 1
-            for i in range(j):
-                s_upper ^= cols[upper[i]] ^ cols[i + 1]
-                upper[i] = i + 1
-
-
 def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
-    """Enumerate error patterns by weight, then by integer value, keeping the
-    first pattern seen for each syndrome; one enumeration fills either store,
-    through a numpy view of its array."""
+    """Leaders tier by tier, each the lowest pattern of its weight by integer
+    value, for the syndromes that no lighter pattern reaches.
+
+    Let P be the lowest weight-(w + 1) pattern of an unreached syndrome s,
+    and h its top line. P less h is the weight-w leader of s ^ (column h): a
+    lighter pattern there, with h toggled, would reach s in at most w lines,
+    and a lower weight-w one below h would, with h, undercut P. A tier kept
+    in integer order has sorted top lines, so the leaders below h are a
+    prefix of it, and the extensions for h = 0, 1, ... run in integer order:
+    the first to reach an unseen syndrome leads it. The loop cannot stall:
+    each line h of a syndrome's lowest pattern, of weight W, gives a leader
+    of weight W - 1 at s ^ (column h), so every tier up to W is nonempty.
+
+    A step holds a tier's candidates, up to n per leader below: 65,535 at most
+    for the stock codes. For n <= 64 it writes the tier's words into the
+    array('Q') store; past 64 lines the tiers keep their line indices for
+    rows as wide as the last tier's weight. uint32 holds any 16-bit syndrome.
+    """
     _check_table_cap(code)
     n, total = code.length, 1 << code.syndrome_bits
-    weights = np.zeros(total, np.uint8)
+    cols, lines = np.array(code.line_syndromes, np.uint32), np.arange(n)
+    weights = np.zeros(total, np.uint8)  # 0 until a tier reaches the syndrome
+    syn, tops, w = np.zeros(1, np.uint32), np.array([-1]), 0  # tier 0: the empty pattern
     if n <= _WORD_LINES:
         store = array("Q", [0]) * total
-        words = np.frombuffer(store, np.uint64)
-        for w, syndromes, lines in _leader_tiers(code):
-            weights[syndromes] = w
-            tier = np.zeros(syndromes.size, np.uint64)
-            for line in lines.T:
-                tier |= np.uint64(1) << line
-            words[syndromes] = tier
+        words, bits = np.frombuffer(store, np.uint64), np.uint64(1) << lines.astype(np.uint64)
+        tier = np.zeros(1, np.uint64)
     else:
-        tiers = list(_leader_tiers(code))  # the last weight is the rows' width
-        typecode = "H" if n <= 0xFFFF else "I"
-        width = tiers[-1][0] if tiers else 0
-        store = _LineRows(array(typecode, [n]) * (total * width), width, n)
-        rows = np.frombuffer(store.rows, typecode).reshape(total, width)
-        for w, syndromes, lines in tiers:
-            weights[syndromes] = w
-            rows[syndromes, :w] = lines
+        tier, tiers = np.zeros((1, 0), np.intp), []
+    while np.count_nonzero(weights) < total - 1:  # the empty pattern leads syndrome 0
+        w += 1
+        h, i = np.nonzero(tops < lines[:, None])  # h-major: candidates in integer order
+        s = syn[i] ^ cols[h]
+        found, first = np.unique(s, return_index=True)
+        new = np.zeros(s.size, bool)  # a mask keeps the candidates' order: no sort
+        new[first[(weights[found] == 0) & (found != 0)]] = True
+        syn, tops, i = s[new], h[new], i[new]
+        weights[syn] = w
+        if n <= _WORD_LINES:
+            tier = tier[i] | bits[tops]
+            words[syn] = tier
+        else:
+            tier = np.column_stack((tier[i], tops))
+            tiers.append((syn, tier))
+    if n > _WORD_LINES:
+        rows = np.full((total, w), n, np.uint16 if n <= 0xFFFF else np.uint32)
+        for syn, tier in tiers:
+            rows[syn, :tier.shape[1]] = tier
+        store = _LineRows(array(rows.dtype.char, rows.tobytes()), w, n)
     return CosetLeaderTable(code, store, weights)
 
 
@@ -518,8 +490,9 @@ class Codec:
 
     @staticmethod
     def exact_mean(spec: CodecSpec) -> Fraction:
-        """Exact mean lines toggled per word; the closed forms build no codec."""
-        raise NotImplementedError
+        """Exact mean lines toggled per word; the closed forms build no codec.
+        Here d_opt: optimal's, and ppm0's, whose n = 2^k - 1 puts it at d_min."""
+        return analytics.d_opt(spec.k, spec.b)
 
     def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
         """(clocks, comparisons, additions) of a trace of words info words
@@ -574,14 +547,6 @@ class _DifferentialCodec(Codec):
 
     def info_int(self, d: int) -> int:
         return self.decode_int(0, d)
-
-    @staticmethod
-    def exact_mean(spec: CodecSpec) -> Fraction:
-        """Mean step weight over all 2^k info words, from the codec's own
-        histogram: coset's exact mean, and the exhaustive check of ppm0's
-        and optimal's closed forms."""
-        hist = spec.codec.step_histogram(np.arange(1 << spec.k, dtype=spec.codec.word_dtype), 0)
-        return Fraction(int(hist @ np.arange(hist.size)), 1 << spec.k)
 
 
 class UncodedCodec(Codec):
@@ -657,10 +622,6 @@ class Ppm0Codec(_DifferentialCodec):
     def required_b(cls, k: int) -> int:
         return (1 << k) - 1 - k
 
-    @staticmethod
-    def exact_mean(spec: CodecSpec) -> Fraction:
-        return analytics.d_min(spec.k)
-
     def _encode(self, state: int, u: int) -> int:
         return state ^ (1 << (u - 1)) if u else state
 
@@ -704,10 +665,6 @@ class OptimalCodec(_DifferentialCodec):
         # the table's kernels, bound once: one call per word
         self._unrank, self._rank = table._unrank, table._rank
 
-    @staticmethod
-    def exact_mean(spec: CodecSpec) -> Fraction:
-        return analytics.d_opt(spec.k, spec.b)
-
     def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
         return analytics._modulator_counts(self._n, self.d_max, pulses, words)
 
@@ -750,6 +707,12 @@ class CosetCodec(_DifferentialCodec):
         if spec.n != code.length:
             raise ValueError(f"coset n={spec.n} != code length {code.length}")
         _check_table_cap(code)
+
+    @staticmethod
+    def exact_mean(spec: CodecSpec) -> Fraction:
+        # the leaders' mean weight: d_opt for every stock code, not for every code
+        tiers = spec.codec.leader_table.tier_counts()
+        return Fraction(sum(w * c for w, c in enumerate(tiers)), 1 << spec.k)
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)

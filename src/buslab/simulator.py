@@ -35,7 +35,7 @@ from operator import index
 
 import numpy as np
 
-from .codecs import _FAMILY_CODECS, Codec, CodecSpec, Family, _DifferentialCodec, make_codec
+from .codecs import _FAMILY_CODECS, Codec, CodecSpec, Family, make_codec
 
 __all__ = [
     "TraceConfig",
@@ -235,17 +235,17 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
 def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:
     """Exact mean transitions over uniform info words and uniform states.
 
-    For differential families the state cancels and the mean is taken over
-    info words alone, from the codec's step histogram of all 2^k of them.
-    For the uncoded bus and DBI every state has the same mean, the family's
+    For differential families the state cancels: the mean of the codec's step
+    histogram over all 2^k info words, the check of their exact_mean. The
+    uncoded bus and DBI have the same mean from every state, their family's
     exact_mean (see DbiCodec.exact_mean).
     """
     if spec.family in (Family.UNCODED, Family.DBI):
         return ExactAverageReport(spec, _FAMILY_CODECS[spec.family].exact_mean(spec))
     if spec.k > _EXHAUSTIVE_INFO_BITS:
         raise ValueError(f"k={spec.k} too large for exhaustive average")
-    # the exhaustive mean, even where the family has a closed form
-    return ExactAverageReport(spec, _DifferentialCodec.exact_mean(spec))
+    hist = spec.codec.step_histogram(np.arange(1 << spec.k, dtype=spec.codec.word_dtype), 0)
+    return ExactAverageReport(spec, Fraction(int(hist @ np.arange(hist.size)), 1 << spec.k))
 
 
 def convergence_check(

@@ -1,10 +1,15 @@
+import random
 import time
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
+from buslab import analytics
 from buslab.codecs import (
+    CosetCodec,
     LinearCode,
     _gf2_kernel_basis,
     _gf2_reduce,
@@ -16,6 +21,7 @@ from buslab.codecs import (
     make_repetition,
     min_distance,
 )
+from buslab.simulator import exact_average_distance
 
 
 def brute_force_leader_weight(code, syndrome):
@@ -27,6 +33,38 @@ def brute_force_leader_weight(code, syndrome):
             if best is None or w < best:
                 best = w
     return best
+
+
+def code_from_columns(name, cols, k):
+    """The code whose parity-check matrix has the given k-bit columns."""
+    rows = tuple(sum((c >> r & 1) << i for i, c in enumerate(cols)) for r in range(k))
+    return LinearCode(name, len(cols), len(cols) - k, 0, rows)
+
+
+def random_code(n, k, seed):
+    """k identity columns and n - k seeded random ones (repeats and zeros
+    included), shuffled: independent rows on any n lines."""
+    rng = random.Random(seed)
+    cols = [1 << r for r in range(k)] + [rng.getrandbits(k) for _ in range(n - k)]
+    rng.shuffle(cols)
+    return code_from_columns(f"random({n},{n - k};{seed})", cols, k)
+
+
+def shortened_hamming(n):
+    """The Hamming(4) columns 1, 2, 4, 8 first, then 3, 5, 6, 7, 9, ..., 15."""
+    cols = [1, 2, 4, 8] + [c for c in range(3, 16) if c & (c - 1)]
+    return code_from_columns(f"shortened-hamming({n})", cols[:n], 4)
+
+
+def optimal_tiers(k, n):
+    """Oracle: weights of the 2^k lightest n-tuples, C(n, m) per tier and the
+    remainder at the top, from math.comb alone."""
+    tiers, left = [], 1 << k
+    for m in range(n + 1):
+        tiers.append(min(comb(n, m), left))
+        left -= tiers[-1]
+        if not left:
+            return tuple(tiers)
 
 
 def hamming_rows_by_loop(m):
@@ -199,13 +237,16 @@ class TestCosetLeaderTable:
 
     @pytest.mark.parametrize(
         "code",
-        [make_repetition(17), make_golay23(), make_hamming(4), make_repetition(9), make_hamming(7)],
+        [make_repetition(17), make_golay23(), make_hamming(4), make_repetition(9), make_hamming(7),
+         random_code(14, 6, 1), random_code(24, 10, 2), random_code(40, 9, 3),
+         random_code(66, 10, 4), random_code(100, 8, 5), random_code(300, 7, 6)],
         ids=lambda c: c.name,
     )
     def test_leaders_match_a_per_pattern_syndrome_scan(self, code):
-        # reference for both stores (Hamming(7)'s 127 lines take rows): every
-        # pattern by weight, then by integer value, each syndrome computed
-        # from the parity rows
+        # reference for both stores (Hamming(7)'s 127 lines and the random
+        # codes past 64 lines take rows, random(66,56;4)'s up to 3 lines wide):
+        # every pattern by weight, then by integer value, each syndrome
+        # computed from the parity rows
         leaders = {}
         for w in range(code.length + 1):
             patterns = sorted(sum(1 << i for i in c) for c in combinations(range(code.length), w))
@@ -217,6 +258,27 @@ class TestCosetLeaderTable:
         table = build_coset_leader_table(code)
         assert [table.leader(s) for s in range(len(expected))] == expected
         assert table.weights.tolist() == [e.bit_count() for e in expected]
+
+    @pytest.mark.parametrize("code", STOCK_CODES, ids=lambda c: c.name)
+    def test_stock_tiers_are_the_optimal_tiers(self, code):
+        # perfect codes (Hamming, Golay, odd repetition) fill Hamming balls;
+        # even repetition is quasi-perfect, its top tier C(N, N/2)/2
+        tiers = build_coset_leader_table(code).tier_counts()
+        assert tiers == optimal_tiers(code.syndrome_bits, code.length)
+
+    @pytest.mark.parametrize("n", range(5, 16))
+    def test_shortened_hamming_tiers_are_optimal_from_8_lines(self, n):
+        # the law is the code's, not the family's: 5-7 lines miss it
+        tiers = build_coset_leader_table(shortened_hamming(n)).tier_counts()
+        expected = {5: (1, 5, 7, 3), 6: (1, 6, 7, 2), 7: (1, 7, 7, 1)}
+        assert tiers == expected.get(n, optimal_tiers(4, n))
+        assert (tiers == optimal_tiers(4, n)) == (n >= 8)
+
+    def test_shortened_hamming_mean_is_above_d_opt(self):
+        spec = coset_spec(shortened_hamming(5))
+        assert CosetCodec.exact_mean(spec) == exact_average_distance(spec).exact_mean
+        assert CosetCodec.exact_mean(spec) == Fraction(7, 4) > analytics.d_opt(4, 1)
+        assert analytics.d_opt(4, 1) == Fraction(25, 16)
 
     def test_tie_break_is_lowest_integer_in_tier(self):
         # repetition(6): syndrome 0b00111 has two weight-3 patterns,

@@ -16,7 +16,10 @@ from buslab.codecs import (
     _FAMILY_CODECS,
     Codec,
     CodecSpec,
+    DbiCodec,
     Family,
+    Ppm0Codec,
+    UncodedCodec,
     coset_spec,
     dbi_spec,
     make_codec,
@@ -113,9 +116,23 @@ def test_exact_mean_equals_the_exhaustive_average(spec):
             steps = sum((codec.encode_int(s, u) ^ s).bit_count() for u in range(1 << spec.k))
             assert Fraction(steps, 1 << spec.k) == mean, s
     else:
-        # for ppm0 and optimal this ties d_min and d_opt to the codec's own
-        # step histogram over all 2^k info words
+        # for ppm0 and optimal this ties d_min and d_opt, and for coset the
+        # leader table's tier counts, to the codec's own step histogram over
+        # all 2^k info words
         assert mean == exact_average_distance(spec).exact_mean
+
+
+def test_uncoded_dbi_and_ppm0_means_are_optimal_means():
+    # each of these codebooks is the 2^k lightest n-tuples at its own b:
+    # DBI's one-binomial mean and uncoded's k/2 against d_opt's tier sums,
+    # and ppm0's d_min = 1 - 2^-k, at b = 2^k - 1 - k
+    for k in range(1, 65):
+        assert UncodedCodec.exact_mean(uncoded_spec(k)) == analytics.d_opt(k, 0)
+    for k in range(1, 64):
+        assert DbiCodec.exact_mean(dbi_spec(k)) == analytics.d_opt(k, 1)
+    for k in range(1, 21):
+        assert Ppm0Codec.exact_mean(ppm0_spec(k)) == analytics.d_min(k)
+        assert analytics.d_min(k) == analytics.d_opt(k, (1 << k) - 1 - k)
 
 
 def test_closed_form_exact_means():
