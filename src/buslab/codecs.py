@@ -69,6 +69,7 @@ MAX_OPTIMAL_LINES = 64
 MAX_PPM0_INFO_BITS = 20
 MAX_SYNDROME_BITS = 16
 _WORD_LINES = 64  # the widest code whose coset leaders fit a 64-bit word
+_STEP_PAIRS = 1 << 14  # candidates per step of the coset leader build
 
 
 class CorruptedWordError(ValueError):
@@ -107,20 +108,9 @@ def _gf2_kernel_basis(rows: tuple[int, ...], width: int) -> list[int]:
     """Basis of {x : every row has even overlap with x}, rows as bitmasks:
     each free column's unique completion, read off the pivot rows."""
     reduced = _gf2_reduce(rows)
-    pivot_mask = 0
-    for pivot, _ in reduced:
-        pivot_mask |= pivot
-    basis = []
-    for c in range(width):
-        bit = 1 << c
-        if pivot_mask & bit:
-            continue
-        vec = bit
-        for pivot, row in reduced:
-            if row & bit:
-                vec |= pivot
-        basis.append(vec)
-    return basis
+    pivots = sum(p for p, _ in reduced)  # distinct bits: the sum is their OR
+    return [bit + sum(p for p, r in reduced if r & bit)
+            for bit in (1 << c for c in range(width)) if not pivots & bit]
 
 
 @dataclass(frozen=True)
@@ -329,39 +319,47 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
     each line h of a syndrome's lowest pattern, of weight W, gives a leader
     of weight W - 1 at s ^ (column h), so every tier up to W is nonempty.
 
-    A step holds a tier's candidates, up to n per leader below: 65,535 at most
-    for the stock codes. For n <= 64 it writes the tier's words into the
-    array('Q') store; past 64 lines the tiers keep their line indices for
-    rows as wide as the last tier's weight. uint32 holds any 16-bit syndrome.
+    A step takes the next _STEP_PAIRS (line, leader below it) pairs, about
+    1 MiB of arrays however wide the code, and the build ends at the step
+    that reaches the last syndrome. A tier's leaders are words for n <= 64,
+    else rows of line indices, as wide as the last tier's weight. uint32
+    holds any 16-bit syndrome.
     """
     _check_table_cap(code)
-    n, total = code.length, 1 << code.syndrome_bits
+    n, left = code.length, (1 << code.syndrome_bits) - 1  # the empty pattern leads 0
     cols, lines = np.array(code.line_syndromes, np.uint32), np.arange(n)
-    weights = np.zeros(total, np.uint8)  # 0 until a tier reaches the syndrome
-    syn, tops, w = np.zeros(1, np.uint32), np.array([-1]), 0  # tier 0: the empty pattern
+    weights = np.zeros(left + 1, np.uint8)  # 0 until a tier reaches the syndrome
+    syn, tops, w, tiers = np.zeros(1, np.uint32), np.array([-1]), 0, []  # tier 0: no lines
     if n <= _WORD_LINES:
-        store = array("Q", [0]) * total
-        words, bits = np.frombuffer(store, np.uint64), np.uint64(1) << lines.astype(np.uint64)
-        tier = np.zeros(1, np.uint64)
+        tier, bits = np.zeros(1, np.uint64), np.uint64(1) << lines.astype(np.uint64)
     else:
-        tier, tiers = np.zeros((1, 0), np.intp), []
-    while np.count_nonzero(weights) < total - 1:  # the empty pattern leads syndrome 0
+        tier = np.zeros((1, 0), np.uint16 if n <= 0xFFFF else np.uint32)
+    while left:
         w += 1
-        h, i = np.nonzero(tops < lines[:, None])  # h-major: candidates in integer order
-        s = syn[i] ^ cols[h]
-        found, first = np.unique(s, return_index=True)
-        new = np.zeros(s.size, bool)  # a mask keeps the candidates' order: no sort
-        new[first[(weights[found] == 0) & (found != 0)]] = True
-        syn, tops, i = s[new], h[new], i[new]
-        weights[syn] = w
-        if n <= _WORD_LINES:
-            tier = tier[i] | bits[tops]
-            words[syn] = tier
-        else:
-            tier = np.column_stack((tier[i], tops))
-            tiers.append((syn, tier))
-    if n > _WORD_LINES:
-        rows = np.full((total, w), n, np.uint16 if n <= 0xFFFF else np.uint32)
+        below = np.searchsorted(tops, lines)  # the leaders below line h, a prefix
+        ends, steps = np.cumsum(below), []  # pairs numbered h-major: integer order
+        for start in range(0, int(ends[-1]), _STEP_PAIRS):
+            j = np.arange(start, min(start + _STEP_PAIRS, ends[-1]))
+            h = np.searchsorted(ends, j, "right")  # pair j's line, i its leader
+            i = j - ends[h] + below[h]
+            s = syn[i] ^ cols[h]
+            found, first = np.unique(s, return_index=True)
+            new = np.zeros(s.size, bool)  # a mask keeps the pairs' order: no sort
+            new[first[(weights[found] == 0) & (found != 0)]] = True
+            s, h, i = s[new], h[new], i[new]
+            weights[s], left = w, left - s.size
+            steps.append((s, h, tier[i] | bits[h] if n <= _WORD_LINES
+                          else np.column_stack((tier[i], h.astype(tier.dtype)))))
+            if not left:
+                break
+        syn, tops, tier = (np.concatenate(a) for a in zip(*steps))
+        tiers.append((syn, tier))
+    if n <= _WORD_LINES:
+        store = array("Q", [0]) * weights.size
+        for syn, tier in tiers:
+            np.frombuffer(store, np.uint64)[syn] = tier
+    else:
+        rows = np.full((weights.size, w), n, tier.dtype)
         for syn, tier in tiers:
             rows[syn, :tier.shape[1]] = tier
         store = _LineRows(array(rows.dtype.char, rows.tobytes()), w, n)

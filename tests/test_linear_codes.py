@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -7,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from buslab import analytics
+from buslab import analytics, codecs
 from buslab.codecs import (
     CosetCodec,
     LinearCode,
@@ -285,6 +286,44 @@ class TestCosetLeaderTable:
         # 0b000111 and 0b111000; the smaller integer must win
         table = build_coset_leader_table(make_repetition(6))
         assert table.leader(0b00111) == 0b000111
+
+    @pytest.mark.parametrize("step", [1, 7, 100])
+    def test_step_size_leaves_every_leader(self, monkeypatch, step):
+        # a step ends anywhere in a tier's pairs, even inside one line's
+        # prefix of leaders, and the last step stops short of the tier's end
+        codes = [make_repetition(9), make_golay23(), random_code(24, 10, 2),
+                 random_code(100, 8, 5), random_code(300, 7, 6)]
+        expected = [build_coset_leader_table(code) for code in codes]
+        monkeypatch.setattr(codecs, "_STEP_PAIRS", step)
+        for code, want in zip(codes, expected):
+            got = build_coset_leader_table(code)
+            assert [got.leader(s) for s in range(want.weights.size)] == [
+                want.leader(s) for s in range(want.weights.size)
+            ]
+            assert got.weights.tolist() == want.weights.tolist()
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_wide_16_bit_code_builds_in_bounded_memory(self, n):
+        # 16 syndrome bits on many lines: the third tier has 3.7 million
+        # (line, leader) pairs at 300 lines and 43.8 million at 1,000. A 2-CPU
+        # x86 host took 0.1 s and peaked at 2.9 MiB (300 lines) and 2.2 MiB
+        # (1,000). The peak bound fails a build that holds a whole tier's
+        # pairs at once (134 MiB at 300 lines), the time bound one that runs
+        # on past the step reaching the last syndrome (6.3 s at 1,000 lines)
+        code = random_code(n, 16, 1)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            table = build_coset_leader_table(code)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        assert elapsed < 1.5
+        assert sum(table.tier_counts()) == 1 << 16 and table.max_weight == 3
+        for s in random.Random(n).sample(range(1 << 16), 200):
+            assert code.syndrome(table.leader(s)) == s
 
     @pytest.mark.parametrize(
         "code, typecode, width",

@@ -16,10 +16,7 @@ from buslab.codecs import (
     _FAMILY_CODECS,
     Codec,
     CodecSpec,
-    DbiCodec,
     Family,
-    Ppm0Codec,
-    UncodedCodec,
     coset_spec,
     dbi_spec,
     make_codec,
@@ -122,25 +119,21 @@ def test_exact_mean_equals_the_exhaustive_average(spec):
         assert mean == exact_average_distance(spec).exact_mean
 
 
-def test_uncoded_dbi_and_ppm0_means_are_optimal_means():
-    # each of these codebooks is the 2^k lightest n-tuples at its own b:
-    # DBI's one-binomial mean and uncoded's k/2 against d_opt's tier sums,
-    # and ppm0's d_min = 1 - 2^-k, at b = 2^k - 1 - k
-    for k in range(1, 65):
-        assert UncodedCodec.exact_mean(uncoded_spec(k)) == analytics.d_opt(k, 0)
-    for k in range(1, 64):
-        assert DbiCodec.exact_mean(dbi_spec(k)) == analytics.d_opt(k, 1)
-    for k in range(1, 21):
-        assert Ppm0Codec.exact_mean(ppm0_spec(k)) == analytics.d_min(k)
-        assert analytics.d_min(k) == analytics.d_opt(k, (1 << k) - 1 - k)
-
-
 def test_closed_form_exact_means():
+    # each codebook below is the 2^k lightest n-tuples at its own b, so its
+    # closed form is d_opt: ppm0's d_min = 1 - 2^-k at b = 2^k - 1 - k,
+    # uncoded's k/2 and DBI's one binomial
     assert _FAMILY_CODECS[Family.OPTIMAL_MPPM].exact_mean(optimal_spec(11, 12)) == (
         analytics.d_opt(11, 12)
     )
-    assert _FAMILY_CODECS[Family.PPM0].exact_mean(ppm0_spec(4)) == analytics.d_min(4)
-    assert _FAMILY_CODECS[Family.UNCODED].exact_mean(uncoded_spec(64)) == 32
+    ppm0, uncoded, dbi = (_FAMILY_CODECS[f] for f in (Family.PPM0, Family.UNCODED, Family.DBI))
+    for k in range(1, 21):
+        assert ppm0.exact_mean(ppm0_spec(k)) == analytics.d_min(k)
+    assert uncoded.exact_mean(uncoded_spec(64)) == 32
+    for k in range(1, 65):
+        assert uncoded.exact_mean(uncoded_spec(k)) == analytics.d_opt(k, 0)
+    for k in range(1, 64):
+        assert dbi.exact_mean(dbi_spec(k)) == analytics.d_opt(k, 1)
 
 
 def test_exact_mean_builds_no_codec():
