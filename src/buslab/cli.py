@@ -45,12 +45,8 @@ __all__ = ["main", "console_main"]
 _FAMILY_NAMES = [f.value for f in Family]
 
 
-def fmt_frac(x: Fraction) -> str:
-    return fmt_ratio(x.numerator, x.denominator)
-
-
 def fmt_ratio(p: int, q: int) -> str:
-    """p/q (q > 0) in lowest terms, as fmt_frac prints Fraction(p, q)."""
+    """p/q (q > 0) in lowest terms, as str(Fraction(p, q)) prints it."""
     g = math.gcd(p, q)
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
@@ -141,22 +137,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         head = f'{{\n  "k": {k},\n  "rows": [\n'
         line = (
             '    {\n      "b": %d,\n      "d_max": %d,\n'
-            '      "d_opt": "%d%s",\n      "d_opt_decimal": "%.9g",\n'
+            '      "d_opt": "%s",\n      "d_opt_decimal": "%.9g",\n'
             '      "saving": "%s",\n      "saving_decimal": "%.9g"\n    }%s\n'
         )
-        # num / 2^k in lowest terms, no gcd: the lowest set bit 2^t of num | 2^k
-        # gives t = min(trailing zeros of num, k), the shift and "/2^(k-t)"
-        shifts = {1 << t: (t, f"/{1 << (k - t)}") for t in range(k)}
-        shifts[need] = (k, "")
-
-        def json_rows() -> Iterator[tuple]:
-            for b, dm, num in rows:
-                t, over = shifts[(low := num | need) & -low]
-                saving = den - 2 * num
-                yield (b, dm, num >> t, over, num * scale,
-                       fmt_ratio(saving, den), saving / den, "," if b < b_max else "")
-
-        body = json_rows()
+        body = ((b, dm, fmt_ratio(num, need), num * scale, fmt_ratio(den - 2 * num, den),
+                 (den - 2 * num) / den, "," if b < b_max else "") for b, dm, num in rows)
         tail = (
             f'  ],\n  "ppm_bound": "{fmt_ratio(bound, den)}",\n'
             f'  "ppm_bound_decimal": "{bound / den:.9g}"\n}}\n'
@@ -203,14 +188,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "jobs": args.jobs,
             "mean_transitions": float(mean),
-            "mean_transitions_exact": fmt_frac(mean),
+            "mean_transitions_exact": str(mean),
             "total_transitions": stats.total_transitions,
             "weight_histogram": stats.weight_histogram,
             "clock_cycles": stats.clock_cycles_total,
             "baseline_clock_cycles": stats.baseline_clock_cycles,
             "comparisons": stats.comparisons_total,
             "additions": stats.additions_total,
-            "reference_mean": fmt_frac(reference),
+            "reference_mean": str(reference),
             "rel_deviation": deviation,
             "elapsed_s": round(elapsed, 3),
         }
@@ -220,9 +205,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"simulated {family} k={spec.k} b={spec.b} (n={spec.n}): "
         f"{args.length} words, seed {args.seed}"
     )
-    print(f"  mean transitions/word   {fmt_dec(mean)} ({fmt_frac(mean)})")
+    print(f"  mean transitions/word   {fmt_dec(mean)} ({mean})")
     print(
-        f"  closed-form reference   {fmt_dec(reference)} ({fmt_frac(reference)}), "
+        f"  closed-form reference   {fmt_dec(reference)} ({reference}), "
         f"deviation {deviation:.3%}"
     )
     if spec.family is Family.OPTIMAL_MPPM:

@@ -247,21 +247,21 @@ def min_distance(code: LinearCode) -> int:
     return best
 
 
-class _LineRows:
-    """Coset leaders as rows of line indices, read back as ints: row s holds
-    leader s's lines, as many as the heaviest leader has, padded with n."""
+class _TopLines:
+    """Coset leaders past 64 lines, read back as ints from each syndrome's top
+    line: leader(s) is line tops[s] plus the leader of s ^ (its column)."""
 
-    __slots__ = ("rows", "width", "n")
+    __slots__ = ("tops", "cols")
 
-    def __init__(self, rows: array, width: int, n: int):
-        self.rows, self.width, self.n = rows, width, n
+    def __init__(self, tops: array, cols: tuple[int, ...]):
+        self.tops, self.cols = tops, cols
 
     def __getitem__(self, s: int) -> int:
         e = 0
-        for i in self.rows[s * self.width:(s + 1) * self.width]:
-            if i == self.n:  # the padding after the last line
-                break
-            e |= 1 << i
+        while s:  # one step per line of the leader, as coset decode takes
+            t = self.tops[s]
+            e |= 1 << t
+            s ^= self.cols[t]
         return e
 
 
@@ -273,18 +273,17 @@ class CosetLeaderTable:
     uint8 (at most k <= 16 columns of H reach any syndrome); tier_counts()
     counts the leaders of each weight. store[s] is leader(s) without the
     method call, for scalar coset encode. The store is chosen by the code's
-    width n, because each works only on its own side, and neither holds an
-    n-bit int per syndrome:
+    width n, and neither holds an n-bit int per syndrome:
     - n <= 64: one 64-bit word per syndrome, an array('Q'), so a leader is
-      one lookup (a row read costs 0.4-0.5 us more);
-    - n > 64: no word holds a leader, so each syndrome gets a row of its
-      leader's line indices, as wide as the heaviest leader (the covering
-      radius) and padded with n: an array('H'), or 'I' past 65,535 lines,
-      whose rows store[s] ORs as shifts. Hamming(16)'s rows take 128 KiB.
+      one lookup;
+    - n > 64: no word holds a leader, so each syndrome keeps only its
+      leader's top line, an array('H'), or 'I' past 65,535 lines, and
+      store[s] walks the top lines down to syndrome 0, one step per line.
+      Hamming(16)'s top lines take 128 KiB.
     """
 
-    def __init__(self, code: LinearCode, store: array | _LineRows, weights: np.ndarray):
-        self.code, self.store, self.weights = code, store, weights
+    def __init__(self, store: array | _TopLines, weights: np.ndarray):
+        self.store, self.weights = store, weights
 
     def leader(self, s: int) -> int:
         return self.store[s]
@@ -321,19 +320,20 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
 
     A step takes the next _STEP_PAIRS (line, leader below it) pairs, about
     1 MiB of arrays however wide the code, and the build ends at the step
-    that reaches the last syndrome. A tier's leaders are words for n <= 64,
-    else rows of line indices, as wide as the last tier's weight. uint32
-    holds any 16-bit syndrome.
+    that reaches the last syndrome. Each step stores its leaders at once,
+    from the previous tier's, already stored: a word, the one below it with
+    line h set, for n <= 64, else the top line h alone. Only the previous
+    tier's syndromes and top lines are carried. uint32 holds any 16-bit
+    syndrome.
     """
     _check_table_cap(code)
     n, left = code.length, (1 << code.syndrome_bits) - 1  # the empty pattern leads 0
     cols, lines = np.array(code.line_syndromes, np.uint32), np.arange(n)
     weights = np.zeros(left + 1, np.uint8)  # 0 until a tier reaches the syndrome
-    syn, tops, w, tiers = np.zeros(1, np.uint32), np.array([-1]), 0, []  # tier 0: no lines
-    if n <= _WORD_LINES:
-        tier, bits = np.zeros(1, np.uint64), np.uint64(1) << lines.astype(np.uint64)
-    else:
-        tier = np.zeros((1, 0), np.uint16 if n <= 0xFFFF else np.uint32)
+    syn, tops, w = np.zeros(1, np.uint32), np.array([-1]), 0  # tier 0: no lines
+    store = array("Q" if n <= _WORD_LINES else "H" if n <= 0xFFFF else "I", [0]) * (left + 1)
+    view = np.frombuffer(store, store.typecode)  # each step writes its leaders here
+    bits = np.uint64(1) << lines[:_WORD_LINES].astype(np.uint64)  # read for n <= 64 only
     while left:
         w += 1
         below = np.searchsorted(tops, lines)  # the leaders below line h, a prefix
@@ -348,22 +348,13 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
             new[first[(weights[found] == 0) & (found != 0)]] = True
             s, h, i = s[new], h[new], i[new]
             weights[s], left = w, left - s.size
-            steps.append((s, h, tier[i] | bits[h] if n <= _WORD_LINES
-                          else np.column_stack((tier[i], h.astype(tier.dtype)))))
+            view[s] = view[syn[i]] | bits[h] if n <= _WORD_LINES else h
+            steps.append((s, h))
             if not left:
                 break
-        syn, tops, tier = (np.concatenate(a) for a in zip(*steps))
-        tiers.append((syn, tier))
-    if n <= _WORD_LINES:
-        store = array("Q", [0]) * weights.size
-        for syn, tier in tiers:
-            np.frombuffer(store, np.uint64)[syn] = tier
-    else:
-        rows = np.full((weights.size, w), n, tier.dtype)
-        for syn, tier in tiers:
-            rows[syn, :tier.shape[1]] = tier
-        store = _LineRows(array(rows.dtype.char, rows.tobytes()), w, n)
-    return CosetLeaderTable(code, store, weights)
+        syn, tops = (np.concatenate(a) for a in zip(*steps))
+    leaders = store if n <= _WORD_LINES else _TopLines(store, code.line_syndromes)
+    return CosetLeaderTable(leaders, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_analyze_json_matches_the_closed_forms(capsys):
             ("encoding_cost", analytics.encoding_cost(k, b)),
             ("d_min", analytics.d_min(k)),
         ):
-            assert got[key] == cli.fmt_frac(want), (k, b, key)
+            assert got[key] == str(want), (k, b, key)
             assert got[f"{key}_decimal"] == cli.fmt_dec(want), (k, b, key)
 
 

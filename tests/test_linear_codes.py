@@ -245,7 +245,8 @@ class TestCosetLeaderTable:
     )
     def test_leaders_match_a_per_pattern_syndrome_scan(self, code):
         # reference for both stores (Hamming(7)'s 127 lines and the random
-        # codes past 64 lines take rows, random(66,56;4)'s up to 3 lines wide):
+        # codes past 64 lines take top lines, random(66,56;4)'s leaders up to
+        # 3 lines, so up to 3 steps of the walk):
         # every pattern by weight, then by integer value, each syndrome
         # computed from the parity rows
         leaders = {}
@@ -306,7 +307,7 @@ class TestCosetLeaderTable:
     def test_wide_16_bit_code_builds_in_bounded_memory(self, n):
         # 16 syndrome bits on many lines: the third tier has 3.7 million
         # (line, leader) pairs at 300 lines and 43.8 million at 1,000. A 2-CPU
-        # x86 host took 0.1 s and peaked at 2.9 MiB (300 lines) and 2.2 MiB
+        # x86 host took 0.1 s and peaked at 2.0 MiB (300 lines) and 2.1 MiB
         # (1,000). The peak bound fails a build that holds a whole tier's
         # pairs at once (134 MiB at 300 lines), the time bound one that runs
         # on past the step reaching the last syndrome (6.3 s at 1,000 lines)
@@ -326,22 +327,32 @@ class TestCosetLeaderTable:
             assert code.syndrome(table.leader(s)) == s
 
     @pytest.mark.parametrize(
-        "code, typecode, width",
-        [(make_golay23(), "Q", 1), (make_repetition(17), "Q", 1), (make_hamming(6), "Q", 1),
-         (make_hamming(7), "H", 1), (make_hamming(16), "H", 1)],
+        "code, typecode",
+        [(make_golay23(), "Q"), (make_repetition(17), "Q"), (make_hamming(6), "Q"),
+         (make_hamming(7), "H"), (random_code(66, 10, 4), "H"), (make_hamming(16), "H")],
         ids=lambda v: getattr(v, "name", v),
     )
-    def test_store_is_words_up_to_64_lines_then_rows(self, code, typecode, width):
-        # one 64-bit word per syndrome, or a covering-radius row of line
-        # indices padded with n: Hamming(16)'s 65,536 rows take 128 KiB
+    def test_store_is_words_up_to_64_lines_then_top_lines(self, code, typecode):
+        # one entry per syndrome, however heavy its leader: a 64-bit word, or
+        # the leader's top line. random(66,56;4)'s leaders reach 3 lines, and
+        # its store still has 1,024 entries; Hamming(16)'s take 128 KiB
         table = build_coset_leader_table(code)
         total = 1 << code.syndrome_bits
-        store = table.store.rows if typecode == "H" else table.store
-        assert (store.typecode, len(store)) == (typecode, total * width)
+        store = table.store.tops if typecode == "H" else table.store
+        assert (store.typecode, len(store)) == (typecode, total)
         assert table.weights.dtype == np.uint8 and table.weights.size == total
         if typecode == "H":
-            assert store[0] == code.length  # syndrome 0: all padding
-            assert table.leader(total - 1) == 1 << (code.length - 1)
+            for s in (1, total // 2, total - 1):
+                assert store[s] == table.leader(s).bit_length() - 1
+
+    def test_store_past_65535_lines_is_uint32(self):
+        # parity checks on the top 4 of 70,000 lines: syndrome s's only
+        # leader is s on lines 69,996..69,999, whose indices pass any uint16
+        code = LinearCode("tail", 70000, 69996, 0, tuple(1 << (69996 + r) for r in range(4)))
+        table = build_coset_leader_table(code)
+        assert (table.store.tops.typecode, len(table.store.tops)) == ("I", 16)
+        assert [table.leader(s) for s in range(16)] == [s << 69996 for s in range(16)]
+        assert table.tier_counts() == (1, 4, 6, 4, 1)
 
     def test_syndrome_width_cap(self):
         with pytest.raises(ValueError):

@@ -514,8 +514,8 @@ class TestBudgets:
 
 class TestCosetBudgets:
     # Hamming k = 16 is the widest stock coset (65,535 lines). A 2-CPU x86
-    # host measured 0.02-0.03 s for the cold run below, and a tracemalloc
-    # peak of 6.8 MiB; while each leader was an n-bit int, 0.9-1.2 s and
+    # host measured 0.01-0.02 s for the cold run below, and a tracemalloc
+    # peak of 6.3 MiB; while each leader was an n-bit int, 0.9-1.2 s and
     # 280 MiB, and with a row-wise syndrome per line and n/8 byte tables of
     # 256 ints, 6.7-8.7 s.
     def test_cold_hamming_coset_at_the_syndrome_cap(self):
@@ -545,7 +545,7 @@ class TestCosetBudgets:
 
     def test_cold_repetition_leader_build_memory(self):
         # repetition(17) has the most tiers of any stock code, 8, the last of
-        # C(17, 8) = 24,310 leaders: the same host peaked at 2.3 MiB
+        # C(17, 8) = 24,310 leaders: the same host peaked at 1.8 MiB
         code = make_repetition(17)  # fresh, so its columns of H are built here too
         tracemalloc.start()
         try:
