@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb
 from operator import index
 
 import numpy as np
@@ -480,7 +479,11 @@ class Codec:
     @staticmethod
     def exact_mean(spec: CodecSpec) -> Fraction:
         """Exact mean lines toggled per word; the closed forms build no codec.
-        Here d_opt: optimal's, and ppm0's, whose n = 2^k - 1 puts it at d_min."""
+        Here d_opt, the mean weight of the 2^k lightest n-tuples: optimal's;
+        ppm0's, at d_min as n = 2^k - 1; DBI's, as its steps from any state
+        weigh as the leaders of the repetition(n) code's cosets, a perfect
+        code for odd n and quasi-perfect for even n (MacWilliams & Sloane,
+        ch. 6). Uncoded keeps k/2 = d_opt(k, 0), sparing k binomials."""
         return analytics.d_opt(spec.k, spec.b)
 
     def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
@@ -565,19 +568,6 @@ class DbiCodec(Codec):
     """
 
     fixed_b = 1
-
-    @staticmethod
-    def exact_mean(spec: CodecSpec) -> Fraction:
-        """(n 2^(n-1) - n C(n-1, floor(n/2))) / 2^n, one binomial.
-
-        From state s the plain candidates (u << 1) ^ s run over one coset of
-        their XOR subgroup; complementing every line swaps the two cosets and
-        keeps the cost min(w, n - w) = n/2 - |w - n/2|. So every state's mean
-        is that cost over all n-bit words, and de Moivre's mean absolute
-        deviation of the binomial, sum C(n, w) |w - n/2| = n C(n-1, floor(n/2)),
-        closes it."""
-        n = spec.n
-        return Fraction((n << (n - 1)) - n * comb(n - 1, n // 2), 1 << n)
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)

@@ -1,4 +1,4 @@
-"""Monte Carlo traces and exhaustive averages.
+"""Monte Carlo traces and exact averages.
 
 Traces drive a codec with uniform random info words from the all-zero bus
 state and count line transitions per step. Each shard draws its words in
@@ -19,11 +19,9 @@ part order and shards in shard order before the counters, trace_counters
 included, are built once, so every count is the serial run's whatever the
 CPU count.
 
-Exact averages are sums, not traces: a differential family's step histogram
-over all 2^k info words (k <= 20), or, for the uncoded bus and DBI at every
-supported width, their family's exact_mean, one binomial (k/2 uncoded,
-DBI's mean of min(w, n - w) over the n-bit words in de Moivre's closed
-form); every bus state has that same mean.
+An exact average runs no trace: it is the family's exact_mean, a closed form
+or, for coset, the leader table's tiers, which the tests and `verify optimal`
+check against enumerations of the codec's steps.
 """
 from __future__ import annotations
 
@@ -35,7 +33,7 @@ from operator import index
 
 import numpy as np
 
-from .codecs import _FAMILY_CODECS, Codec, CodecSpec, Family, make_codec
+from .codecs import _FAMILY_CODECS, Codec, CodecSpec, make_codec
 
 __all__ = [
     "TraceConfig",
@@ -55,7 +53,6 @@ _MIN_PART_CHUNKS = 4
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = None
 _pool_lock = threading.Lock()
-_EXHAUSTIVE_INFO_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -233,19 +230,10 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
 
 
 def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:
-    """Exact mean transitions over uniform info words and uniform states.
-
-    For differential families the state cancels: the mean of the codec's step
-    histogram over all 2^k info words, the check of their exact_mean. The
-    uncoded bus and DBI have the same mean from every state, their family's
-    exact_mean (see DbiCodec.exact_mean).
-    """
-    if spec.family in (Family.UNCODED, Family.DBI):
-        return ExactAverageReport(spec, _FAMILY_CODECS[spec.family].exact_mean(spec))
-    if spec.k > _EXHAUSTIVE_INFO_BITS:
-        raise ValueError(f"k={spec.k} too large for exhaustive average")
-    hist = spec.codec.step_histogram(np.arange(1 << spec.k, dtype=spec.codec.word_dtype), 0)
-    return ExactAverageReport(spec, Fraction(int(hist @ np.arange(hist.size)), 1 << spec.k))
+    """Exact mean transitions over uniform info words and uniform states, at
+    every supported width: the family's exact_mean (see Codec.exact_mean),
+    which every bus state shares."""
+    return ExactAverageReport(spec, _FAMILY_CODECS[spec.family].exact_mean(spec))
 
 
 def convergence_check(

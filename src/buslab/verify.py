@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from . import analytics
 from .codecs import (
     CodecSpec,
@@ -135,6 +137,12 @@ def check_coset() -> CheckResult:
     return CheckResult("coset", True, "; ".join(details))
 
 
+def _enumerated_mean(spec: CodecSpec) -> Fraction:
+    """A differential codec's mean step weight over all 2^k info words."""
+    hist = spec.codec.step_histogram(np.arange(1 << spec.k, dtype=np.uint64), 0)
+    return Fraction(int(hist @ np.arange(hist.size)), 1 << spec.k)
+
+
 def _greedy_weights(k: int, n: int) -> tuple[int, int]:
     """(d_max, 2^k * mean weight) of the 2^k lowest-weight n-tuples, by
     sorting all weights."""
@@ -143,24 +151,26 @@ def _greedy_weights(k: int, n: int) -> tuple[int, int]:
 
 
 def check_optimal_weight_law() -> CheckResult:
-    """Codec mean weight == closed form == greedy enumeration == sweep row, on
-    the grid k <= OPTIMAL_MAX_K, b <= OPTIMAL_MAX_B, n <= OPTIMAL_MAX_N."""
+    """Closed form == codec steps == exact_average_distance == greedy sort ==
+    sweep row, on the grid k <= OPTIMAL_MAX_K, b <= OPTIMAL_MAX_B, n <= OPTIMAL_MAX_N."""
     cells = 0
     for k in range(1, OPTIMAL_MAX_K + 1):
         for b, row in zip(range(OPTIMAL_MAX_B + 1), analytics.sweep(k, OPTIMAL_MAX_B)):
             n = k + b
             if n > OPTIMAL_MAX_N:
                 break
+            spec = optimal_spec(k, b)
             closed = analytics.d_opt(k, b)
-            codec_mean = exact_average_distance(optimal_spec(k, b)).exact_mean
+            codec_mean = _enumerated_mean(spec)
+            public = exact_average_distance(spec).exact_mean
             dm, total = _greedy_weights(k, n)
             greedy = Fraction(total, 1 << k)
-            if not (closed == codec_mean == greedy and row == (b, dm, total)):
+            if not (closed == codec_mean == public == greedy and row == (b, dm, total)):
                 return CheckResult(
                     "optimal",
                     False,
-                    f"k={k} b={b}: closed {closed}, codec {codec_mean}, greedy {greedy} "
-                    f"(d_max {dm}), sweep row {row}",
+                    f"k={k} b={b}: closed {closed}, codec {codec_mean}, public {public}, "
+                    f"greedy {greedy} (d_max {dm}), sweep row {row}",
                 )
             cells += 1
     return CheckResult("optimal", True, f"weight law exact on {cells} (k, b) cells")

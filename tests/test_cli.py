@@ -240,7 +240,7 @@ class TestSimulate:
         "k, has_reference", [(12, True), (13, True), (14, True), (15, True), (16, True), (63, True)]
     )
     def test_dbi_reference_up_to_the_exhaustive_cap(self, capsys, k, has_reference):
-        # the (n + 1)-term binomial sum needs no cap
+        # DBI's d_opt(k, 1) needs no cap
         code, out, _ = run_cli(capsys, "simulate", "dbi", "--k", str(k), "--length", "1000")
         assert code == 0
         assert ("closed-form reference" in out) == has_reference

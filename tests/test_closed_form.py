@@ -142,8 +142,11 @@ def test_sweep_d_max_falls_many_tiers_in_one_step():
 
 @pytest.mark.parametrize("k", range(1, 64))
 def test_dbi_mean_is_one_binomial(k):
+    # the inherited d_opt(k, 1) against the (n + 1)-term sum and de Moivre's
+    # one-binomial form of it, n C(n-1, floor(n/2)) less than n 2^(n-1)
     n = k + 1
-    terms = sum(comb(n, w) * min(w, n - w) for w in range(n + 1))  # the (n + 1)-term oracle
+    terms = sum(comb(n, w) * min(w, n - w) for w in range(n + 1))
+    assert terms == (n << (n - 1)) - n * comb(n - 1, n // 2)
     assert DbiCodec.exact_mean(dbi_spec(k)) == Fraction(terms, 1 << n)
 
 

@@ -157,6 +157,15 @@ class TestDecodeExamples:
         with pytest.raises(CorruptedWordError):
             codec.info_int(0b11)
 
+    def test_dbi_accepts_a_word_it_could_not_have_sent(self):
+        # only optimal and ppm0 detect corruption: DBI reads line 0 and needs
+        # no state, so each u decodes from both of its n-bit forms
+        codec = make_codec(dbi_spec(4))
+        sent = {codec.encode_int(0, u) for u in range(16)}
+        assert codec.encode_int(0, 15) == 0b00001 and 0b11110 not in sent
+        assert codec.decode_int(0, 0b11110) == 15
+        assert sorted(codec.decode_int(0, x) for x in range(32)) == sorted(2 * [*range(16)])
+
 
 class TestRoundTrip:
     SPECS = [

@@ -323,8 +323,8 @@ def test_dbi_step_equals_the_repetition_coset_step(data):
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_dbi_exact_average_equals_the_repetition_coset(k):
-    # the binomial sum against the differential step kernel, up to the
-    # coset table's 16-bit syndrome cap
+    # DBI's d_opt(k, 1) against the repetition coset's leader tiers, up to
+    # the coset table's 16-bit syndrome cap
     dbi = exact_average_distance(dbi_spec(k))
     rep = exact_average_distance(coset_spec(make_repetition(k + 1)))
     assert dbi.exact_mean == rep.exact_mean

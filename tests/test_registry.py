@@ -27,7 +27,7 @@ from buslab.codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from buslab.simulator import exact_average_distance
+from buslab.verify import _enumerated_mean
 
 FAMILIES = list(Family)
 STOCK_COSETS = [make_repetition(9), make_hamming(4), make_golay23()]
@@ -104,9 +104,8 @@ EXHAUSTIVE = (
 def test_exact_mean_equals_the_exhaustive_average(spec):
     mean = _FAMILY_CODECS[spec.family].exact_mean(spec)
     if spec.family in (Family.UNCODED, Family.DBI):
-        # exact_average_distance returns this very exact_mean, so count the
-        # steps of encode_int instead: from every state for n <= 8, else from
-        # three seeded ones, as every state has the same mean
+        # count the steps of encode_int: from every state for n <= 8, else
+        # from three seeded ones, as every state has the same mean
         codec, n = spec.codec, spec.n
         states = range(1 << n) if n <= 8 else [random.Random(n).getrandbits(n) for _ in range(3)]
         for s in states:
@@ -115,14 +114,15 @@ def test_exact_mean_equals_the_exhaustive_average(spec):
     else:
         # for ppm0 and optimal this ties d_min and d_opt, and for coset the
         # leader table's tier counts, to the codec's own step histogram over
-        # all 2^k info words
-        assert mean == exact_average_distance(spec).exact_mean
+        # all 2^k info words, the enumeration `verify optimal` runs
+        assert mean == _enumerated_mean(spec)
 
 
 def test_closed_form_exact_means():
     # each codebook below is the 2^k lightest n-tuples at its own b, so its
-    # closed form is d_opt: ppm0's d_min = 1 - 2^-k at b = 2^k - 1 - k,
-    # uncoded's k/2 and DBI's one binomial
+    # closed form is d_opt: ppm0's d_min = 1 - 2^-k at b = 2^k - 1 - k and
+    # uncoded's k/2; DBI inherits d_opt itself (test_closed_form.py ties it
+    # to de Moivre's one-binomial form)
     assert _FAMILY_CODECS[Family.OPTIMAL_MPPM].exact_mean(optimal_spec(11, 12)) == (
         analytics.d_opt(11, 12)
     )
@@ -132,8 +132,7 @@ def test_closed_form_exact_means():
     assert uncoded.exact_mean(uncoded_spec(64)) == 32
     for k in range(1, 65):
         assert uncoded.exact_mean(uncoded_spec(k)) == analytics.d_opt(k, 0)
-    for k in range(1, 64):
-        assert dbi.exact_mean(dbi_spec(k)) == analytics.d_opt(k, 1)
+    assert dbi.exact_mean is Codec.exact_mean
 
 
 def test_exact_mean_builds_no_codec():

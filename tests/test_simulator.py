@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 from buslab import analytics, simulator
 from buslab.cli import main
 from buslab.codecs import (
-    DbiCodec,
     UncodedCodec,
     build_coset_leader_table,
     coset_spec,
@@ -334,15 +334,27 @@ class TestExactAverage:
                 total = sum((codec.encode_int(s, u) ^ s).bit_count() for u in range(1 << spec.k))
                 assert Fraction(total, 1 << spec.k) == mean, (spec.family, s)
 
-    def test_size_caps(self):
-        # only the exhaustive sum over the 2^k info words is capped
-        with pytest.raises(ValueError, match="k=21 too large for exhaustive average"):
-            exact_average_distance(optimal_spec(21, 0))
-
     def test_uncoded_and_dbi_cover_every_supported_width(self):
         assert exact_average_distance(uncoded_spec(64)).exact_mean == 32
-        spec = dbi_spec(63)
-        assert exact_average_distance(spec).exact_mean == DbiCodec.exact_mean(spec)
+        # the (n + 1)-term oracle: DBI steps min(w, n - w) lines over the n-bit words
+        n = 64
+        terms = sum(comb(n, w) * min(w, n - w) for w in range(n + 1))
+        assert exact_average_distance(dbi_spec(63)).exact_mean == Fraction(terms, 1 << n)
+
+    def test_differential_families_past_k_20(self):
+        # wider than any enumeration of the 2^k info words: the closed forms
+        # and the leader table's tiers have no k cap
+        hamming = coset_spec(make_hamming(16))
+        assert hamming.codec.leader_table.tier_counts() == (1, 65535)
+        *_, (_, _, total) = analytics.sweep(24, 16)
+        for spec, mean in (
+            (optimal_spec(64, 0), 32),
+            (optimal_spec(24, 16), analytics.d_opt(24, 16)),
+            (optimal_spec(24, 16), Fraction(total, 1 << 24)),
+            (ppm0_spec(20), analytics.d_min(20)),
+            (hamming, Fraction(65535, 65536)),
+        ):
+            assert exact_average_distance(spec).exact_mean == mean, spec
 
 
 class TestClockModel:
@@ -606,8 +618,9 @@ class TestClosedFormBudgets:
     # sweep (0.12-0.20 s updating the whole column of partial sums per row,
     # 0.33-0.41 s rebuilding it per row, 2.3 s with a Fraction sum per row),
     # 0.005-0.011 s for k = 64 (0.008-0.014 s, 0.02 s, 0.18-0.24 s), and
-    # 4-40 us for each exact average (1.0 s and 0.22 s with a loop over the
-    # states, 30-100 us while it also built a tuple of 2^n per-state means).
+    # 4-40 us for each closed-form exact average (1.0 s and 0.22 s with a
+    # loop over the states, 30-100 us while it also built a tuple of 2^n
+    # per-state means) and 0.27 ms for Hamming(16)'s tier counts.
     # Each sweep row now costs O(1) integer steps at any k.
     def _best_of_3(self, fn):
         best = float("inf")
@@ -661,8 +674,11 @@ class TestClosedFormBudgets:
 
     @pytest.mark.parametrize(
         "spec",
-        [uncoded_spec(14), uncoded_spec(64), dbi_spec(12), dbi_spec(14), dbi_spec(63)],
-        ids=["uncoded-14", "uncoded-64", "dbi-12", "dbi-14", "dbi-63"],
+        [uncoded_spec(14), uncoded_spec(64), dbi_spec(12), dbi_spec(14), dbi_spec(63),
+         optimal_spec(64, 0), optimal_spec(24, 16), ppm0_spec(20), coset_spec(make_hamming(16))],
+        ids=["uncoded-14", "uncoded-64", "dbi-12", "dbi-14", "dbi-63",
+             "optimal-64-0", "optimal-24-16", "ppm0-20", "coset-hamming-16"],
     )
     def test_state_dependent_exact_average(self, spec):
+        spec.codec  # built before the clock: a coset's mean reads its leader table
         assert self._best_of_3(lambda: exact_average_distance(spec)) < 0.005
