@@ -8,7 +8,6 @@ differentially. The stock constructions cover three interesting corners.
 from fractions import Fraction
 
 from buslab import (
-    build_coset_leader_table,
     coset_spec,
     dbi_spec,
     exact_average_distance,
@@ -20,13 +19,14 @@ from buslab import (
 )
 
 for code in (make_repetition(5), make_hamming(4), make_golay23()):
-    table = build_coset_leader_table(code)
-    mean = Fraction(sum(table.leader(s).bit_count() for s in range(table.weights.size)),
-                    table.weights.size)
+    codec = coset_spec(code).codec
+    size = 1 << code.syndrome_bits
+    mean = Fraction(sum(codec.differential_int(s).bit_count() for s in range(size)), size)
+    tiers = codec.tier_counts()
     print(f"{code.name}: {code.length} lines, {code.syndrome_bits} info bits")
     print(f"  min distance     : {min_distance(code)}")
-    print(f"  leader tiers     : {'/'.join(map(str, table.tier_counts()))}")
-    print(f"  max leader weight: {table.max_weight}")
+    print(f"  leader tiers     : {'/'.join(map(str, tiers))}")
+    print(f"  max leader weight: {len(tiers) - 1}")
     print(f"  mean transitions : {mean} = {float(mean):.6f}")
     print()
 

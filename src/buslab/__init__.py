@@ -18,10 +18,8 @@ from .codecs import (
     Codec,
     CodecSpec,
     CorruptedWordError,
-    CosetLeaderTable,
     Family,
     LinearCode,
-    build_coset_leader_table,
     coset_spec,
     coset_spec_for,
     dbi_spec,

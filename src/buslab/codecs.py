@@ -39,7 +39,6 @@ __all__ = [
     "CorruptedWordError",
     "Family",
     "LinearCode",
-    "CosetLeaderTable",
     "CodecSpec",
     "BusState",
     "Codec",
@@ -61,7 +60,6 @@ __all__ = [
     "make_hamming",
     "make_golay23",
     "min_distance",
-    "build_coset_leader_table",
 ]
 
 MAX_OPTIMAL_LINES = 64
@@ -264,46 +262,7 @@ class _TopLines:
         return e
 
 
-class CosetLeaderTable:
-    """Minimum-weight representative (coset leader) of every syndrome's coset,
-    the lowest integer among its patterns of least weight.
-
-    leader(s) is syndrome s's leader as an int, and weights[s] its weight, a
-    uint8 (at most k <= 16 columns of H reach any syndrome); tier_counts()
-    counts the leaders of each weight. store[s] is leader(s) without the
-    method call, for scalar coset encode. The store is chosen by the code's
-    width n, and neither holds an n-bit int per syndrome:
-    - n <= 64: one 64-bit word per syndrome, an array('Q'), so a leader is
-      one lookup;
-    - n > 64: no word holds a leader, so each syndrome keeps only its
-      leader's top line, an array('H'), or 'I' past 65,535 lines, and
-      store[s] walks the top lines down to syndrome 0, one step per line.
-      Hamming(16)'s top lines take 128 KiB.
-    """
-
-    def __init__(self, store: array | _TopLines, weights: np.ndarray):
-        self.store, self.weights = store, weights
-
-    def leader(self, s: int) -> int:
-        return self.store[s]
-
-    @property
-    def max_weight(self) -> int:
-        return int(self.weights.max())
-
-    def tier_counts(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.weights).tolist())
-
-
-def _check_table_cap(code: LinearCode) -> None:
-    bits = code.syndrome_bits
-    if bits > MAX_SYNDROME_BITS:
-        raise ValueError(
-            f"{code.name}: {bits} syndrome bits exceed the {MAX_SYNDROME_BITS}-bit table cap"
-        )
-
-
-def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
+def _build_coset_leaders(code: LinearCode) -> tuple[array | _TopLines, np.ndarray]:
     """Leaders tier by tier, each the lowest pattern of its weight by integer
     value, for the syndromes that no lighter pattern reaches.
 
@@ -323,9 +282,8 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
     from the previous tier's, already stored: a word, the one below it with
     line h set, for n <= 64, else the top line h alone. Only the previous
     tier's syndromes and top lines are carried. uint32 holds any 16-bit
-    syndrome.
+    syndrome. Returns the leaders, in CosetCodec's store, and their weights.
     """
-    _check_table_cap(code)
     n, left = code.length, (1 << code.syndrome_bits) - 1  # the empty pattern leads 0
     cols, lines = np.array(code.line_syndromes, np.uint32), np.arange(n)
     weights = np.zeros(left + 1, np.uint8)  # 0 until a tier reaches the syndrome
@@ -352,8 +310,7 @@ def build_coset_leader_table(code: LinearCode) -> CosetLeaderTable:
             if not left:
                 break
         syn, tops = (np.concatenate(a) for a in zip(*steps))
-    leaders = store if n <= _WORD_LINES else _TopLines(store, code.line_syndromes)
-    return CosetLeaderTable(leaders, weights)
+    return (store if n <= _WORD_LINES else _TopLines(store, code.line_syndromes)), weights
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +453,6 @@ class Codec:
         self._k = spec.k
         self._n = spec.n
         self._size = 1 << spec.k
-        self.word_dtype = np.uint32 if spec.k <= 32 else np.uint64  # of trace chunks
 
     # the one range check, in O(1): the state and x against n, then u against k;
     # index() first, so a numpy scalar is a Python int and a float a TypeError
@@ -522,8 +478,9 @@ class Codec:
         raise NotImplementedError
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        """int64 counts of a chunk of word_dtype info words' steps by lines
-        toggled, one entry per weight up to the family's heaviest step.
+        """int64 counts of a chunk of info words' steps by lines toggled, one
+        entry per weight up to the family's heaviest step. A trace's chunks
+        are uint32 for k <= 32, else uint64, as simulator._draw makes them.
 
         prev is the info word sent just before the chunk (0 at trace start,
         where the bus is all-zero); differential families ignore it.
@@ -676,7 +633,21 @@ class OptimalCodec(_DifferentialCodec):
 
 
 class CosetCodec(_DifferentialCodec):
-    """Differential is the coset leader whose syndrome is the info word."""
+    """Differential is the coset leader whose syndrome is the info word: the
+    minimum-weight pattern of the syndrome's coset, the lowest integer among
+    its patterns of least weight.
+
+    differential_int(u) reads leader u, and weights[u] is its weight, a uint8
+    (at most k <= 16 columns of H reach any syndrome); tier_counts() counts
+    the leaders of each weight. The store is chosen by the code's width n,
+    and neither holds an n-bit int per syndrome:
+    - n <= 64: one 64-bit word per syndrome, an array('Q'), so a leader is
+      one lookup;
+    - n > 64: no word holds a leader, so each syndrome keeps only its
+      leader's top line, an array('H'), or 'I' past 65,535 lines, and a
+      read walks the top lines down to syndrome 0, one step per line.
+      Hamming(16)'s top lines take 128 KiB.
+    """
 
     @classmethod
     def check(cls, spec: CodecSpec) -> None:
@@ -685,21 +656,25 @@ class CosetCodec(_DifferentialCodec):
             raise ValueError(f"coset k={spec.k} != syndrome bits {code.syndrome_bits}")
         if spec.n != code.length:
             raise ValueError(f"coset n={spec.n} != code length {code.length}")
-        _check_table_cap(code)
+        if spec.k > MAX_SYNDROME_BITS:
+            raise ValueError(
+                f"{code.name}: {spec.k} syndrome bits exceed the {MAX_SYNDROME_BITS}-bit table cap"
+            )
 
     @staticmethod
     def exact_mean(spec: CodecSpec) -> Fraction:
         # the leaders' mean weight: d_opt for every stock code, not for every code
-        tiers = spec.codec.leader_table.tier_counts()
+        tiers = spec.codec.tier_counts()
         return Fraction(sum(w * c for w, c in enumerate(tiers)), 1 << spec.k)
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        self.code = code = spec.code
-        self.leader_table = table = build_coset_leader_table(code)
-        self._leaders, self._weights = table.store, table.weights
-        self._heaviest = table.max_weight
-        self._lines = code.line_syndromes
+        self._leaders, self.weights = _build_coset_leaders(spec.code)
+        self._heaviest = int(self.weights.max())
+        self._lines = spec.code.line_syndromes
+
+    def tier_counts(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.weights).tolist())
 
     def _encode(self, state: int, u: int) -> int:
         return self._leaders[u] ^ state
@@ -718,7 +693,7 @@ class CosetCodec(_DifferentialCodec):
         # a word toggles at least j lines iff its leader weighs >= j: count, then
         # diff (np.take: fancy indexing is 3x slower; _xor_histogram's paired
         # weights took Golay 184 -> 377 us, Hamming(15) 197 -> 433 us per 2^17 words)
-        w = np.take(self._weights, us)
+        w = np.take(self.weights, us)
         at_least = (np.count_nonzero(w >= j) for j in range(1, self._heaviest + 1))
         return -np.diff([us.size, *at_least, 0])
 

@@ -20,8 +20,8 @@ included, are built once, so every count is the serial run's whatever the
 CPU count.
 
 An exact average runs no trace: it is the family's exact_mean, a closed form
-or, for coset, the leader table's tiers, which the tests and `verify optimal`
-check against enumerations of the codec's steps.
+or, for coset, the mean of CosetCodec.tier_counts(), which the tests and
+`verify optimal` check against enumerations of the codec's steps.
 """
 from __future__ import annotations
 

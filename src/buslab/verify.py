@@ -119,19 +119,15 @@ def check_coset() -> CheckResult:
         (make_repetition(5), 2, (1, 5, 10)),
     ):
         codec = make_codec(coset_spec(code))
-        table = codec.leader_table
-        if table.max_weight > max_w:
-            return CheckResult(
-                "coset", False, f"{code.name}: leader weight {table.max_weight} > {max_w}"
-            )
-        if table.tier_counts() != tiers:
-            return CheckResult(
-                "coset", False, f"{code.name}: tiers {table.tier_counts()}, want {tiers}"
-            )
+        heaviest, got = int(codec.weights.max()), codec.tier_counts()
+        if heaviest > max_w:
+            return CheckResult("coset", False, f"{code.name}: leader weight {heaviest} > {max_w}")
+        if got != tiers:
+            return CheckResult("coset", False, f"{code.name}: tiers {got}, want {tiers}")
         if list(code.line_syndromes) != [code.syndrome(1 << i) for i in range(code.length)]:
             return CheckResult("coset", False, f"{code.name}: columns of H != H*line")
         for s in range(1 << code.syndrome_bits):
-            if code.syndrome(table.leader(s)) != s:
+            if code.syndrome(codec.differential_int(s)) != s:
                 return CheckResult("coset", False, f"{code.name}: H*leader({s}) != {s}")
         details.append(f"{code.name} tiers {'/'.join(map(str, tiers))}")
     return CheckResult("coset", True, "; ".join(details))

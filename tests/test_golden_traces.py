@@ -69,7 +69,7 @@ def _heaviest_step(spec):
         return 1
     if family == "optimal":
         return d_max(spec.k, spec.b)
-    return make_codec(spec).leader_table.max_weight
+    return int(make_codec(spec).weights.max())
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from buslab.codecs import (
     LinearCode,
     _gf2_kernel_basis,
     _gf2_reduce,
-    build_coset_leader_table,
     coset_spec,
     make_codec,
     make_golay23,
@@ -205,36 +204,36 @@ class TestLinearCodeValidation:
             min_distance(make_hamming(5))  # dimension 26
 
 
-class TestCosetLeaderTable:
+class TestCosetLeaders:
     def test_zero_syndrome_has_zero_leader(self):
         for code in (make_repetition(5), make_hamming(3), make_golay23()):
-            table = build_coset_leader_table(code)
-            assert table.leader(0) == 0 and table.weights[0] == 0
+            codec = coset_spec(code).codec
+            assert codec.differential_int(0) == 0 and codec.weights[0] == 0
 
     def test_hamming_15_11_leader_tiers(self):
-        table = build_coset_leader_table(make_hamming(4))
-        assert table.max_weight == 1
-        assert table.tier_counts() == (1, 15)
+        codec = coset_spec(make_hamming(4)).codec
+        assert codec._heaviest == 1
+        assert codec.tier_counts() == (1, 15)
 
     def test_golay_leader_tiers(self):
-        table = build_coset_leader_table(make_golay23())
-        assert table.max_weight == 3
-        assert table.tier_counts() == (1, 23, 253, 1771)
+        codec = coset_spec(make_golay23()).codec
+        assert codec._heaviest == 3
+        assert codec.tier_counts() == (1, 23, 253, 1771)
 
     @pytest.mark.parametrize(
         "code", [make_repetition(5), make_repetition(6), make_hamming(3)], ids=lambda c: c.name
     )
     def test_leaders_are_minimum_weight(self, code):
-        table = build_coset_leader_table(code)
+        codec = coset_spec(code).codec
         for s in range(1 << code.syndrome_bits):
-            assert code.syndrome(table.leader(s)) == s
-            assert table.leader(s).bit_count() == brute_force_leader_weight(code, s)
+            assert code.syndrome(codec.differential_int(s)) == s
+            assert codec.differential_int(s).bit_count() == brute_force_leader_weight(code, s)
 
     def test_leaders_satisfy_syndrome_identity(self):
         code = make_golay23()
-        table = build_coset_leader_table(code)
+        codec = coset_spec(code).codec
         for s in range(1 << code.syndrome_bits):
-            assert code.syndrome(table.leader(s)) == s
+            assert code.syndrome(codec.differential_int(s)) == s
 
     @pytest.mark.parametrize(
         "code",
@@ -257,21 +256,21 @@ class TestCosetLeaderTable:
             if len(leaders) == 1 << code.syndrome_bits:
                 break
         expected = [leaders[s] for s in range(1 << code.syndrome_bits)]
-        table = build_coset_leader_table(code)
-        assert [table.leader(s) for s in range(len(expected))] == expected
-        assert table.weights.tolist() == [e.bit_count() for e in expected]
+        codec = coset_spec(code).codec
+        assert [codec.differential_int(s) for s in range(len(expected))] == expected
+        assert codec.weights.tolist() == [e.bit_count() for e in expected]
 
     @pytest.mark.parametrize("code", STOCK_CODES, ids=lambda c: c.name)
     def test_stock_tiers_are_the_optimal_tiers(self, code):
         # perfect codes (Hamming, Golay, odd repetition) fill Hamming balls;
         # even repetition is quasi-perfect, its top tier C(N, N/2)/2
-        tiers = build_coset_leader_table(code).tier_counts()
+        tiers = coset_spec(code).codec.tier_counts()
         assert tiers == optimal_tiers(code.syndrome_bits, code.length)
 
     @pytest.mark.parametrize("n", range(5, 16))
     def test_shortened_hamming_tiers_are_optimal_from_8_lines(self, n):
         # the law is the code's, not the family's: 5-7 lines miss it
-        tiers = build_coset_leader_table(shortened_hamming(n)).tier_counts()
+        tiers = coset_spec(shortened_hamming(n)).codec.tier_counts()
         expected = {5: (1, 5, 7, 3), 6: (1, 6, 7, 2), 7: (1, 7, 7, 1)}
         assert tiers == expected.get(n, optimal_tiers(4, n))
         assert (tiers == optimal_tiers(4, n)) == (n >= 8)
@@ -285,23 +284,24 @@ class TestCosetLeaderTable:
     def test_tie_break_is_lowest_integer_in_tier(self):
         # repetition(6): syndrome 0b00111 has two weight-3 patterns,
         # 0b000111 and 0b111000; the smaller integer must win
-        table = build_coset_leader_table(make_repetition(6))
-        assert table.leader(0b00111) == 0b000111
+        codec = coset_spec(make_repetition(6)).codec
+        assert codec.differential_int(0b00111) == 0b000111
 
     @pytest.mark.parametrize("step", [1, 7, 100])
     def test_step_size_leaves_every_leader(self, monkeypatch, step):
         # a step ends anywhere in a tier's pairs, even inside one line's
-        # prefix of leaders, and the last step stops short of the tier's end
+        # prefix of leaders, and the last step stops short of the tier's end;
+        # fresh builds, as make_codec's cache would serve the unpatched ones
+        def build(code):
+            leaders, weights = codecs._build_coset_leaders(code)
+            return [leaders[s] for s in range(weights.size)], weights.tolist()
+
         codes = [make_repetition(9), make_golay23(), random_code(24, 10, 2),
                  random_code(100, 8, 5), random_code(300, 7, 6)]
-        expected = [build_coset_leader_table(code) for code in codes]
+        expected = [build(code) for code in codes]
         monkeypatch.setattr(codecs, "_STEP_PAIRS", step)
         for code, want in zip(codes, expected):
-            got = build_coset_leader_table(code)
-            assert [got.leader(s) for s in range(want.weights.size)] == [
-                want.leader(s) for s in range(want.weights.size)
-            ]
-            assert got.weights.tolist() == want.weights.tolist()
+            assert build(code) == want
 
     @pytest.mark.parametrize("n", [300, 1000])
     def test_wide_16_bit_code_builds_in_bounded_memory(self, n):
@@ -315,16 +315,16 @@ class TestCosetLeaderTable:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            table = build_coset_leader_table(code)
+            leaders, weights = codecs._build_coset_leaders(code)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
         assert elapsed < 1.5
-        assert sum(table.tier_counts()) == 1 << 16 and table.max_weight == 3
+        assert weights.size == 1 << 16 and int(weights.max()) == 3
         for s in random.Random(n).sample(range(1 << 16), 200):
-            assert code.syndrome(table.leader(s)) == s
+            assert code.syndrome(leaders[s]) == s
 
     @pytest.mark.parametrize(
         "code, typecode",
@@ -336,27 +336,23 @@ class TestCosetLeaderTable:
         # one entry per syndrome, however heavy its leader: a 64-bit word, or
         # the leader's top line. random(66,56;4)'s leaders reach 3 lines, and
         # its store still has 1,024 entries; Hamming(16)'s take 128 KiB
-        table = build_coset_leader_table(code)
+        codec = coset_spec(code).codec
         total = 1 << code.syndrome_bits
-        store = table.store.tops if typecode == "H" else table.store
+        store = codec._leaders.tops if typecode == "H" else codec._leaders
         assert (store.typecode, len(store)) == (typecode, total)
-        assert table.weights.dtype == np.uint8 and table.weights.size == total
+        assert codec.weights.dtype == np.uint8 and codec.weights.size == total
         if typecode == "H":
             for s in (1, total // 2, total - 1):
-                assert store[s] == table.leader(s).bit_length() - 1
+                assert store[s] == codec.differential_int(s).bit_length() - 1
 
     def test_store_past_65535_lines_is_uint32(self):
         # parity checks on the top 4 of 70,000 lines: syndrome s's only
         # leader is s on lines 69,996..69,999, whose indices pass any uint16
         code = LinearCode("tail", 70000, 69996, 0, tuple(1 << (69996 + r) for r in range(4)))
-        table = build_coset_leader_table(code)
-        assert (table.store.tops.typecode, len(table.store.tops)) == ("I", 16)
-        assert [table.leader(s) for s in range(16)] == [s << 69996 for s in range(16)]
-        assert table.tier_counts() == (1, 4, 6, 4, 1)
-
-    def test_syndrome_width_cap(self):
-        with pytest.raises(ValueError):
-            build_coset_leader_table(make_repetition(18))
+        codec = coset_spec(code).codec
+        assert (codec._leaders.tops.typecode, len(codec._leaders.tops)) == ("I", 16)
+        assert [codec.differential_int(s) for s in range(16)] == [s << 69996 for s in range(16)]
+        assert codec.tier_counts() == (1, 4, 6, 4, 1)
 
     def test_coset_spec_past_the_cap_fails_before_any_build(self):
         code = make_repetition(18)

@@ -368,7 +368,7 @@ def test_column_syndrome_equals_the_row_oracle_on_sampled_words(hamming16, code,
         with pytest.raises(ValueError, match=rf"bus value outside \[0, 2\^{n}\)"):
             codec.info_int(d)
     # a Hamming(16) leader sent from a random state on all 65,535 lines
-    state = rnd.getrandbits(hamming16.code.length)
+    state = rnd.getrandbits(hamming16.spec.code.length)
     u = rnd.getrandbits(16)
     x = hamming16.encode_int(state, u)
-    assert hamming16.decode_int(state, x) == hamming16.code.syndrome(x ^ state) == u
+    assert hamming16.decode_int(state, x) == hamming16.spec.code.syndrome(x ^ state) == u

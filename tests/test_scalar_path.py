@@ -143,10 +143,11 @@ def test_length_errors_keep_their_texts(i):
     assert _message(decode, spec, wide, Word.zero(n - 1)).startswith("state length")
 
 
-@pytest.mark.parametrize("i", range(6), ids=IDS)
+@pytest.mark.parametrize("i", range(7), ids=[*IDS, "coset-7-120"])
 @pytest.mark.parametrize("u", [-1, "size"])
 def test_info_value_range_error_keeps_its_text(i, u):
-    codec = make_codec(_specs()[i])
+    # Hamming(7)'s 127 lines keep top lines, the other cosets 64-bit words
+    codec = make_codec([*_specs(), coset_spec(make_hamming(7))][i])
     k = codec.spec.k
     u = 1 << k if u == "size" else u
     assert _message(codec.encode_int, 0, u) == f"info value {u} out of range for k={k}"

@@ -12,11 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buslab import analytics, simulator
+from buslab import analytics, codecs, simulator
 from buslab.cli import main
 from buslab.codecs import (
     UncodedCodec,
-    build_coset_leader_table,
     coset_spec,
     dbi_spec,
     make_codec,
@@ -343,9 +342,9 @@ class TestExactAverage:
 
     def test_differential_families_past_k_20(self):
         # wider than any enumeration of the 2^k info words: the closed forms
-        # and the leader table's tiers have no k cap
+        # and the coset leaders' tiers have no k cap
         hamming = coset_spec(make_hamming(16))
-        assert hamming.codec.leader_table.tier_counts() == (1, 65535)
+        assert hamming.codec.tier_counts() == (1, 65535)
         *_, (_, _, total) = analytics.sweep(24, 16)
         for spec, mean in (
             (optimal_spec(64, 0), 32),
@@ -561,11 +560,11 @@ class TestCosetBudgets:
         code = make_repetition(17)  # fresh, so its columns of H are built here too
         tracemalloc.start()
         try:
-            table = build_coset_leader_table(code)
+            _, weights = codecs._build_coset_leaders(code)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.max_weight == 8
+        assert int(weights.max()) == 8
         assert peak < 4 * 2**20
 
 

@@ -28,6 +28,7 @@ from buslab.codecs import (
     ppm0_spec,
     uncoded_spec,
 )
+from buslab.simulator import _draw
 
 SMALL_DIFFERENTIAL = (
     [optimal_spec(k, b) for k in range(1, 9) for b in range(0, 13 - k)]
@@ -54,9 +55,15 @@ def _label(spec):
     return f"{spec.family.value}-{spec.k}-{spec.b}"
 
 
+@cache
+def _word_dtype(k):
+    """The dtype of the chunks a trace draws and feeds step_histogram."""
+    return _draw(np.random.PCG64(0), k, 1).dtype
+
+
 def _words(values, codec):
     """The chunk a trace draws: uint32 words for k <= 32, uint64 above."""
-    return np.array(values, dtype=codec.word_dtype)
+    return np.array(values, dtype=_word_dtype(codec.spec.k))
 
 
 @cache
@@ -74,8 +81,8 @@ def _heaviest(spec):
         while sum(comb(n, i) for i in range(m + 1)) < 1 << k:
             m += 1
         return m
-    table = make_codec(spec).leader_table
-    return max(table.leader(s).bit_count() for s in range(1 << spec.k))
+    codec = make_codec(spec)
+    return max(codec.differential_int(s).bit_count() for s in range(1 << spec.k))
 
 
 def _counts(weights, spec):
@@ -234,7 +241,7 @@ def test_both_word_dtypes_at_the_32_bit_edge(spec):
     # is past 2^32 - 1, the largest uint32 word
     k = spec.k
     codec = make_codec(spec)
-    assert codec.word_dtype is (np.uint32 if k <= 32 else np.uint64)
+    assert _word_dtype(k) == (np.uint32 if k <= 32 else np.uint64)
     top = (1 << k) - 1
     us = [top, 0, top, 1 << (k - 1), top >> 1, 0x5555_5555_5555_5555 & top, top, 1]
     if spec.family.value == "optimal":
