@@ -60,7 +60,7 @@ except CorruptedWordError as err:
 # a small bus with a partial top tier: k=3 on 4 lines keeps only the first
 # three weight-2 patterns, so the other three decode as corrupted
 small = make_codec(optimal_spec(3, 1))
-kept = [Word(small.table.unrank(r, 2, 4), 4) for r in range(3)]
+kept = [Word(table.unrank(r, 2, 4), 4) for r in range(3)]
 print("kept weight-2 patterns    :", [str(w) for w in kept])
 try:
     small.info_int(0b1100)

@@ -2,15 +2,15 @@
 
 All families share one contract: given the previous bus word and the current
 info word, produce the next bus word; decoding inverts it. The differential
-families (optimal, ppm0, coset) map the info word to a low-weight
-differential d and transmit x = d XOR x_prev, so each step toggles exactly
-weight(d) lines. Each family's _encode/_decode is its whole kernel, the XOR
-with the state included. Codec.encode_int/decode_int hold the state and x to
-[0, 2^n) and u to [0, 2^k) once for every family, then call it;
-buslab.encode/decode call it directly, as a Word of the right length is in
-range. Each codec class also carries its family's facts (required_b, caps,
-exact_mean, trace_counters, step_histogram), found through the one registry
-_FAMILY_CODECS.
+families (optimal, coset, and ppm0: optimal at d_max = 1) map the info word
+to a low-weight differential d and transmit x = d XOR x_prev, so each step
+toggles exactly weight(d) lines. Each codec's _encode/_decode is its whole
+kernel, the XOR with the state included. Codec.encode_int/decode_int hold
+the state and x to [0, 2^n) and u to [0, 2^k) once for every family, then
+call it; buslab.encode/decode call it directly, as a Word of the right
+length is in range. Each codec class also carries its family's facts
+(required_b, caps, exact_mean, trace_counters, step_histogram), found
+through the one registry _FAMILY_CODECS.
 
 Layout conventions: bit i = bus line i, line 0 = LSB. The DBI indicator
 occupies line 0, with the data word on lines 1..k, so the transmitted word
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import comb
 from operator import index
 
 import numpy as np
@@ -548,35 +549,6 @@ class DbiCodec(Codec):
         return h[:n // 2 + 1]
 
 
-class Ppm0Codec(_DifferentialCodec):
-    """Single pulse positioned by the info value, plus the all-zero word."""
-
-    max_lines = None
-    max_k = MAX_PPM0_INFO_BITS
-
-    @classmethod
-    def required_b(cls, k: int) -> int:
-        return (1 << k) - 1 - k
-
-    def _encode(self, state: int, u: int) -> int:
-        return state ^ (1 << (u - 1)) if u else state
-
-    def _decode(self, state: int, x: int) -> int:
-        d = x ^ state
-        if d == 0:
-            return 0
-        # a power-of-two test, not a popcount, because at k = 20 d has 2^20 bits
-        if d != 1 << (d.bit_length() - 1):
-            raise CorruptedWordError(
-                f"ppm0 differential must have weight <= 1, got weight {d.bit_count()}"
-            )
-        return d.bit_length()
-
-    def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        c = np.count_nonzero(us)
-        return np.array([us.size - c, c], dtype=np.int64)
-
-
 class OptimalCodec(_DifferentialCodec):
     """Differential codebook of the 2^k lowest-weight n-tuples.
 
@@ -584,35 +556,38 @@ class OptimalCodec(_DifferentialCodec):
     exceeding u) and the colex rank u minus the previous tier sum within
     that tier. Within the top tier only the first 2^k - (tier sum below)
     patterns in rank order are ever emitted; the decoder rejects anything
-    past that bound as corrupted. Encoding toggles the tier's rank straight
-    onto the bus state with the table's unrank kernel, and decoding ranks the
-    differential with its rank kernel, both bound once per codec; nothing is
-    kept per info word.
+    past that bound as corrupted. One kernel pair is bound per codec, from
+    d_max, and nothing is kept per info word. For d_max >= 2 a binomial
+    table's unrank kernel toggles the tier's rank onto the bus state, and
+    its rank kernel decodes. At d_max = 1 the codebook is 0 and the pulses
+    1 << (u - 1), no table is built, and decode tests for a power of two,
+    not a popcount, as d may span 2^20 - 1 lines (ppm0 at k = 20).
     """
 
     def __init__(self, spec: CodecSpec):
         super().__init__(spec)
-        n = self._n
-        self.table = table = BinomialTable(n)
         self.d_max = analytics.d_max(spec.k, spec.b)
-        self.tier_sums = tuple(accumulate(table.binom(n, m) for m in range(self.d_max + 1)))
+        self.tier_sums = tuple(accumulate(comb(spec.n, m) for m in range(self.d_max + 1)))
         # _bases[m] is the first info value of the weight-m tier
         self._bases = (0, *self.tier_sums)
-        # the table's kernels, bound once: one call per word
-        self._unrank, self._rank = table._unrank, table._rank
+        if self.d_max == 1:
+            self._encode, self._decode = self._pulse_encode, self._pulse_decode
+        else:  # the table's kernels, bound once: one call per word
+            table = BinomialTable(spec.n)
+            self._unrank, self._rank = table._unrank, table._rank
 
     def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
         return analytics._modulator_counts(self._n, self.d_max, pulses, words)
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        # Every pulse count lies between those of the chunk's extremes, and a
-        # word has at least m pulses iff u >= tier_sums[m - 1]: count, then diff.
+        # Every pulse count lies between those of the chunk's extremes, and a word has at
+        # least m pulses iff u >= tier_sums[m - 1] (u != 0 at m = 1: no mask): count, diff.
         sums = self.tier_sums
         lo = bisect_right(sums, int(us.min()))
         hi = bisect_right(sums, int(us.max()))
-        at_least = [us.size, *(np.count_nonzero(us >= t) for t in sums[lo:hi]), 0]
+        at_least = (np.count_nonzero(us >= t if t > 1 else us) for t in sums[lo:hi])
         h = np.zeros(self.d_max + 1, dtype=np.int64)
-        h[lo:hi + 1] = -np.diff(at_least)
+        h[lo:hi + 1] = -np.diff([us.size, *at_least, 0])
         return h
 
     def _encode(self, state: int, u: int) -> int:
@@ -630,6 +605,31 @@ class OptimalCodec(_DifferentialCodec):
         if u >= self._size:
             raise CorruptedWordError(f"weight-{m} rank {rank} is outside the emitted codebook")
         return u
+
+    @staticmethod
+    def _pulse_encode(state: int, u: int) -> int:
+        return state ^ (1 << (u - 1)) if u else state
+
+    def _pulse_decode(self, state: int, x: int) -> int:
+        d = x ^ state
+        u = d.bit_length()  # pulse u - 1: rank u - 1 of tier 1, whose base is 1
+        if u and d != 1 << (u - 1):
+            raise CorruptedWordError(f"differential weight {d.bit_count()} exceeds d_max=1")
+        if u >= self._size:
+            raise CorruptedWordError(f"weight-1 rank {u - 1} is outside the emitted codebook")
+        return u
+
+
+class Ppm0Codec(OptimalCodec):
+    """The optimal code at n = 2^k - 1 (d_max = 1), capped by k, counting no clocks."""
+
+    max_lines = None
+    max_k = MAX_PPM0_INFO_BITS
+    trace_counters = Codec.trace_counters
+
+    @classmethod
+    def required_b(cls, k: int) -> int:
+        return (1 << k) - 1 - k
 
 
 class CosetCodec(_DifferentialCodec):
@@ -742,9 +742,9 @@ def encode(spec: CodecSpec, state: BusState, u: Word) -> Word:
     in range: no encode_int check. Every kernel then keeps its result below
     2^n, so the result Word is built in its slots, unchecked: uncoded returns
     u < 2^k = 2^n; DBI's u << 1 < 2^n, and its complement, stay on n lines;
-    ppm0 flips line u - 1 < 2^k - 1 = n; optimal's unrank toggles lines below n;
-    coset leaders have n lines; and the XOR with a state below 2^n stays
-    below 2^n.
+    optimal's unrank toggles lines below n, and at d_max = 1 (ppm0's) its pulse
+    is line u - 1 < n, as the n + 1 words of weight <= 1 hold all 2^k; coset
+    leaders have n lines; and the XOR with a state below 2^n stays below 2^n.
     """
     codec, s = spec.codec, state.x_prev
     n = codec._n
@@ -764,9 +764,9 @@ def decode(spec: CodecSpec, state: BusState, x: Word) -> Word:
     A Word holds 0 <= value < 2^length, so equal lengths put the state and x
     in [0, 2^n). Every kernel then returns a value below 2^k or raises, so the
     result Word is built in its slots, unchecked: uncoded returns x < 2^n =
-    2^k; DBI's x >> 1 (of x or its complement) has n - 1 = k lines; ppm0's
-    bit_length() of a d below 2^n is at most n = 2^k - 1; optimal raises
-    CorruptedWordError unless u < 2^k; and coset XORs k-bit columns of H.
+    2^k; DBI's x >> 1 (of x or its complement) has n - 1 = k lines; optimal,
+    ppm0 included, raises CorruptedWordError unless u < 2^k; and coset XORs
+    k-bit columns of H.
     """
     codec, s = spec.codec, state.x_prev
     n = codec._n

@@ -255,23 +255,29 @@ class TestOptimalWeightLaw:
 
 
 class TestPpm0:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])  # n = 2^k - 1 <= 63, inside optimal's cap
     def test_optimal_at_max_redundancy_is_ppm0(self, k):
         ppm0 = make_codec(ppm0_spec(k))
         opt = make_codec(optimal_spec(k, (1 << k) - 1 - k))
+        rnd = random.Random(k)
+        states = [0, *(rnd.getrandbits(ppm0_spec(k).n) for _ in range(4))]
         for u in all_info_words(k):
-            d = ppm0.differential_int(u)
-            assert d == opt.differential_int(u)
-            assert d.bit_count() <= 1
+            # the pulse-or-zero codebook from first principles, not one codec against the other
+            d = 1 << (u - 1) if u else 0
+            assert ppm0.differential_int(u) == opt.differential_int(u) == d
+            for codec in (ppm0, opt):
+                for s in states:
+                    assert codec.decode_int(s, codec.encode_int(s, u)) == u
         mean = Fraction(
             sum(ppm0.differential_int(u).bit_count() for u in all_info_words(k)), 1 << k
         )
         assert mean == 1 - Fraction(1, 1 << k)
 
-    def test_hamming_coset_equals_ppm0(self):
-        ppm0 = make_codec(ppm0_spec(4))
-        ham = make_codec(coset_spec(make_hamming(4)))
-        for u in all_info_words(4):
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+    def test_hamming_coset_equals_ppm0(self, k):
+        ppm0 = make_codec(ppm0_spec(k))
+        ham = make_codec(coset_spec(make_hamming(k)))
+        for u in all_info_words(k):
             assert ppm0.differential_int(u) == ham.differential_int(u)
 
 

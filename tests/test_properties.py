@@ -244,10 +244,11 @@ HEAVY_OPTIMAL = (
     optimal_spec(1, 1), optimal_spec(4, 11), optimal_spec(11, 12), optimal_spec(24, 16),
     optimal_spec(40, 24), optimal_spec(63, 1),
 )
-# geometries whose top tier is only partly emitted ((4,11) and (11,12) fill it)
+# geometries whose top tier is only partly emitted ((4,11) and (11,12) fill it);
+# (1,1) and (4,20) have d_max = 1, and (4,20) leaves 9 of its 24 pulses unused
 TOP_TIER_GAPS = (
-    optimal_spec(1, 1), optimal_spec(3, 1), optimal_spec(24, 16), optimal_spec(40, 24),
-    optimal_spec(63, 1),
+    optimal_spec(1, 1), optimal_spec(3, 1), optimal_spec(4, 20), optimal_spec(24, 16),
+    optimal_spec(40, 24), optimal_spec(63, 1),
 )
 
 

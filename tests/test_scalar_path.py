@@ -294,7 +294,7 @@ def test_float_k_and_b_are_not_ints(name):
     [
         (optimal_spec(11, 12), 0b1111, "differential weight 4 exceeds d_max=3"),
         (optimal_spec(3, 1), 0b1100, "weight-2 rank 5 is outside the emitted codebook"),
-        (ppm0_spec(3), 0b101, "ppm0 differential must have weight <= 1, got weight 2"),
+        (ppm0_spec(3), 0b101, "differential weight 2 exceeds d_max=1"),
     ],
     ids=["weight", "rank", "ppm0"],
 )
