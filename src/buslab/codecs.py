@@ -117,31 +117,29 @@ class LinearCode:
 
     h_rows[r] is parity row r as a bitmask over the code's lines; the
     syndrome of a word sets bit r when row r overlaps it an odd number of
-    times. radius is the guaranteed correction radius t of the code.
+    times. The rows must be independent, so the code's dimension is the
+    line count less the row count.
     """
 
     name: str
     length: int
-    dimension: int
-    radius: int
     h_rows: tuple[int, ...]
 
     def __post_init__(self):
-        checks = self.length - self.dimension
-        if len(self.h_rows) != checks:
-            raise ValueError(
-                f"{self.name}: expected {checks} parity rows, got {len(self.h_rows)}"
-            )
         for row in self.h_rows:
             if not 0 <= row < (1 << self.length):
                 raise ValueError(f"{self.name}: parity row {row:#x} out of range")
         # independent rows keep one pivot each: no pass over every line
-        if len(_gf2_reduce(self.h_rows)) != checks:
+        if len(_gf2_reduce(self.h_rows)) != len(self.h_rows):
             raise ValueError(f"{self.name}: parity rows are not linearly independent")
 
     @property
+    def dimension(self) -> int:
+        return self.length - len(self.h_rows)
+
+    @property
     def syndrome_bits(self) -> int:
-        return self.length - self.dimension
+        return len(self.h_rows)
 
     def syndrome(self, word: int) -> int:
         s = 0
@@ -168,13 +166,7 @@ def make_repetition(n_lines: int) -> LinearCode:
         raise ValueError(f"repetition code needs at least 2 lines, got {n_lines}")
     top = 1 << (n_lines - 1)
     rows = tuple((1 << r) | top for r in range(n_lines - 1))
-    return LinearCode(
-        name=f"repetition({n_lines},1)",
-        length=n_lines,
-        dimension=1,
-        radius=(n_lines - 1) // 2,
-        h_rows=rows,
-    )
+    return LinearCode(name=f"repetition({n_lines},1)", length=n_lines, h_rows=rows)
 
 
 def make_hamming(m: int) -> LinearCode:
@@ -188,13 +180,7 @@ def make_hamming(m: int) -> LinearCode:
         int((("0" * h + "1" * h) * ((n_lines + 1) // (2 * h)))[:0:-1], 2)
         for h in (1 << r for r in range(m))
     )
-    return LinearCode(
-        name=f"hamming({n_lines},{n_lines - m})",
-        length=n_lines,
-        dimension=n_lines - m,
-        radius=1,
-        h_rows=rows,
-    )
+    return LinearCode(name=f"hamming({n_lines},{n_lines - m})", length=n_lines, h_rows=rows)
 
 
 # Generator polynomial x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1 of the
@@ -224,9 +210,7 @@ def make_golay23() -> LinearCode:
             if (parity[i] >> r) & 1:
                 row |= 1 << i
         rows.append(row)
-    return LinearCode(
-        name="golay(23,12)", length=23, dimension=12, radius=3, h_rows=tuple(rows)
-    )
+    return LinearCode(name="golay(23,12)", length=23, h_rows=tuple(rows))
 
 
 def min_distance(code: LinearCode) -> int:
@@ -235,7 +219,7 @@ def min_distance(code: LinearCode) -> int:
         raise ValueError(
             f"{code.name}: dimension {code.dimension} too large for exhaustive scan"
         )
-    basis = _gf2_kernel_basis(code.h_rows, code.length)  # dimension checked at construction
+    basis = _gf2_kernel_basis(code.h_rows, code.length)  # rows checked independent when built
     # messages in Gray-code order: step msg flips the basis vector of msg's lowest set bit
     best = code.length
     c = 0

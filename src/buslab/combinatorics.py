@@ -4,13 +4,13 @@ Pulse patterns on a bus are m-subsets of the n line indices, held as
 bitmask ints (bit s set for a pulse on line s). The rank of a subset
 (s_1 < ... < s_m) is C(s_1,1) + C(s_2,2) + ... + C(s_m,m), which enumerates
 all m-subsets of {0..n-1} in colexicographic order as the rank runs over
-0 .. C(n,m)-1 (Knuth, TAOCP Vol. 4A, 7.2.1.3). The table stores one column
-C(0..n_max, l) per pulse index l, and per pulse count m the run of columns
-m down to 2. Unranking places pulses m..2 with one binary search of the
-remainder in each column of the run, the software form of a bank of
-parallel comparators against the stored coefficients followed by a priority
-select; pulse 1 needs no search, since C(i, 1) = i puts it on line x, the
-remainder left.
+0 .. C(n,m)-1 (Knuth, TAOCP Vol. 4A, 7.2.1.3). The table stores only the
+columns that the search reads, C(0..n_max, l) for l = 2..n_max, kept per
+pulse count m as the run of columns m down to 2. Unranking places pulses
+m..2 with one binary search of the remainder in each column of the run, the
+software form of a bank of parallel comparators against the stored
+coefficients followed by a priority select; pulse 1 needs no search, since
+C(i, 1) = i puts it on line x, the remainder left.
 
 Conventions used across the package: bit i of a word is bus line i, line 0
 is the least significant bit, and printed words show line 0 rightmost.
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add, index
+from math import comb
+from operator import index
 
 __all__ = [
     "Word",
@@ -70,43 +71,29 @@ _set_value, _set_length = Word.__dict__["value"].__set__, Word.__dict__["length"
 
 
 class BinomialTable:
-    """Exact C(i, j) for 0 <= j <= i <= n_max, stored by column.
+    """The comparator bank: exact C(i, l) for i = 0..n_max and l = 2..n_max,
+    stored by column.
 
-    Column j lists C(i, j) for i = 0..n_max: zero below the diagonal, then
-    strictly increasing, so it is sorted and a comparator bank can search it.
-    The run of m pulses is columns m down to 2, built once per table. rank
-    and unrank work on bitmask words (bit s set for a pulse on line s): each
+    Column l lists C(i, l) for i = 0..n_max: zero for i < l, then strictly
+    increasing, so it is sorted and a comparator bank can search it. The
+    run of m pulses is columns m down to 2, built once per table. rank and
+    unrank work on bitmask words (bit s set for a pulse on line s): each
     takes index() of its arguments, as Word does, and checks them, then runs
     the one unchecked kernel _rank/_unrank. OptimalCodec binds the kernels
     once and calls them per word: its tier bisect and Codec's range check
     bound their arguments.
     """
 
-    __slots__ = ("n_max", "_cols", "_runs")
+    __slots__ = ("n_max", "_runs")
 
     def __init__(self, n_max: int):
         n_max = index(n_max)
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        row = [1] + [0] * n_max  # row i is C(i, 0..n_max), zero-padded
-        rows = [row]
-        for _ in range(n_max):
-            row = [1, *map(add, row, row[1:])]  # Pascal's rule
-            rows.append(row)
-        cols = self._cols = tuple(zip(*rows))
-        self._runs = tuple(cols[m:1:-1] for m in range(n_max + 1))
-
-    def binom(self, n: int, k: int) -> int:
-        """C(n, k); zero when k > n, error when out of the table's range."""
-        n, k = index(n), index(k)
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n={n} out of table range 0..{self.n_max}")
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k > n:
-            return 0
-        return self._cols[k][n]
+        lines = range(n_max + 1)  # columns 0 and 1 are never searched: empty placeholders
+        cols = [(), (), *(tuple(comb(i, l) for i in lines) for l in lines[2:])]
+        self._runs = tuple(tuple(cols[m:1:-1]) for m in lines)
 
     def unrank(self, x: int, m: int, n: int) -> int:
         """Bitmask of the m-subset of {0..n-1} with colex rank x: the checks,
@@ -116,7 +103,7 @@ class BinomialTable:
             raise ValueError(f"m={m} out of range 0..{n}")
         if n > self.n_max:
             raise ValueError(f"n={n} exceeds table range (n_max={self.n_max})")
-        size = self._cols[m][n]
+        size = comb(n, m)
         if not 0 <= x < size:
             raise ValueError(f"rank {x} out of range for C({n},{m})={size}")
         return self._unrank(x, m, n, 0)

@@ -108,9 +108,9 @@ class TransitionStats:
 
 @dataclass(frozen=True)
 class ExactAverageReport:
-    """Exhaustive mean transitions per word, exact."""
+    """Exact mean transitions per word: the family's closed form, or for a
+    coset code the mean of its leader tiers (see Codec.exact_mean)."""
 
-    spec: CodecSpec
     exact_mean: Fraction
 
 
@@ -233,7 +233,7 @@ def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:
     """Exact mean transitions over uniform info words and uniform states, at
     every supported width: the family's exact_mean (see Codec.exact_mean),
     which every bus state shares."""
-    return ExactAverageReport(spec, _FAMILY_CODECS[spec.family].exact_mean(spec))
+    return ExactAverageReport(_FAMILY_CODECS[spec.family].exact_mean(spec))
 
 
 def convergence_check(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 import tracemalloc
@@ -38,7 +39,7 @@ def brute_force_leader_weight(code, syndrome):
 def code_from_columns(name, cols, k):
     """The code whose parity-check matrix has the given k-bit columns."""
     rows = tuple(sum((c >> r & 1) << i for i, c in enumerate(cols)) for r in range(k))
-    return LinearCode(name, len(cols), len(cols) - k, 0, rows)
+    return LinearCode(name, len(cols), rows)
 
 
 def random_code(n, k, seed):
@@ -84,7 +85,7 @@ class TestRepetition:
         code = make_repetition(3)
         # row r ties line r to line 2: masks 0b101 and 0b110
         assert code.h_rows == (0b101, 0b110)
-        assert (code.length, code.dimension, code.radius) == (3, 1, 1)
+        assert (code.length, code.dimension) == (3, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 9])
     def test_min_distance_is_n(self, n):
@@ -114,9 +115,6 @@ class TestHamming:
     def test_min_distance_is_three(self, m):
         assert min_distance(make_hamming(m)) == 3
 
-    def test_radius(self):
-        assert make_hamming(4).radius == 1
-
     def test_bad_parameter(self):
         with pytest.raises(ValueError):
             make_hamming(1)
@@ -129,7 +127,7 @@ class TestHamming:
 class TestGolay:
     def test_shape(self):
         code = make_golay23()
-        assert (code.length, code.dimension, code.radius) == (23, 12, 3)
+        assert (code.length, code.dimension) == (23, 12)
 
     def test_min_distance_by_exhaustive_scan(self):
         assert min_distance(make_golay23()) == 7
@@ -172,19 +170,26 @@ class TestLineSyndromes:
 class TestLinearCodeValidation:
     def test_dependent_rows_rejected(self):
         with pytest.raises(ValueError, match="^bad: parity rows are not linearly independent$"):
-            LinearCode(name="bad", length=3, dimension=1, radius=0, h_rows=(0b011, 0b011))
+            LinearCode(name="bad", length=3, h_rows=(0b011, 0b011))
 
     def test_independence_check_is_elimination_only(self):
         # 15 rows on 32,767 lines: no pass over every line, as a kernel basis takes
         code = make_hamming(15)
         start = time.perf_counter()
-        again = LinearCode(code.name, code.length, code.dimension, code.radius, code.h_rows)
+        again = LinearCode(code.name, code.length, code.h_rows)
         assert time.perf_counter() - start < 0.05
         assert again == code
 
-    def test_row_count_must_match(self):
-        with pytest.raises(ValueError):
-            LinearCode(name="bad", length=3, dimension=1, radius=0, h_rows=(0b011,))
+    @pytest.mark.parametrize(
+        "code, dimension",
+        [(make_golay23(), 12), (make_hamming(4), 11), (make_repetition(9), 1),
+         (random_code(66, 10, 4), 56), (random_code(300, 16, 1), 284), (shortened_hamming(5), 1)],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_dimension_is_the_lines_less_the_rows(self, code, dimension):
+        assert [f.name for f in dataclasses.fields(code)] == ["name", "length", "h_rows"]
+        assert code.dimension == code.length - len(code.h_rows) == dimension
+        assert code.syndrome_bits == len(code.h_rows)
 
     @pytest.mark.parametrize(
         "code",
@@ -348,7 +353,7 @@ class TestCosetLeaders:
     def test_store_past_65535_lines_is_uint32(self):
         # parity checks on the top 4 of 70,000 lines: syndrome s's only
         # leader is s on lines 69,996..69,999, whose indices pass any uint16
-        code = LinearCode("tail", 70000, 69996, 0, tuple(1 << (69996 + r) for r in range(4)))
+        code = LinearCode("tail", 70000, tuple(1 << (69996 + r) for r in range(4)))
         codec = coset_spec(code).codec
         assert (codec._leaders.tops.typecode, len(codec._leaders.tops)) == ("I", 16)
         assert [codec.differential_int(s) for s in range(16)] == [s << 69996 for s in range(16)]

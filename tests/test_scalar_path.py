@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -246,10 +247,10 @@ K_AND_B_CALLS = {
     "coset_spec_for-11-12": (codecs.coset_spec_for, (11, 12)),
     "make_repetition-9": (codecs.make_repetition, (9,)),
     "make_hamming-9": (codecs.make_hamming, (9,)),
-    "binom-64-32": (BinomialTable(64).binom, (64, 32)),
+    "binom-64-32": (lambda n, m: BinomialTable(n).unrank(comb(64, 32) - 1, m, n), (64, 32)),
     "rank-3": (BinomialTable(12).rank, (3,)),
     "unrank-2-1-3": (BinomialTable(12).unrank, (2, 1, 3)),
-    "BinomialTable-12": (lambda n: BinomialTable(n).binom(12, 6), (12,)),
+    "BinomialTable-12": (lambda n: BinomialTable(n).rank(0b111111 << 6), (12,)),
 }
 
 
@@ -264,7 +265,7 @@ def _assert_plain(got, want):
         if want.code is not None:
             _assert_plain(got.code, want.code)
     elif isinstance(want, codecs.LinearCode):
-        assert all(type(v) is int for v in (got.length, got.dimension, got.radius, *got.h_rows))
+        assert all(type(v) is int for v in (got.length, got.dimension, *got.h_rows))
     elif isinstance(want, Fraction):
         assert type(got.numerator) is type(got.denominator) is int
     elif isinstance(want, (list, tuple)):
