@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC_LINE_BUDGET = 1879
+SRC_LINE_BUDGET = 1887
 
 # (command arguments, sha256 of its stdout, newline-terminated)
 PINS = {
