@@ -552,8 +552,9 @@ class OptimalCodec(_DifferentialCodec):
         super().__init__(spec)
         self.d_max = analytics.d_max(spec.k, spec.b)
         self.tier_sums = tuple(accumulate(comb(spec.n, m) for m in range(self.d_max + 1)))
-        # _bases[m] is the first info value of the weight-m tier
+        # _bases[m] is the first info value of the weight-m tier, below 2^k for m <= d_max
         self._bases = (0, *self.tier_sums)
+        self._floors = np.array(self._bases[:self.d_max + 1], np.uint64)
         if self.d_max == 1:
             self._encode, self._decode = self._pulse_encode, self._pulse_decode
         else:  # the table's kernels, bound once: one call per word
@@ -564,15 +565,20 @@ class OptimalCodec(_DifferentialCodec):
         return analytics._modulator_counts(self._n, self.d_max, pulses, words)
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        # Every pulse count lies between those of the chunk's extremes, and a word has at
-        # least m pulses iff u >= tier_sums[m - 1] (u != 0 at m = 1: no mask): count, diff.
-        sums = self.tier_sums
-        lo = bisect_right(sums, int(us.min()))
-        hi = bisect_right(sums, int(us.max()))
-        at_least = (np.count_nonzero(us >= t if t > 1 else us) for t in sums[lo:hi])
-        h = np.zeros(self.d_max + 1, dtype=np.int64)
-        h[lo:hi + 1] = -np.diff([us.size, *at_least, 0])
-        return h
+        # A word has at least m pulses iff u >= tier_sums[m - 1] (u != 0 at m = 1: no mask).
+        # With more tiers than the chunk's length has bits, one searchsorted over a sorted copy
+        # (the caller reads the chunk's last word) counts the words below each floor; else a
+        # pass per tier, past d_max = 3 only between the extremes, as below it the scans cost more.
+        d_max, sums, size = self.d_max, self.tier_sums, us.size
+        if d_max > size.bit_length():
+            h = np.searchsorted(np.sort(us), self._floors.astype(us.dtype), side="left")
+            h[:-1], h[-1] = h[1:] - h[:-1], size - h[-1]
+            return h
+        lo, hi = (0, d_max) if d_max <= 3 else (
+            bisect_right(sums, int(us.min())), bisect_right(sums, int(us.max())))
+        counts = [size] * (lo + 1) + [np.count_nonzero(us >= t if t > 1 else us)
+                                      for t in sums[lo:hi]] + [0] * (d_max - hi + 1)
+        return np.array([a - b for a, b in zip(counts, counts[1:])], dtype=np.int64)
 
     def _encode(self, state: int, u: int) -> int:
         m = bisect_right(self.tier_sums, u)

@@ -29,11 +29,11 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 
 import numpy as np
 
-from .codecs import _FAMILY_CODECS, Codec, CodecSpec, make_codec
+from .codecs import _FAMILY_CODECS, Codec, CodecSpec
 
 __all__ = [
     "TraceConfig",
@@ -132,7 +132,8 @@ def _draw(bitgen: np.random.PCG64, k: int, size: int) -> np.ndarray:
         us = bitgen.random_raw((size + 1) // 2).view(np.uint32)[:size]
     else:
         us = bitgen.random_raw(size)
-    us >>= us.itemsize * 8 - k
+    if k < us.itemsize * 8:  # a shift by zero would still pass over every word
+        us >>= us.itemsize * 8 - k
     return us
 
 
@@ -172,7 +173,8 @@ def _part_histogram(codec: Codec, seed: np.random.SeedSequence, start: int, stop
         prev = int(_draw(bitgen, k, 2)[1])
     for lo in range(start, stop, chunk):
         us = _draw(bitgen, k, min(chunk, stop - lo))
-        hist = hist + codec.step_histogram(us, prev)
+        h = codec.step_histogram(us, prev)
+        hist = hist + h if lo > start else h
         prev = int(us[-1])
     return hist
 
@@ -217,16 +219,16 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
     the same, count for count, on any number of CPUs. A part's error is
     raised here once every part has stopped.
     """
-    spec = cfg.spec
-    codec = make_codec(spec)
+    codec = cfg.spec.codec
     base, extra = divmod(cfg.trace_length, cfg.shards)
     lengths = [base + (1 if i < extra else 0) for i in range(cfg.shards)]
     seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(cfg.shards)]
     hist = sum(_shard_histogram(codec, ln, sq) for ln, sq in zip(lengths, seeds))
-    total = int(hist @ np.arange(hist.size))
+    counts = hist.tolist()
+    total = sum(map(mul, range(len(counts)), counts))
     # trace_counters gives the last three fields: clocks, comparisons, additions
     counters = codec.trace_counters(total, cfg.trace_length)
-    return TransitionStats(spec.n, cfg.trace_length, total, hist.tolist(), *counters)
+    return TransitionStats(cfg.spec.n, cfg.trace_length, total, counts, *counters)
 
 
 def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:

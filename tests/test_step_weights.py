@@ -4,10 +4,13 @@ A one-word chunk must count one step, at weight(differential_int(u)) for a
 differential family, or at the lines a scalar encode_int step toggles for
 DBI and the uncoded bus. A whole chunk must count the scalar weights of all
 its steps. Small info spaces are checked exhaustively, wide ones (k = 24,
-40, 64 and DBI up to k = 63) on sampled words. Every histogram has one
-entry per weight up to the family's heaviest step, whatever the chunk holds.
-Chunks carry the words a trace draws: uint32 for k <= 32, uint64 above.
+40, 64 and DBI up to k = 63) on sampled words, and the optimal kernel's
+counting paths on whole drawn chunks of the lengths that select them. Every
+histogram has one entry per weight up to the family's heaviest step,
+whatever the chunk holds. Chunks carry the words a trace draws: uint32 for
+k <= 32, uint64 above.
 """
+from bisect import bisect_right
 from functools import cache
 from math import comb
 
@@ -49,10 +52,24 @@ STATEFUL = [uncoded_spec(k) for k in (1, 2, 3, 5, 8, 24, 40, 63, 64)] + [
 ]
 WIDE_STATEFUL = [s for s in STATEFUL if s.k > 5]
 WIDE_OPTIMAL = [s for s in WIDE_DIFFERENTIAL if s.family.value == "optimal"]
+# (spec, chunk length) a trace draws, by the optimal kernel's counting path: one sort when
+# d_max exceeds the length's bit count, else a pass per tier, between the chunk's extremes
+# past d_max = 3 and over every tier at d_max <= 3
+OPTIMAL_PATHS = {
+    "sort": [(optimal_spec(64, 0), 1_000), (optimal_spec(64, 0), 1 << 16),
+             (optimal_spec(63, 1), 1_000), (optimal_spec(63, 1), 1 << 16),
+             (optimal_spec(40, 24), 1_000)],
+    "extremes": [(optimal_spec(40, 24), 1 << 16)],
+    "every-tier": [(ppm0_spec(16), 1 << 17), (optimal_spec(11, 12), 1 << 17)],
+}
 
 
 def _label(spec):
     return f"{spec.family.value}-{spec.k}-{spec.b}"
+
+
+PATH_CASES = [pytest.param(spec, size, id=f"{path}-{_label(spec)}-{size}")
+              for path, cases in OPTIMAL_PATHS.items() for spec, size in cases]
 
 
 @cache
@@ -148,6 +165,37 @@ def test_optimal_chunk_within_one_tier(spec):
         first, last = bases[m], min(bases[m + 1], 1 << spec.k) - 1
         us = sorted({first, last, (first + last) // 2})
         assert _hist(codec, us * 3, 0) == _counts([m] * (3 * len(us)), spec)
+
+
+def _pulses(codec, us):
+    """Per-word oracle: the pulse count of each info word, from its tier."""
+    return [bisect_right(codec.tier_sums, u) for u in us.tolist()]
+
+
+@pytest.mark.parametrize("spec,size", PATH_CASES)
+def test_optimal_kernel_on_a_drawn_chunk(spec, size):
+    codec = spec.codec
+    us = _draw(np.random.PCG64(size), spec.k, size)
+    drawn = us.copy()
+    pulses = _pulses(codec, us)
+    assert codec.step_histogram(us, 0).tolist() == _counts(pulses, spec)
+    assert np.array_equal(us, drawn)  # the trace reads the chunk's last word next
+    for i in range(0, size, size // 50):
+        assert codec.differential_int(int(us[i])).bit_count() == pulses[i]
+
+
+@pytest.mark.parametrize("spec,size", PATH_CASES)
+def test_optimal_kernel_with_tier_sums_at_both_ends(spec, size):
+    # the first and last words, the chunk's extremes, each sit on a tier sum:
+    # the lowest info word with its pulse count
+    codec = spec.codec
+    sums = codec.tier_sums[:codec.d_max]
+    lo, hi = sums[len(sums) // 3], sums[-1]
+    us = np.clip(_draw(np.random.PCG64(size), spec.k, size), lo, hi)
+    us[0], us[-1] = lo, hi
+    assert codec.step_histogram(us, 0).tolist() == _counts(_pulses(codec, us), spec)
+    assert codec.differential_int(lo).bit_count() == len(sums) // 3 + 1
+    assert codec.differential_int(hi).bit_count() == codec.d_max
 
 
 @pytest.mark.parametrize("spec", WIDE_DIFFERENTIAL, ids=_label)
