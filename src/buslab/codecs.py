@@ -541,11 +541,12 @@ class OptimalCodec(_DifferentialCodec):
     that tier. Within the top tier only the first 2^k - (tier sum below)
     patterns in rank order are ever emitted; the decoder rejects anything
     past that bound as corrupted. One kernel pair is bound per codec, from
-    d_max, and nothing is kept per info word. For d_max >= 2 a binomial
-    table's unrank kernel toggles the tier's rank onto the bus state, and
-    its rank kernel decodes. At d_max = 1 the codebook is 0 and the pulses
-    1 << (u - 1), no table is built, and decode tests for a power of two,
-    not a popcount, as d may span 2^20 - 1 lines (ppm0 at k = 20).
+    d_max, and nothing is kept per info word. For d_max >= 2 they are a
+    binomial table's kernels for words of up to d_max pulses: unrank toggles
+    the tier's rank onto the bus state, and rank decodes. At d_max = 1 the
+    codebook is 0 and the pulses 1 << (u - 1), no table is built, and decode
+    tests for a power of two, not a popcount, as d may span 2^20 - 1 lines
+    (ppm0 at k = 20).
     """
 
     def __init__(self, spec: CodecSpec):
@@ -558,27 +559,13 @@ class OptimalCodec(_DifferentialCodec):
         if self.d_max == 1:
             self._encode, self._decode = self._pulse_encode, self._pulse_decode
         else:  # the table's kernels, bound once: one call per word
-            table = BinomialTable(spec.n)
-            self._unrank, self._rank = table._unrank, table._rank
+            self._unrank, self._rank = BinomialTable(spec.n).kernels(self.d_max)
 
     def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
         return analytics._modulator_counts(self._n, self.d_max, pulses, words)
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
-        # A word has at least m pulses iff u >= tier_sums[m - 1] (u != 0 at m = 1: no mask).
-        # With more tiers than the chunk's length has bits, one searchsorted over a sorted copy
-        # (the caller reads the chunk's last word) counts the words below each floor; else a
-        # pass per tier, past d_max = 3 only between the extremes, as below it the scans cost more.
-        d_max, sums, size = self.d_max, self.tier_sums, us.size
-        if d_max > size.bit_length():
-            h = np.searchsorted(np.sort(us), self._floors.astype(us.dtype), side="left")
-            h[:-1], h[-1] = h[1:] - h[:-1], size - h[-1]
-            return h
-        lo, hi = (0, d_max) if d_max <= 3 else (
-            bisect_right(sums, int(us.min())), bisect_right(sums, int(us.max())))
-        counts = [size] * (lo + 1) + [np.count_nonzero(us >= t if t > 1 else us)
-                                      for t in sums[lo:hi]] + [0] * (d_max - hi + 1)
-        return np.array([a - b for a, b in zip(counts, counts[1:])], dtype=np.int64)
+        return _tier_histogram(us, self.tier_sums, self._floors)
 
     def _encode(self, state: int, u: int) -> int:
         m = bisect_right(self.tier_sums, u)
@@ -662,6 +649,11 @@ class CosetCodec(_DifferentialCodec):
         self._leaders, self.weights = _build_coset_leaders(spec.code)
         self._heaviest = int(self.weights.max())
         self._lines = spec.code.line_syndromes
+        # leaders that never get lighter as the syndrome rises (every Hamming code's) are
+        # tiers of consecutive info words: optimal's count, from each weight's first syndrome
+        sums = np.searchsorted(self.weights, np.arange(self._heaviest + 1), "right")
+        self._tiers = ((tuple(sums.tolist()), np.array([0, *sums[:-1]], np.uint64))
+                       if np.all(self.weights[1:] >= self.weights[:-1]) else None)
 
     def tier_counts(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.weights).tolist())
@@ -680,12 +672,33 @@ class CosetCodec(_DifferentialCodec):
         return s
 
     def step_histogram(self, us: np.ndarray, prev: int) -> np.ndarray:
+        if self._tiers:
+            return _tier_histogram(us, *self._tiers)
         # a word toggles at least j lines iff its leader weighs >= j: count, then
         # diff (np.take: fancy indexing is 3x slower; _xor_histogram's paired
         # weights took Golay 184 -> 377 us, Hamming(15) 197 -> 433 us per 2^17 words)
         w = np.take(self.weights, us)
         at_least = (np.count_nonzero(w >= j) for j in range(1, self._heaviest + 1))
         return -np.diff([us.size, *at_least, 0])
+
+
+def _tier_histogram(us: np.ndarray, sums: tuple[int, ...], floors: np.ndarray) -> np.ndarray:
+    """int64 counts of a chunk's words by step weight, for a code whose weight-m
+    words are the info words floors[m] = sums[m - 1] (0 at m = 0) to sums[m] - 1."""
+    # A word has at least m pulses iff u >= sums[m - 1] (u != 0 at m = 1: no mask).
+    # With more tiers than the chunk's length has bits, one searchsorted over a sorted copy
+    # (the caller reads the chunk's last word) counts the words below each floor; else a
+    # pass per tier, past 3 tiers only between the extremes, as below it the scans cost more.
+    d_max, size = len(sums) - 1, us.size
+    if d_max > size.bit_length():
+        h = np.searchsorted(np.sort(us), floors.astype(us.dtype), side="left")
+        h[:-1], h[-1] = h[1:] - h[:-1], size - h[-1]
+        return h
+    lo, hi = (0, d_max) if d_max <= 3 else (
+        bisect_right(sums, int(us.min())), bisect_right(sums, int(us.max())))
+    counts = [size] * (lo + 1) + [np.count_nonzero(us >= t if t > 1 else us)
+                                  for t in sums[lo:hi]] + [0] * (d_max - hi + 1)
+    return np.array([a - b for a, b in zip(counts, counts[1:])], dtype=np.int64)
 
 
 def _xor_histogram(us: np.ndarray, prev: int, k: int) -> np.ndarray:

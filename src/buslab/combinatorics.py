@@ -10,15 +10,26 @@ pulse count m as the run of columns m down to 2. Unranking places pulses
 m..2 with one binary search of the remainder in each column of the run, the
 software form of a bank of parallel comparators against the stored
 coefficients followed by a priority select; pulse 1 needs no search, since
-C(i, 1) = i puts it on line x, the remainder left.
+C(i, 1) = i puts it on line x, the remainder left. This is the pulse walk,
+one step per pulse.
+
+A dense word takes a second, byte-wide bank, 8 lines per step: from the top
+block down, one bisect of a block's 256 run starts places all its pulses,
+and rank adds its pattern's run start (see _build_byte_walks). The bank
+covers lines 0..63, is shared by every table and is built on the first dense
+word. unrank takes it past n // 4 + 1 pulses and rank past (top line + 1) // 5,
+where it measured faster than the pulse walk; a table's kernels(m_max) are
+the pulse walks alone when no word of m_max pulses is that dense.
 
 Conventions used across the package: bit i of a word is bus line i, line 0
 is the least significant bit, and printed words show line 0 rightmost.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 from operator import index
 
@@ -72,14 +83,14 @@ _set_value, _set_length = Word.__dict__["value"].__set__, Word.__dict__["length"
 
 class BinomialTable:
     """The comparator bank: exact C(i, l) for i = 0..n_max and l = 2..n_max,
-    stored by column.
+    stored by column, and the kernels that also read the byte-wide bank.
 
     Column l lists C(i, l) for i = 0..n_max: zero for i < l, then strictly
     increasing, so it is sorted and a comparator bank can search it. The
     run of m pulses is columns m down to 2, built once per table. rank and
     unrank work on bitmask words (bit s set for a pulse on line s): each
     takes index() of its arguments, as Word does, and checks them, then runs
-    the one unchecked kernel _rank/_unrank. OptimalCodec binds the kernels
+    the unchecked kernel _rank/_unrank. OptimalCodec binds kernels(d_max)
     once and calls them per word: its tier bisect and Codec's range check
     bound their arguments.
     """
@@ -91,8 +102,13 @@ class BinomialTable:
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.n_max = n_max
-        lines = range(n_max + 1)  # columns 0 and 1 are never searched: empty placeholders
-        cols = [(), (), *(tuple(comb(i, l) for i in lines) for l in lines[2:])]
+        lines = range(n_max + 1)
+        # hockey stick: C(i, l) is the sum of C(j, l - 1) for j < i, from column 1's C(i, 1) = i;
+        # columns 0 and 1 are never searched: empty placeholders
+        cols, col = [(), ()], lines
+        for _ in lines[2:]:
+            col = tuple(accumulate(col[:-1], initial=0))
+            cols.append(col)
         self._runs = tuple(tuple(cols[m:1:-1]) for m in lines)
 
     def unrank(self, x: int, m: int, n: int) -> int:
@@ -108,16 +124,36 @@ class BinomialTable:
             raise ValueError(f"rank {x} out of range for C({n},{m})={size}")
         return self._unrank(x, m, n, 0)
 
+    def kernels(self, m_max: int) -> tuple:
+        """The (unrank, rank) kernels for words of at most m_max pulses on
+        n_max lines: _unrank/_rank, or the pulse walks alone when no such
+        word is dense, which spares every word the choice."""
+        if m_max > (self.n_max >> 2) + 1 and self.n_max <= _BYTE_LINES:
+            return self._unrank, self._rank
+        return self._pulse_unrank, self._pulse_rank
+
     def _unrank(self, x: int, m: int, n: int, d: int) -> int:
         """unrank's kernel, for 0 <= m <= n <= n_max and 0 <= x < C(n, m):
-        the word d with the m pulses toggled onto it.
+        the word d with the m pulses toggled onto it. A dense word of
+        n <= 64 lines takes the byte walk: each block's pattern is the last
+        run start <= remainder in its row. Others take the pulse walk."""
+        if m <= (n >> 2) + 1 or n > _BYTE_LINES:
+            return self._pulse_unrank(x, m, n, d)
+        for h, tables in (_byte_walks or _build_byte_walks())[(n - 1) >> 3]:
+            row = tables[m]
+            p = bisect_right(row, x) - 1
+            x -= row[p]
+            d ^= p << h
+            m -= p.bit_count()
+            if not m:  # at the latest in block 0, where r - h <= |P| <= r puts |P| = r
+                return d
 
-        For l = m down to 2, pulse l sits on the largest line i with
-        C(i, l) <= remainder: one bisect of column l, bounded by the line
-        of pulse l + 1 (n holds it), since the remainder is then below
-        C(that line, l). Pulse 1 sits on the line the remainder names, as
-        C(i, 1) = i.
-        """
+    def _pulse_unrank(self, x: int, m: int, n: int, d: int) -> int:
+        """_unrank by the pulse walk. For l = m down to 2, pulse l sits on the
+        largest line i with C(i, l) <= remainder: one bisect of column l,
+        bounded by the line of pulse l + 1 (n holds it), since the remainder
+        is then below C(that line, l). Pulse 1 sits on the line the remainder
+        names, as C(i, 1) = i."""
         for col in self._runs[m]:
             n = bisect_right(col, x, 0, n) - 1
             d ^= 1 << n
@@ -135,11 +171,60 @@ class BinomialTable:
         return self._rank(d, d.bit_count())
 
     def _rank(self, d: int, m: int) -> int:
-        """rank's kernel, for 0 <= d < 2^n_max with m = popcount(d): pulses
-        m..2 read their columns, and pulse 1 adds its own line."""
+        """rank's kernel, for 0 <= d < 2^n_max with m = popcount(d): a dense
+        d below 2^64 takes the byte walk, each block's pattern reading its
+        run start; others the pulse walk."""
+        top = d.bit_length()
+        if m <= top // 5 or top > _BYTE_LINES:
+            return self._pulse_rank(d, m)
+        x = 0
+        for h, tables in (_byte_walks or _build_byte_walks())[(top - 1) >> 3]:
+            p = d >> h & 0xFF
+            x += tables[m][p]
+            m -= p.bit_count()
+            if not m:
+                return x
+
+    def _pulse_rank(self, d: int, m: int) -> int:
+        """_rank by the pulse walk: pulses m..2 read their columns, and pulse
+        1 adds its own line."""
         x = 0
         for col in self._runs[m]:
             i = d.bit_length() - 1
             x += col[i]
             d ^= 1 << i
         return x + d.bit_length() - 1 if m else 0
+
+
+# The byte-wide bank, shared by every table: lines 0..63 in blocks of 8,
+# built on the first dense word, as no trace runs these kernels.
+_BYTE_LINES = 64
+_byte_walks: tuple = ()
+
+
+def _build_byte_walks() -> tuple:
+    """For each top block, the blocks from it down to line 0 as (h, tables):
+    tables[r][P] counts the r-subsets of lines 0..h+7 whose pattern on lines
+    h..h+7 is below P, by the recurrence T_r[P] = T_{r-1}[P less its top
+    line] + C(h + top, r) from T_{-1} = 0: those with no line at or above
+    P's top in the block, then those with the top line and a lower rest.
+
+    The r-subsets with one pattern P hold one run of consecutive colex ranks,
+    in P's integer order, so a row is sorted, and a possible P's entry is
+    the first rank of its run. An impossible P (more than r lines, or fewer
+    than r - h) holds an empty run, so its entry is the next possible one's,
+    or C(h + 8, r) past the last: bisect_right(row, x) - 1 lands on a
+    possible P. Every entry is at most C(64, 32) < 2^64: one array('Q') per
+    row.
+    """
+    global _byte_walks
+    blocks = []
+    for h in range(0, _BYTE_LINES, 8):
+        row, tables = [0] * 256, []
+        for r in range(h + 9):
+            tops = [comb(i, r) for i in range(h, h + 8)]
+            row = [0, *(v + tops[b] for b in range(8) for v in row[:1 << b])]
+            tables.append(array("Q", row))
+        blocks.append((h, tuple(tables)))
+    _byte_walks = tuple(tuple(blocks[i::-1]) for i in range(len(blocks)))
+    return _byte_walks

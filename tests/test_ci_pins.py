@@ -1,15 +1,20 @@
 """The output pins that CI checks, run as tier-1 tests: the source line
-budget, the sha256 of three CLI outputs, and one CPU against every CPU on the
-same trace. Each pin lives here alone, so a change that moves one of these
-outputs changes this file."""
+budget, the sha256 of three CLI outputs and of the optimal codec's scalar
+mapping, and one CPU against every CPU on the same trace. Each pin lives here
+alone, so a change that moves one of these outputs changes this file."""
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
+from itertools import accumulate
+from math import comb
 from pathlib import Path
 
 import pytest
+
+from buslab.codecs import CorruptedWordError, optimal_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC_LINE_BUDGET = 1985
@@ -28,6 +33,19 @@ PINS = {
         ("codebook", "optimal", "--k", "12", "--b", "12"),
         "fc6d143ec6939391a65b5ac9106d55eedb5ff0b64ae1b0294e7096b2b51e7c43",
     ),
+}
+
+# (k, b): sha256 of the optimal codec's encode_int and decode_int over every
+# tier's first and last two info words, then 20,000 seeded uniform ones; at
+# (12, 0), over every info word. Recorded with every word on the pulse walk,
+# so the pin does not rest on the byte-wide bank it checks
+SCALAR_PINS = {
+    (64, 0): "c78dfa715b8c1dbf04540b9e4fdb77f4632ba3bcc02181560aaede765d5dcc65",
+    (63, 1): "cbb0d44630099a375ddfba8652e6698d11c9e8e17b9177de941e35508aecd25f",
+    (32, 0): "4312d332740ca44a9cf25e58959cf827fe0d88caad6dc1e82a3c114f46491cf4",
+    (40, 24): "f052182658cdf7cb2fd8354f9ce2fcefa68f2d37b7fd255a49c8314d76e0ba9b",
+    (20, 0): "3c359b7b82f2542415420b82886b86cbb0594fbc4fc08b1ed74d3a1e029e0728",
+    (12, 0): "dfd400ba972484474003e05f9bad70cf34d556823e9207ee54a76dc1108f9558",
 }
 
 # the child pins itself to one CPU before it imports buslab, which reads its
@@ -65,6 +83,31 @@ def test_source_line_budget():
 def test_cli_output_hash(name):
     args, want = PINS[name]
     assert hashlib.sha256(_buslab(*args)).hexdigest() == want
+
+
+@pytest.mark.parametrize("k,b", SCALAR_PINS, ids=lambda v: str(v))
+def test_scalar_mapping_hash(k, b):
+    # each info word u from a random state, and a random bus word y from the
+    # same state, whose decode is a word or a CorruptedWordError text
+    codec, n = optimal_spec(k, b).codec, k + b
+    rng = random.Random(f"scalar-pin-{k}-{b}")
+    if k == 12:
+        us = list(range(1 << k))
+    else:
+        sums = accumulate(comb(n, m) for m in range(n + 1))
+        edges = sorted({u for t in sums for u in (t - 2, t - 1, t, t + 1) if 0 <= u < 1 << k})
+        us = edges + [rng.getrandbits(k) for _ in range(20_000)]
+    h = hashlib.sha256()
+    for u in us:
+        state, y = rng.getrandbits(n), rng.getrandbits(n)
+        x = codec.encode_int(state, u)
+        assert codec.decode_int(state, x) == u
+        try:
+            v = str(codec.decode_int(state, y))
+        except CorruptedWordError as e:
+            v = str(e)
+        h.update(f"{x} {v}\n".encode())
+    assert h.hexdigest() == SCALAR_PINS[k, b]
 
 
 def test_one_cpu_and_every_cpu_print_the_same_trace():

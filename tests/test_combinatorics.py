@@ -1,8 +1,10 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
+from buslab import combinatorics
 from buslab.combinatorics import BinomialTable, Word
 
 
@@ -13,6 +15,12 @@ def colex_subsets(n, m):
 
 def mask(subset):
     return sum(1 << s for s in subset)
+
+
+def colex_rank(d):
+    """Oracle: C(s_1, 1) + ... + C(s_m, m) over the lines s_1 < ... < s_m of d."""
+    lines = [s for s in range(d.bit_length()) if d >> s & 1]
+    return sum(math.comb(s, j) for j, s in enumerate(lines, 1))
 
 
 class TestBinomialTable:
@@ -89,6 +97,75 @@ class TestRankUnrank:
             table.unrank(-1, 3, 12)
         with pytest.raises(ValueError):
             table.unrank(0, 2, 13)
+
+
+class TestByteWalk:
+    """The byte-wide bank against the pulse walk, which places one pulse per
+    step, and against the math.comb oracles."""
+
+    def test_each_row_is_the_run_starts_then_the_next_start(self):
+        # a possible pattern P starts its run at the sum of C(h + p_t, r - |P| + t);
+        # an impossible one repeats the next possible start, or C(h + 8, r) past the last
+        walks = combinatorics._build_byte_walks()
+        assert [h for h, _ in walks[-1]] == list(range(56, -1, -8))
+        for i, (h, tables) in enumerate(walks[-1][::-1]):
+            assert walks[i][0] == (h, tables) and len(tables) == h + 9
+            for r, row in enumerate(tables):
+                assert row.typecode == "Q" and len(row) == 256
+                want, run = [0] * 256, math.comb(h + 8, r)
+                for p in range(255, -1, -1):
+                    lines = [t for t in range(8) if p >> t & 1]
+                    q = len(lines)
+                    if r - h <= q <= r:
+                        run = sum(math.comb(h + t, r - q + j) for j, t in enumerate(lines, 1))
+                    want[p] = run
+                assert row.tolist() == want, (h, r)
+
+    @pytest.mark.parametrize("n", [64, 63, 32, 20])
+    def test_random_ranks_match_the_pulse_walk(self, n, monkeypatch):
+        table, rnd = BinomialTable(64), random.Random(n)
+        cases = [(rnd.randrange(math.comb(n, m)), m) for m in range(n + 1) for _ in range(20)]
+        words = [table.unrank(x, m, n) for x, m in cases]
+        ranks = [table.rank(d) for d in words]
+        monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)
+        assert words == [table.unrank(x, m, n) for x, m in cases]
+        assert ranks == [x for x, _ in cases] == [table.rank(d) for d in words]
+        assert all(d.bit_count() == m and d >> n == 0 for d, (_, m) in zip(words, cases))
+
+    def test_exhaustive_small_tables_match_the_pulse_walk(self, monkeypatch):
+        table = BinomialTable(12)
+        cases = [(x, m, n) for n in range(13) for m in range(n + 1) for x in range(math.comb(n, m))]
+        words = [table.unrank(*c) for c in cases]
+        ranks = [table.rank(d) for d in words]
+        monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)
+        assert words == [table.unrank(*c) for c in cases]
+        assert ranks == [x for x, _, _ in cases]
+
+    @pytest.mark.parametrize("n", [20, 32, 63, 64])
+    def test_words_at_the_edges_of_each_tier_and_walk(self, n):
+        # every pulse count from n // 5 (rank's choice of walk) past n // 4 + 1
+        # (unrank's), at the first two and last two ranks of its tier
+        table = BinomialTable(n)
+        for m in range(n // 5 - 1, n // 4 + 4):
+            size = math.comb(n, m)
+            for x in (0, 1, size // 2, size - 2, size - 1):
+                d = table.unrank(x, m, n)
+                assert d.bit_count() == m and d >> n == 0
+                assert colex_rank(d) == x == table.rank(d)
+            assert table.unrank(0, m, n) == (1 << m) - 1
+            assert table.unrank(size - 1, m, n) == ((1 << m) - 1) << (n - m)
+
+    def test_the_bank_is_built_on_the_first_dense_word(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_byte_walks", ())
+        table = BinomialTable(64)
+        assert table.unrank(5, 3, 64) == table.unrank(5, 3, 64)
+        assert table.rank(0b1011 << 40) == colex_rank(0b1011 << 40)
+        assert combinatorics._byte_walks == ()  # sparse words: the pulse walk alone
+        assert table.unrank(7, 40, 64).bit_count() == 40
+        walks = combinatorics._byte_walks
+        assert len(walks) == 8
+        table.rank((1 << 40) - 1)
+        assert combinatorics._byte_walks is walks
 
 
 class TestWord:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buslab import analytics, codecs
+from buslab import analytics, codecs, combinatorics
 from buslab.codecs import (
     BusState,
     CorruptedWordError,
@@ -305,6 +306,75 @@ def test_corrupted_word_errors_keep_their_texts(spec, x, text):
         with pytest.raises(CorruptedWordError) as exc:
             decode(spec, state, Word(x ^ s, spec.n))
         assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("k,b", [(64, 0), (63, 1), (32, 0), (20, 0)])
+def test_dense_words_decode_and_encode_as_on_the_pulse_walk(k, b, monkeypatch):
+    codec, rnd = optimal_spec(k, b).codec, random.Random(k)
+    pairs = [(rnd.getrandbits(k + b), rnd.getrandbits(k)) for _ in range(2000)]
+    words = [codec.encode_int(s, u) for s, u in pairs]
+    assert [codec.decode_int(s, x) for (s, _), x in zip(pairs, words)] == [u for _, u in pairs]
+    monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)  # no word takes the byte walk
+    assert words == [codec.encode_int(s, u) for s, u in pairs]
+    assert [codec.decode_int(s, x) for (s, _), x in zip(pairs, words)] == [u for _, u in pairs]
+
+
+@pytest.mark.parametrize("k,b,dense", [
+    (11, 12, False), (24, 16, False), (40, 24, False), (12, 12, False),
+    (64, 0, True), (63, 1, True), (32, 0, True), (20, 0, True),
+])
+def test_only_a_codec_with_dense_words_chooses_a_walk_per_word(k, b, dense):
+    # d_max > n // 4 + 1: some word takes the byte walk; else the pulse walks, bound alone
+    codec = optimal_spec(k, b).codec
+    assert (codec.d_max > (k + b) // 4 + 1) == dense
+    kernels = (BinomialTable._unrank, BinomialTable._rank) if dense else (
+        BinomialTable._pulse_unrank, BinomialTable._pulse_rank)
+    assert (codec._unrank.__func__, codec._rank.__func__) == kernels
+
+
+def test_63_1_corrupted_word_texts_are_the_pulse_walks(monkeypatch):
+    # (63, 1) sends 2^63 words on 64 lines: every word of up to 31 pulses and the
+    # first half of the C(64, 32) words of 32, so colex rank C(64, 32) / 2 is the first corrupt one
+    codec, half = optimal_spec(63, 1).codec, comb(64, 32) // 2
+    first_out = BinomialTable(64).unrank(half, 32, 64)
+    alternate, top = int("10" * 32, 2), ((1 << 32) - 1) << 32
+
+    def colex(d):
+        return sum(comb(s, j) for j, s in enumerate((s for s in range(64) if d >> s & 1), 1))
+
+    assert colex(first_out) == half and colex(alternate) > half
+    cases = [(1 << 33) - 1, first_out, alternate, top, (1 << 64) - 1]
+    texts = [_message(codec.decode_int, 0, x) for x in cases]
+    assert texts == [
+        "differential weight 33 exceeds d_max=32",
+        *(f"weight-32 rank {colex(d)} is outside the emitted codebook" for d in cases[1:4]),
+        "differential weight 64 exceeds d_max=32",
+    ]
+    below = alternate >> 1  # the 32 even lines: inside the codebook
+    assert codec.decode_int(0, below) == (1 << 63) - half + colex(below)
+    monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)  # every word on the pulse walk
+    assert texts == [_message(codec.decode_int, 0, x) for x in cases]
+    assert BinomialTable(64).unrank(half, 32, 64) == first_out
+
+
+def test_a_trace_builds_no_byte_bank():
+    # a fresh interpreter: import, the (64, 0) codec and its trace leave the bank
+    # unbuilt, and the first dense word builds it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import buslab\n"
+        "from buslab import combinatorics\n"
+        "spec = buslab.optimal_spec(64, 0)\n"
+        "buslab.run_trace(buslab.TraceConfig(spec, 1000, seed=1))\n"
+        "assert combinatorics._byte_walks == ()\n"
+        "spec.codec.encode_int(0, 1 << 63)\n"  # 32 pulses
+        "assert len(combinatorics._byte_walks) == 8\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_word_errors_keep_their_texts():

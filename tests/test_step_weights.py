@@ -31,7 +31,7 @@ from buslab.codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from buslab.simulator import _draw
+from buslab.simulator import TraceConfig, _draw, run_trace
 
 SMALL_DIFFERENTIAL = (
     [optimal_spec(k, b) for k in range(1, 9) for b in range(0, 13 - k)]
@@ -315,3 +315,34 @@ def test_paired_weight_count_matches_one_bincount(size, dtype):
         want = np.bincount(np.bitwise_count(us ^ before), minlength=k + 1)
         got = _xor_histogram(us, prev, k)
         assert got.dtype == np.int64 and got.tolist() == want.tolist(), k
+
+
+# coset codes whose leaders never get lighter as the syndrome rises, found from
+# the leader table: every Hamming code, repetition(3) = Hamming(2) among them
+THRESHOLD_COSETS = [make_hamming(m) for m in range(2, 9)] + [make_repetition(3)]
+TAKE_COSETS = [make_repetition(n) for n in (4, 5, 9, 17)] + [make_golay23()]
+
+
+@pytest.mark.parametrize("code", THRESHOLD_COSETS + TAKE_COSETS, ids=lambda c: c.name)
+def test_coset_kernel_counts_from_thresholds_only_where_weights_never_fall(code):
+    codec = coset_spec(code).codec
+    w = codec.weights
+    assert (codec._tiers is not None) == (code in THRESHOLD_COSETS) == bool(np.all(w[1:] >= w[:-1]))
+
+
+@pytest.mark.parametrize("code", THRESHOLD_COSETS + TAKE_COSETS, ids=lambda c: c.name)
+@pytest.mark.parametrize("size", [1, 1_000, 1 << 17])
+def test_coset_kernel_on_a_drawn_chunk_is_the_weight_lookup(code, size):
+    codec = coset_spec(code).codec
+    us = _draw(np.random.PCG64(size), code.syndrome_bits, size)
+    want = np.bincount(np.take(codec.weights, us), minlength=int(codec.weights.max()) + 1)
+    got = codec.step_histogram(us, 0)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_hamming_coset_trace_is_the_ppm0_trace(m):
+    # the two families send one codebook: a trace of each counts the same steps
+    traces = [run_trace(TraceConfig(spec, 300_001, seed=m, shards=2))
+              for spec in (coset_spec(make_hamming(m)), ppm0_spec(m))]
+    assert traces[0] == traces[1]
