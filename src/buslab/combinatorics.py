@@ -135,8 +135,8 @@ class BinomialTable:
     def _unrank(self, x: int, m: int, n: int, d: int) -> int:
         """unrank's kernel, for 0 <= m <= n <= n_max and 0 <= x < C(n, m):
         the word d with the m pulses toggled onto it. A dense word of
-        n <= 64 lines takes the byte walk: each block's pattern is the last
-        run start <= remainder in its row. Others take the pulse walk."""
+        n <= 64 lines takes the byte walk: each block's pattern is the one
+        whose row entry is the last <= remainder. Others take the pulse walk."""
         if m <= (n >> 2) + 1 or n > _BYTE_LINES:
             return self._pulse_unrank(x, m, n, d)
         for h, tables in (_byte_walks or _build_byte_walks())[(n - 1) >> 3]:
