@@ -13,11 +13,11 @@ Each word is the top k bits of PCG64's next raw 32-bit (uint32, k <= 32) or
 A shard of at least 4 chunks per CPU runs as up to one part per CPU, each a
 run of whole chunks: part j advance()s its own PCG64 past the raw outputs
 before its first word, so it draws exactly the serial stream's words. Part 0
-runs on the calling thread and the others on a thread pool made on the first
-split (a forked child drops it and makes its own). Part histograms add in
-part order and shards in shard order before the counters, trace_counters
-included, are built once, so every count is the serial run's whatever the
-CPU count.
+runs on the calling thread and each other part on a thread started for it;
+the caller waits for every part before it adds them up. Part histograms
+add in part order and shards in shard order before the counters,
+trace_counters included, are built once, so every count is the serial run's
+whatever the CPU count.
 
 An exact average runs no trace: it is the family's exact_mean, a closed form
 or, for coset, the mean of CosetCodec.tier_counts(), which the tests and
@@ -25,8 +25,8 @@ or, for coset, the mean of CosetCodec.tier_counts(), which the tests and
 """
 from __future__ import annotations
 
+import _thread
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index, mul
@@ -51,8 +51,6 @@ _CHUNK = 1 << 17
 # fewer chunks per part do not pay for a thread: 2-chunk parts measured 9-19% slower
 _MIN_PART_CHUNKS = 4
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -137,29 +135,6 @@ def _draw(bitgen: np.random.PCG64, k: int, size: int) -> np.ndarray:
     return us
 
 
-def _part_pool():
-    """The pool for parts 1.. of a split shard; concurrent.futures is imported
-    here, not with buslab, since it pulls in logging (about 12 ms)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="buslab-part")
-        return _pool
-
-
-def _drop_pool():
-    # a forked child has none of the parent's pool threads: work queued on the
-    # inherited pool would never run, so the child makes its own
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _part_histogram(codec: Codec, seed: np.random.SeedSequence, start: int, stop: int,
                     chunk: int) -> np.ndarray:
     """int64 step counts of a shard's words start..stop-1 (start 0 or a
@@ -190,20 +165,39 @@ def _shard_histogram(codec: Codec, length: int, seed: np.random.SeedSequence) ->
     # chunks % parts parts one more; the last part ends with any odd tail
     base, extra = divmod(chunks, parts)
     bounds = [min(length, chunk * (j * base + min(j, extra))) for j in range(parts + 1)]
-    pool = _part_pool()
-    try:
-        futures = [pool.submit(_part_histogram, codec, seed, lo, hi, chunk)
-                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    except RuntimeError:  # no pool takes work once the interpreter exits (atexit)
-        return _part_histogram(codec, seed, 0, length, chunk)
-    try:
-        hist = _part_histogram(codec, seed, 0, bounds[1], chunk)
-    finally:
-        for f in futures:
-            f.exception()  # wait, so no part outlives the call
-    for f in futures:
-        hist = hist + f.result()
-    return hist
+    hists = [0] * parts
+
+    def part(j, stop, done=None):
+        try:
+            hists[j] = _part_histogram(codec, seed, bounds[j], stop, chunk)
+        except BaseException as e:  # raised by the caller once every part has stopped
+            hists[j] = e
+        finally:
+            if done is not None:
+                done.release()
+
+    # _thread, not threading.Thread: Thread.start() blocks until the new thread
+    # runs, and trace_small read 0.95-0.99x with it. The last part starts
+    # first, so a part whose thread cannot start (none can once a 3.12+
+    # interpreter exits) runs on the caller with the parts before it, as one
+    # run of their words.
+    locks, stop = [], length
+    for j in range(parts - 1, 0, -1):
+        done = _thread.allocate_lock()
+        done.acquire()
+        try:
+            _thread.start_new_thread(part, (j, stop, done))
+        except RuntimeError:
+            break
+        locks.append(done)
+        stop = bounds[j]
+    part(0, stop)
+    for done in locks:
+        done.acquire()
+    for h in hists:
+        if isinstance(h, BaseException):
+            raise h
+    return sum(hists[1:], hists[0])
 
 
 def run_trace(cfg: TraceConfig) -> TransitionStats:
@@ -215,9 +209,9 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
     Shards run one after another. A shard of at least 4 chunks (2^19 bytes
     of words each) per CPU splits into up to one part per CPU, runs of whole
     chunks that jump the shard's PCG64 ahead to their first word and run on
-    a thread pool, and whose histograms add in part order; so the result is
-    the same, count for count, on any number of CPUs. A part's error is
-    raised here once every part has stopped.
+    threads of their own, and whose histograms add in part order; so the
+    result is the same, count for count, on any number of CPUs. A part's
+    error is raised here once every part has stopped.
     """
     codec = cfg.spec.codec
     base, extra = divmod(cfg.trace_length, cfg.shards)

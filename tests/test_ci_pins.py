@@ -111,8 +111,8 @@ def test_scalar_mapping_hash(k, b):
 
 
 def test_one_cpu_and_every_cpu_print_the_same_trace():
-    # one CPU runs each shard in one piece, every CPU in parts on a pool that
-    # is shut down at interpreter exit; the outputs differ only in elapsed_s
+    # one CPU runs each shard in one piece, every CPU in parts on threads
+    # started per split; the outputs differ only in elapsed_s
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no os.sched_setaffinity on this platform: a process cannot be pinned")
     cpus = os.sched_getaffinity(0)

@@ -1,3 +1,4 @@
+import _thread
 import os
 import random
 import subprocess
@@ -207,11 +208,11 @@ def _run_python(code):
                           capture_output=True, text=True, timeout=120)
 
 
-# the parent splits a 2M-word trace on its pool, then a forked child runs one:
-# with the parent's pool kept, the child's parts would wait on threads that
-# are not there, so it is killed after 20 s
+# the parent splits a 2M-word trace, waits until its part thread has exited,
+# then forks a child that runs the trace again; a child that hangs is killed
+# after 20 s
 _FORK_AFTER_A_SPLIT = """
-import os, signal, sys, time, warnings
+import _thread, os, signal, sys, time
 from buslab import simulator
 from buslab.codecs import optimal_spec
 from buslab.simulator import TraceConfig, run_trace
@@ -219,10 +220,11 @@ from buslab.simulator import TraceConfig, run_trace
 simulator._CPUS = 2
 cfg = TraceConfig(optimal_spec(11, 12), 2_000_000, seed=5)
 parent = run_trace(cfg)
-assert simulator._pool is not None
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)  # 3.12+: fork of a threaded process
-    pid = os.fork()
+deadline = time.monotonic() + 5
+while _thread._count() and time.monotonic() < deadline:
+    time.sleep(0.01)
+assert _thread._count() == 0, "a part thread outlived run_trace by 5 s"
+pid = os.fork()
 if pid == 0:
     code = 1
     try:
@@ -241,16 +243,52 @@ sys.exit("forked child still running after 20 s")
 """
 
 
+def _threads_settle_at(count, timeout=5.0):
+    """Whether _thread's count of running threads falls to count within timeout s:
+    a part releases its lock just before its thread exits."""
+    deadline = time.monotonic() + timeout
+    while _thread._count() != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _thread._count() == count
+
+
 class TestParts:
-    """A shard of 4 chunks or more per CPU runs as parts on a thread pool."""
+    """A shard of 4 chunks or more per CPU runs as parts, each one after the
+    first on a thread started for it."""
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_runs_its_own_pool(self):
+    def test_a_forked_child_after_a_split_prints_the_same_trace(self):
         proc = _run_python(_FORK_AFTER_A_SPLIT)
         assert proc.returncode == 0, proc.stderr
 
+    def test_a_split_trace_leaves_no_thread_running(self, cpus):
+        # 2^20 words are 8 chunks: on 2 CPUs, part 1 runs chunks 4..7 on a thread
+        cpus(2)
+        before = _thread._count()
+        run_trace(TraceConfig(uncoded_spec(16), 1 << 20, seed=2))
+        assert _threads_settle_at(before)
+
+    @pytest.mark.parametrize("starts", [0, 1])
+    def test_parts_whose_thread_cannot_start_run_on_the_caller(self, cpus, monkeypatch, starts):
+        # 12 chunks in 3 parts: part 2's thread starts first, then part 1's
+        cfg = TraceConfig(uncoded_spec(16), 12 << 17, seed=4)
+        cpus(1)
+        serial = run_trace(cfg)
+        cpus(3)
+        start, calls = _thread.start_new_thread, []
+
+        def start_some(fn, args):
+            calls.append(args[0])
+            if len(calls) > starts:
+                raise RuntimeError("can't start new thread")
+            return start(fn, args)
+
+        monkeypatch.setattr(simulator._thread, "start_new_thread", start_some)
+        assert run_trace(cfg) == serial
+        assert calls == [2, 1][:starts + 1]
+
     def test_a_failing_part_raises_and_the_next_trace_runs(self, cpus, monkeypatch):
-        # 2^20 words are 8 chunks: on 2 CPUs, part 1 runs chunks 4..7 on the pool
+        # 2^20 words are 8 chunks: on 2 CPUs, part 1 runs chunks 4..7 on a thread
         cfg = TraceConfig(uncoded_spec(16), 1 << 20, seed=2)
         cpus(1)
         serial = run_trace(cfg)
@@ -268,8 +306,27 @@ class TestParts:
         monkeypatch.setattr(UncodedCodec, "step_histogram", kernel)
         assert run_trace(cfg) == serial
 
-    def test_a_trace_at_interpreter_exit_runs_in_one_piece(self):
-        # atexit handlers run after the pools are shut down
+    # KeyboardInterrupt: a Ctrl-C during part 0 also waits for the other parts
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_part_0_raises_once_part_1_has_finished(self, cpus, monkeypatch, error):
+        cpus(2)
+        kernel, caller, counted = UncodedCodec.step_histogram, threading.get_ident(), []
+
+        def failing(self, us, prev):
+            if threading.get_ident() == caller:
+                raise error("part 0 failed")
+            time.sleep(0.05)  # part 1's 4 chunks end well after part 0 fails
+            h = kernel(self, us, prev)
+            counted.append(len(us))
+            return h
+
+        monkeypatch.setattr(UncodedCodec, "step_histogram", failing)
+        with pytest.raises(error, match="part 0 failed"):
+            run_trace(TraceConfig(uncoded_spec(16), 1 << 20, seed=2))
+        assert counted == [1 << 17] * 4
+
+    def test_a_trace_at_interpreter_exit_prints_the_same_histogram(self):
+        # on 3.12+ no thread starts in an atexit handler, and the shard runs in one piece
         proc = _run_python(
             "import atexit\n"
             "from buslab import simulator\n"
@@ -284,7 +341,7 @@ class TestParts:
         assert during == at_exit
 
     def test_import_leaves_the_pool_module_out(self):
-        # concurrent.futures pulls in logging (about 12 ms): it loads on the first split
+        # concurrent.futures pulls in logging (about 12 ms), and no trace needs it
         proc = _run_python("import sys, buslab, buslab.cli, buslab.verify\n"
                            "print('concurrent.futures' in sys.modules)")
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
