@@ -243,15 +243,6 @@ sys.exit("forked child still running after 20 s")
 """
 
 
-def _threads_settle_at(count, timeout=5.0):
-    """Whether _thread's count of running threads falls to count within timeout s:
-    a part releases its lock just before its thread exits."""
-    deadline = time.monotonic() + timeout
-    while _thread._count() != count and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return _thread._count() == count
-
-
 class TestParts:
     """A shard of 4 chunks or more per CPU runs as parts, each one after the
     first on a thread started for it."""
@@ -266,7 +257,11 @@ class TestParts:
         cpus(2)
         before = _thread._count()
         run_trace(TraceConfig(uncoded_spec(16), 1 << 20, seed=2))
-        assert _threads_settle_at(before)
+        # a part releases its lock just before its thread exits
+        deadline = time.monotonic() + 5
+        while _thread._count() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _thread._count() == before
 
     @pytest.mark.parametrize("starts", [0, 1])
     def test_parts_whose_thread_cannot_start_run_on_the_caller(self, cpus, monkeypatch, starts):
