@@ -10,14 +10,15 @@ trace can be split into shards with independently derived child seeds.
 Each word is the top k bits of PCG64's next raw 32-bit (uint32, k <= 32) or
 64-bit output, exactly the stream of Generator.integers(0, 2**k, uint64).
 
-A shard of at least 4 chunks per CPU runs as up to one part per CPU, each a
-run of whole chunks: part j advance()s its own PCG64 past the raw outputs
-before its first word, so it draws exactly the serial stream's words. Part 0
-runs on the calling thread and each other part on a thread started for it;
-the caller waits for every part before it adds them up. Part histograms
-add in part order and shards in shard order before the counters,
-trace_counters included, are built once, so every count is the serial run's
-whatever the CPU count.
+A trace lays its shards' words end to end, in shard order; if they make at
+least 4 chunks per CPU, it cuts them into up to one part per CPU, each cut
+at an even shard-local word, so a part is a list of runs of shard words. A
+run that starts inside its shard advance()s the shard's PCG64 past the raw
+outputs before it, and every part draws exactly the serial stream's words.
+Part 0 runs on the calling thread and each other part on a thread started
+for it; the caller waits for every part, adds their histograms in part order
+and builds the counters, trace_counters included, once, so every count is
+the serial run's whatever the CPU count.
 
 An exact average runs no trace: it is the family's exact_mean, a closed form
 or, for coset, the mean of CosetCodec.tier_counts(), which the tests and
@@ -27,8 +28,10 @@ from __future__ import annotations
 
 import _thread
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import index, mul
 
 import numpy as np
@@ -48,7 +51,8 @@ __all__ = [
 # words per chunk for k <= 32, twice those for k > 32, as 64-bit words: even,
 # since an odd chunk mid-shard would drop the half output integers() keeps
 _CHUNK = 1 << 17
-# fewer chunks per part do not pay for a thread: 2-chunk parts measured 9-19% slower
+# chunks per CPU, counted over the trace, below which a thread does not pay: 2-chunk
+# parts read 9-19% slower, and 200k-word traces cut in two 0.64-0.75x on trace_wide
 _MIN_PART_CHUNKS = 4
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -135,94 +139,89 @@ def _draw(bitgen: np.random.PCG64, k: int, size: int) -> np.ndarray:
     return us
 
 
-def _part_histogram(codec: Codec, seed: np.random.SeedSequence, start: int, stop: int,
-                    chunk: int) -> np.ndarray:
-    """int64 step counts of a shard's words start..stop-1 (start 0 or a
-    chunk boundary)."""
+def _part_histogram(codec: Codec, runs, chunk: int) -> np.ndarray:
+    """int64 step counts of (seed, start, stop) runs of shard words start..stop-1,
+    start 0 or even, in one loop: a run's last chunk lives on while the next draws."""
     k = codec.spec.k
-    bitgen = np.random.PCG64(seed)
-    hist = prev = 0
-    if start:
-        # words start-2 and start-1 fill one raw output (k <= 32) or two
-        bitgen.advance((start - 2) // 2 if k <= 32 else start - 2)
-        prev = int(_draw(bitgen, k, 2)[1])
-    for lo in range(start, stop, chunk):
-        us = _draw(bitgen, k, min(chunk, stop - lo))
-        h = codec.step_histogram(us, prev)
-        hist = hist + h if lo > start else h
-        prev = int(us[-1])
+    hist = 0
+    for seed, start, stop in runs:
+        bitgen = np.random.PCG64(seed)
+        prev = 0
+        if start:
+            # words start-2 and start-1 fill one raw output (k <= 32) or two
+            bitgen.advance((start - 2) // 2 if k <= 32 else start - 2)
+            prev = int(_draw(bitgen, k, 2)[1])
+        for lo in range(start, stop, chunk):
+            us = _draw(bitgen, k, min(chunk, stop - lo))
+            hist = hist + codec.step_histogram(us, prev)
+            prev = int(us[-1])
     return hist
-
-
-def _shard_histogram(codec: Codec, length: int, seed: np.random.SeedSequence) -> np.ndarray:
-    """int64 step counts by lines toggled of one shard of length words."""
-    chunk = _CHUNK if codec.spec.k <= 32 else _CHUNK // 2
-    chunks = -(-length // chunk)
-    parts = min(_CPUS, chunks // _MIN_PART_CHUNKS)
-    if parts <= 1:
-        return _part_histogram(codec, seed, 0, length, chunk)
-    # part j runs words bounds[j]..bounds[j+1]-1: whole chunks, the first
-    # chunks % parts parts one more; the last part ends with any odd tail
-    base, extra = divmod(chunks, parts)
-    bounds = [min(length, chunk * (j * base + min(j, extra))) for j in range(parts + 1)]
-    hists = [0] * parts
-
-    def part(j, stop, done=None):
-        try:
-            hists[j] = _part_histogram(codec, seed, bounds[j], stop, chunk)
-        except BaseException as e:  # raised by the caller once every part has stopped
-            hists[j] = e
-        finally:
-            if done is not None:
-                done.release()
-
-    # _thread, not threading.Thread: Thread.start() blocks until the new thread
-    # runs, and trace_small read 0.95-0.99x with it. The last part starts
-    # first, so a part whose thread cannot start (none can once a 3.12+
-    # interpreter exits) runs on the caller with the parts before it, as one
-    # run of their words.
-    locks, stop = [], length
-    for j in range(parts - 1, 0, -1):
-        done = _thread.allocate_lock()
-        done.acquire()
-        try:
-            _thread.start_new_thread(part, (j, stop, done))
-        except RuntimeError:
-            break
-        locks.append(done)
-        stop = bounds[j]
-    part(0, stop)
-    for done in locks:
-        done.acquire()
-    for h in hists:
-        if isinstance(h, BaseException):
-            raise h
-    return sum(hists[1:], hists[0])
 
 
 def run_trace(cfg: TraceConfig) -> TransitionStats:
     """Feed trace_length uniform info words through the codec and count.
 
     Shard i of cfg.shards is seeded by SeedSequence(cfg.seed, spawn_key=(i,)),
-    spawn's i-th child built directly, and starts from the all-zero bus; the
-    shard histograms add in shard order, and the counters are built once.
-    Shards run one after another. A shard of at least 4 chunks (2^19 bytes
-    of words each) per CPU splits into up to one part per CPU, runs of whole
-    chunks that jump the shard's PCG64 ahead to their first word and run on
-    threads of their own, and whose histograms add in part order; so the
-    result is the same, count for count, on any number of CPUs. A part's
-    error is raised here once every part has stopped.
+    spawn's i-th child built directly, and starts from the all-zero bus. A
+    trace of at least 4 chunks (2^19 bytes of words each) per CPU runs in
+    parts as the module docstring sets out, with the same result, count for
+    count, on any number of CPUs. A part's error is raised here once every
+    part has stopped.
     """
-    codec = cfg.spec.codec
-    base, extra = divmod(cfg.trace_length, cfg.shards)
-    lengths = [base + (1 if i < extra else 0) for i in range(cfg.shards)]
-    seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(i,)) for i in range(cfg.shards)]
-    hist = sum(_shard_histogram(codec, ln, sq) for ln, sq in zip(lengths, seeds))
+    codec, length = cfg.spec.codec, cfg.trace_length
+    chunk = _CHUNK if codec.spec.k <= 32 else _CHUNK // 2
+    base, extra = divmod(length, cfg.shards)
+    # shard i runs the trace's words starts[i]..starts[i+1]-1
+    starts = [i * base + min(i, extra) for i in range(cfg.shards + 1)]
+    shards = [(np.random.SeedSequence(cfg.seed, spawn_key=(i,)), a, b)
+              for i, (a, b) in enumerate(zip(starts, starts[1:]))]
+    parts = min(_CPUS, -(-length // chunk) // _MIN_PART_CHUNKS)
+    if parts <= 1:
+        hist = _part_histogram(codec, [(sq, 0, b - a) for sq, a, b in shards], chunk)
+    else:
+        # part j runs words cuts[j]..cuts[j+1]-1, each cut rounded down to an even
+        # shard-local word, where _part_histogram's advance() is exact at any k
+        cuts = [p - (p - starts[bisect_right(starts, p) - 1]) % 2
+                for p in (j * length // parts for j in range(parts + 1))]
+        plan = [[(sq, max(lo, a) - a, min(hi, b) - a) for sq, a, b in shards if lo < b and a < hi]
+                for lo, hi in zip(cuts, cuts[1:])]
+        hists = [0] * parts
+
+        def part(j, stop, done=None):
+            try:
+                hists[j] = _part_histogram(codec, chain(*plan[j:stop]), chunk)
+            except BaseException as e:  # raised by the caller once every part has stopped
+                hists[j] = e
+            finally:
+                if done is not None:
+                    done.release()
+
+        # _thread, not threading.Thread: Thread.start() blocks until the new
+        # thread runs, and trace_small read 0.95-0.99x with it. The last part
+        # starts first, so a part whose thread cannot start (none can once a
+        # 3.12+ interpreter exits) runs on the caller with the parts before it.
+        locks, stop = [], parts
+        for j in range(parts - 1, 0, -1):
+            done = _thread.allocate_lock()
+            done.acquire()
+            try:
+                _thread.start_new_thread(part, (j, stop, done))
+            except RuntimeError:
+                break
+            locks.append(done)
+            stop = j
+        part(0, stop)
+        for done in locks:
+            done.acquire()
+        for h in hists:
+            if isinstance(h, BaseException):
+                raise h
+        hist = sum(hists[1:], hists[0])
     counts = hist.tolist()
     total = sum(map(mul, range(len(counts)), counts))
     # trace_counters gives the last three fields: clocks, comparisons, additions
-    counters = codec.trace_counters(total, cfg.trace_length)
-    return TransitionStats(cfg.spec.n, cfg.trace_length, total, counts, *counters)
+    counters = codec.trace_counters(total, length)
+    return TransitionStats(cfg.spec.n, length, total, counts, *counters)
 
 
 def exact_average_distance(spec: CodecSpec) -> ExactAverageReport:

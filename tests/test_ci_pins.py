@@ -111,16 +111,17 @@ def test_scalar_mapping_hash(k, b):
 
 
 def test_one_cpu_and_every_cpu_print_the_same_trace():
-    # one CPU runs each shard in one piece, every CPU in parts on threads
-    # started per split; the outputs differ only in elapsed_s
+    # one CPU runs the trace in one piece, every CPU in parts on threads
+    # started per trace; the outputs differ only in elapsed_s. With --jobs 3,
+    # 2 CPUs cut the trace at shard 1's odd word 499,999, rounded to 499,998
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no os.sched_setaffinity on this platform: a process cannot be pinned")
     cpus = os.sched_getaffinity(0)
     if len(cpus) < 2:
         pytest.skip("only one CPU is allowed: one CPU and every CPU are the same run")
-    args = ("simulate", "optimal", "--k", "11", "--b", "12", "--length", "3000000",
-            "--seed", "5", "--json")
-    one, every = _buslab(*args, one_cpu=min(cpus)), _buslab(*args)
     mask = re.compile(rb', "elapsed_s": [^,}]*')
-    assert mask.search(every), every
-    assert mask.sub(b"", one) == mask.sub(b"", every)
+    for extra in (("--length", "3000000"), ("--length", "3000001", "--jobs", "3")):
+        args = ("simulate", "optimal", "--k", "11", "--b", "12", *extra, "--seed", "5", "--json")
+        one, every = _buslab(*args, one_cpu=min(cpus)), _buslab(*args)
+        assert mask.search(every), every
+        assert mask.sub(b"", one) == mask.sub(b"", every)

@@ -7,8 +7,8 @@ that a (spec, seed, shards) input still gives the same trace. Every trace
 is 270,001 words, so with one or two shards each shard spans more than one
 2^17-word chunk and the carry of the last word across chunks is covered.
 Histograms are stored sparsely as [weight, count] pairs. Every record is
-also replayed with each shard split into parts that jump the stream ahead,
-whatever the CPU count of the host that runs the tests.
+also replayed with the trace cut into parts that jump each shard's stream
+ahead, whatever the CPU count of the host that runs the tests.
 """
 import hashlib
 import json
@@ -74,10 +74,10 @@ def _heaviest_step(spec):
 
 @pytest.fixture
 def three_parts(cpus, monkeypatch):
-    """Split any shard of 1 chunk or more into up to 3 parts, as on a 3-CPU
-    host: a 270,001-word shard runs as parts of 1, 1 and 0.06 chunks of 2^17
-    words for k <= 32, and of 2, 2 and 0.12 chunks of 2^16 for k > 32, the
-    last one the odd tail."""
+    """Cut any trace of 1 chunk or more into up to 3 parts, as on a 3-CPU
+    host: a 270,001-word trace runs as parts of 90,000, 90,000 and 90,001
+    words at any k. In 2 shards, of 135,001 and 135,000 words, the second
+    cut falls on shard 1's odd word 44,999 and rounds down to 44,998."""
     cpus(3)
     monkeypatch.setattr(simulator, "_MIN_PART_CHUNKS", 1)
 
@@ -123,6 +123,7 @@ def test_golden_record_in_three_parts(entry, three_parts):
 
 
 def test_sharded_merge_in_three_parts(three_parts, monkeypatch):
-    # 7,501-word shards are 4 chunks of 2^11 words, split 2 + 1 + 1 (1,357 words)
+    # 30,002 words are 15 chunks of 2^11, cut at shard 1's word 2,498 and shard
+    # 2's word 4,998, each rounded down from an odd word
     monkeypatch.setattr(simulator, "_CHUNK", 1 << 11)
     test_simulator.TestRunTrace().test_sharded_merge_equals_serial()

@@ -31,7 +31,7 @@ from buslab.combinatorics import Word
 from buslab.simulator import (
     TraceConfig,
     _draw,
-    _shard_histogram,
+    _part_histogram,
     convergence_check,
     exact_average_distance,
     run_trace,
@@ -47,12 +47,14 @@ class TestRunTrace:
 
     def test_sharded_merge_equals_serial(self):
         # replay the documented shard contract: lengths split by divmod,
-        # one spawned child seed per shard, histograms added in shard order
+        # one spawned child seed per shard, each drawn as one run from the
+        # all-zero bus, histograms added in shard order
         cfg = TraceConfig(spec=optimal_spec(8, 8), trace_length=30_002, seed=3, shards=4)
         codec = make_codec(cfg.spec)
         seeds = np.random.SeedSequence(3).spawn(4)
         lengths = (7_501, 7_501, 7_500, 7_500)
-        parts = [_shard_histogram(codec, ln, sq) for ln, sq in zip(lengths, seeds)]
+        parts = [_part_histogram(codec, [(sq, 0, ln)], simulator._CHUNK)
+                 for ln, sq in zip(lengths, seeds)]
         assert len({len(p) for p in parts}) == 1
         hist = parts[0] + parts[1] + parts[2] + parts[3]
         stats = run_trace(cfg)
@@ -244,8 +246,8 @@ sys.exit("forked child still running after 20 s")
 
 
 class TestParts:
-    """A shard of 4 chunks or more per CPU runs as parts, each one after the
-    first on a thread started for it."""
+    """A trace of 4 chunks or more per CPU is cut across its shards into
+    parts, each one after the first on a thread started for it."""
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_after_a_split_prints_the_same_trace(self):
@@ -281,6 +283,48 @@ class TestParts:
         monkeypatch.setattr(simulator._thread, "start_new_thread", start_some)
         assert run_trace(cfg) == serial
         assert calls == [2, 1][:starts + 1]
+
+    def test_a_trace_of_short_shards_runs_in_parts(self, cpus, monkeypatch):
+        # 8 shards of 1 chunk each: on 2 CPUs, part 1 runs shards 4..7 on a thread
+        cfg = TraceConfig(uncoded_spec(16), 1 << 20, seed=2, shards=8)
+        cpus(1)
+        serial = run_trace(cfg)
+        cpus(2)
+        start, calls = _thread.start_new_thread, []
+
+        def counting(fn, args):
+            calls.append(args[0])
+            return start(fn, args)
+
+        monkeypatch.setattr(simulator._thread, "start_new_thread", counting)
+        assert run_trace(cfg) == serial
+        assert calls == [1]
+
+    @pytest.mark.parametrize("k", [16, 33, 64])
+    @pytest.mark.parametrize("length,plan", [
+        # 3 shards of 101 words: both cuts fall on a shard end
+        (303, [[(0, 0, 101)], [(1, 0, 101)], [(2, 0, 101)]]),
+        # shards of 101, 100 and 100 words: cut 1 falls on shard 0's last word,
+        # cut 2 on shard 1's odd word 99 and rounds down to 98
+        (301, [[(0, 0, 100)], [(0, 100, 101), (1, 0, 98)], [(1, 98, 100), (2, 0, 100)]]),
+    ])
+    def test_cuts_fall_on_even_shard_local_words(self, cpus, monkeypatch, k, length, plan):
+        monkeypatch.setattr(simulator, "_CHUNK", 1 << 6)
+        monkeypatch.setattr(simulator, "_MIN_PART_CHUNKS", 1)
+        cfg = TraceConfig(uncoded_spec(k), length, seed=6, shards=3)
+        cpus(1)
+        serial = run_trace(cfg)
+        cpus(3)
+        kernel, seen = simulator._part_histogram, []
+
+        def recording(codec, runs, chunk):
+            runs = list(runs)
+            seen.append([(sq.spawn_key[0], start, stop) for sq, start, stop in runs])
+            return kernel(codec, runs, chunk)
+
+        monkeypatch.setattr(simulator, "_part_histogram", recording)
+        assert run_trace(cfg) == serial
+        assert sorted(seen) == plan
 
     def test_a_failing_part_raises_and_the_next_trace_runs(self, cpus, monkeypatch):
         # 2^20 words are 8 chunks: on 2 CPUs, part 1 runs chunks 4..7 on a thread
