@@ -37,7 +37,7 @@ PINS = {
 
 # (k, b): sha256 of the optimal codec's encode_int and decode_int over every
 # tier's first and last two info words, then 20,000 seeded uniform ones; at
-# (12, 0), over every info word. Recorded with every word on the pulse walk,
+# k = 12, over every info word. Recorded with every word on the pulse walk,
 # so the pin does not rest on the byte-wide bank it checks
 SCALAR_PINS = {
     (64, 0): "c78dfa715b8c1dbf04540b9e4fdb77f4632ba3bcc02181560aaede765d5dcc65",
@@ -46,6 +46,11 @@ SCALAR_PINS = {
     (40, 24): "f052182658cdf7cb2fd8354f9ce2fcefa68f2d37b7fd255a49c8314d76e0ba9b",
     (20, 0): "3c359b7b82f2542415420b82886b86cbb0594fbc4fc08b1ed74d3a1e029e0728",
     (12, 0): "dfd400ba972484474003e05f9bad70cf34d556823e9207ee54a76dc1108f9558",
+    # the edge of the optimal codec's walk rule, d_max > n // 4 + 1: pulse walk, then byte walk
+    (50, 14): "cc7958f3a515bc117fa89b3d1feac515d1c9092c2f8a891210c743d7a9a8fba4",
+    (12, 4): "0da16a3affe4cdb76615249e77ae1e0e8473055a27e46267086a4bf821828768",
+    (51, 13): "25e5d87edec3fd65dfde3cfeb517dfe631720594f50ca8e04de43534d857bba4",
+    (13, 3): "38c9432cdab6fe472aa1564e0c2a48efcfdcf52e8f32ed07aadd6432ee5650e3",
 }
 
 # the child pins itself to one CPU before it imports buslab, which reads its
