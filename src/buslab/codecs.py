@@ -32,7 +32,7 @@ from operator import index
 import numpy as np
 
 from . import analytics
-from .combinatorics import BinomialTable, Word, _set_length, _set_value
+from .combinatorics import BinomialTable, Word, _byte_rank, _byte_unrank, _set_length, _set_value
 
 __all__ = [
     "MAX_OPTIMAL_LINES",
@@ -126,6 +126,9 @@ class LinearCode:
     h_rows: tuple[int, ...]
 
     def __post_init__(self):
+        # Python ints, as CodecSpec takes them: no numpy scalar, no float
+        object.__setattr__(self, "length", index(self.length))
+        object.__setattr__(self, "h_rows", tuple(map(index, self.h_rows)))
         for row in self.h_rows:
             if not 0 <= row < (1 << self.length):
                 raise ValueError(f"{self.name}: parity row {row:#x} out of range")
@@ -541,9 +544,10 @@ class OptimalCodec(_DifferentialCodec):
     that tier. Within the top tier only the first 2^k - (tier sum below)
     patterns in rank order are ever emitted; the decoder rejects anything
     past that bound as corrupted. One kernel pair is bound per codec, from
-    d_max, and nothing is kept per info word. For d_max >= 2 they are a
-    binomial table's kernels for words of up to d_max pulses: unrank toggles
-    the tier's rank onto the bus state, and rank decodes. At d_max = 1 the
+    d_max, and nothing is kept per info word. For d_max >= 2 unrank toggles
+    the tier's rank onto the bus state, and rank decodes: by the byte walk
+    for every word when d_max > n // 4 + 1, which makes most words dense,
+    else by the pulse walk of a binomial table. At d_max = 1 the
     codebook is 0 and the pulses 1 << (u - 1), no table is built, and decode
     tests for a power of two, not a popcount, as d may span 2^20 - 1 lines
     (ppm0 at k = 20).
@@ -558,8 +562,11 @@ class OptimalCodec(_DifferentialCodec):
         self._floors = np.array(self._bases[:self.d_max + 1], np.uint64)
         if self.d_max == 1:
             self._encode, self._decode = self._pulse_encode, self._pulse_decode
-        else:  # the table's kernels, bound once: one call per word
-            self._unrank, self._rank = BinomialTable(spec.n).kernels(self.d_max)
+        elif self.d_max > spec.n // 4 + 1:  # dense words, on n <= 64 lines: no table
+            self._unrank, self._rank = _byte_unrank, _byte_rank
+        else:
+            table = BinomialTable(spec.n)
+            self._unrank, self._rank = table._unrank, table._rank
 
     def trace_counters(self, pulses: int, words: int) -> tuple[int, int, int]:
         return analytics._modulator_counts(self._n, self.d_max, pulses, words)
@@ -577,7 +584,7 @@ class OptimalCodec(_DifferentialCodec):
         m = d.bit_count()
         if m > self.d_max:
             raise CorruptedWordError(f"differential weight {m} exceeds d_max={self.d_max}")
-        rank = self._rank(d, m)  # d < 2^n, the table's n_max
+        rank = self._rank(d, m)  # d < 2^n, n <= the table's n_max, or 64 on the byte walk
         u = self._bases[m] + rank
         if u >= self._size:
             raise CorruptedWordError(f"weight-{m} rank {rank} is outside the emitted codebook")

@@ -11,15 +11,14 @@ m..2 with one binary search of the remainder in each column of the run, the
 software form of a bank of parallel comparators against the stored
 coefficients followed by a priority select; pulse 1 needs no search, since
 C(i, 1) = i puts it on line x, the remainder left. This is the pulse walk,
-one step per pulse.
+one step per pulse: BinomialTable's kernels and the reference walk.
 
-A dense word takes a second, byte-wide bank, 8 lines per step: from the top
-block down, one bisect of a block's 256 run starts places all its pulses,
-and rank adds its pattern's run start (see _build_byte_walks). The bank
-covers lines 0..63, is shared by every table and is built on the first dense
-word. unrank takes it past n // 4 + 1 pulses and rank past (top line + 1) // 5,
-where it measured faster than the pulse walk; a table's kernels(m_max) are
-the pulse walks alone when no word of m_max pulses is that dense.
+The byte walk is the same bank 8 lines wide: from the top block down, one
+bisect of a block's 256 run starts places all its pulses, and rank adds its
+pattern's run start (see _build_byte_walks). Its kernels _byte_unrank and
+_byte_rank are module functions on one bank of lines 0..63, built on the
+first call. The optimal codec takes one of the two walks for all its words,
+chosen once from its pulse budget (OptimalCodec).
 
 Conventions used across the package: bit i of a word is bus line i, line 0
 is the least significant bit, and printed words show line 0 rightmost.
@@ -83,16 +82,16 @@ _set_value, _set_length = Word.__dict__["value"].__set__, Word.__dict__["length"
 
 class BinomialTable:
     """The comparator bank: exact C(i, l) for i = 0..n_max and l = 2..n_max,
-    stored by column, and the kernels that also read the byte-wide bank.
+    stored by column, with the pulse walk's kernels.
 
     Column l lists C(i, l) for i = 0..n_max: zero for i < l, then strictly
     increasing, so it is sorted and a comparator bank can search it. The
     run of m pulses is columns m down to 2, built once per table. rank and
     unrank work on bitmask words (bit s set for a pulse on line s): each
     takes index() of its arguments, as Word does, and checks them, then runs
-    the unchecked kernel _rank/_unrank. OptimalCodec binds kernels(d_max)
-    once and calls them per word: its tier bisect and Codec's range check
-    bound their arguments.
+    the unchecked kernel _rank/_unrank. An optimal codec with sparse words
+    binds _unrank and _rank once and calls them per word: its tier bisect
+    and Codec's range check bound their arguments.
     """
 
     __slots__ = ("n_max", "_runs")
@@ -124,36 +123,13 @@ class BinomialTable:
             raise ValueError(f"rank {x} out of range for C({n},{m})={size}")
         return self._unrank(x, m, n, 0)
 
-    def kernels(self, m_max: int) -> tuple:
-        """The (unrank, rank) kernels for words of at most m_max pulses on
-        n_max lines: _unrank/_rank, or the pulse walks alone when no such
-        word is dense, which spares every word the choice."""
-        if m_max > (self.n_max >> 2) + 1 and self.n_max <= _BYTE_LINES:
-            return self._unrank, self._rank
-        return self._pulse_unrank, self._pulse_rank
-
     def _unrank(self, x: int, m: int, n: int, d: int) -> int:
-        """unrank's kernel, for 0 <= m <= n <= n_max and 0 <= x < C(n, m):
-        the word d with the m pulses toggled onto it. A dense word of
-        n <= 64 lines takes the byte walk: each block's pattern is the one
-        whose row entry is the last <= remainder. Others take the pulse walk."""
-        if m <= (n >> 2) + 1 or n > _BYTE_LINES:
-            return self._pulse_unrank(x, m, n, d)
-        for h, tables in (_byte_walks or _build_byte_walks())[(n - 1) >> 3]:
-            row = tables[m]
-            p = bisect_right(row, x) - 1
-            x -= row[p]
-            d ^= p << h
-            m -= p.bit_count()
-            if not m:  # at the latest in block 0, where r - h <= |P| <= r puts |P| = r
-                return d
-
-    def _pulse_unrank(self, x: int, m: int, n: int, d: int) -> int:
-        """_unrank by the pulse walk. For l = m down to 2, pulse l sits on the
-        largest line i with C(i, l) <= remainder: one bisect of column l,
-        bounded by the line of pulse l + 1 (n holds it), since the remainder
-        is then below C(that line, l). Pulse 1 sits on the line the remainder
-        names, as C(i, 1) = i."""
+        """unrank's kernel, for 0 <= m <= n <= n_max and 0 <= x < C(n, m): the
+        word d with the m pulses toggled onto it. For l = m down to 2, pulse l
+        sits on the largest line i with C(i, l) <= remainder: one bisect of
+        column l, bounded by the line of pulse l + 1 (n holds it), since the
+        remainder is then below C(that line, l). Pulse 1 sits on the line the
+        remainder names, as C(i, 1) = i."""
         for col in self._runs[m]:
             n = bisect_right(col, x, 0, n) - 1
             d ^= 1 << n
@@ -171,23 +147,8 @@ class BinomialTable:
         return self._rank(d, d.bit_count())
 
     def _rank(self, d: int, m: int) -> int:
-        """rank's kernel, for 0 <= d < 2^n_max with m = popcount(d): a dense
-        d below 2^64 takes the byte walk, each block's pattern reading its
-        run start; others the pulse walk."""
-        top = d.bit_length()
-        if m <= top // 5 or top > _BYTE_LINES:
-            return self._pulse_rank(d, m)
-        x = 0
-        for h, tables in (_byte_walks or _build_byte_walks())[(top - 1) >> 3]:
-            p = d >> h & 0xFF
-            x += tables[m][p]
-            m -= p.bit_count()
-            if not m:
-                return x
-
-    def _pulse_rank(self, d: int, m: int) -> int:
-        """_rank by the pulse walk: pulses m..2 read their columns, and pulse
-        1 adds its own line."""
+        """rank's kernel, for 0 <= d < 2^n_max with m = popcount(d): pulses
+        m..2 read their columns, and pulse 1 adds its own line."""
         x = 0
         for col in self._runs[m]:
             i = d.bit_length() - 1
@@ -196,9 +157,35 @@ class BinomialTable:
         return x + d.bit_length() - 1 if m else 0
 
 
-# The byte-wide bank, shared by every table: lines 0..63 in blocks of 8,
-# built on the first dense word, as no trace runs these kernels.
-_BYTE_LINES = 64
+def _byte_unrank(x: int, m: int, n: int, d: int) -> int:
+    """BinomialTable._unrank by the byte walk, for 0 <= m <= n <= 64 and
+    0 <= x < C(n, m), on no table: from the top block of n lines down, the
+    block's pattern is the one whose row entry is the last <= remainder."""
+    for h, tables in (_byte_walks or _build_byte_walks())[(n - 1) >> 3]:
+        row = tables[m]
+        p = bisect_right(row, x) - 1
+        x -= row[p]
+        d ^= p << h
+        m -= p.bit_count()
+        if not m:  # at the latest in block 0, where r - h <= |P| <= r puts |P| = r
+            return d
+
+
+def _byte_rank(d: int, m: int) -> int:
+    """BinomialTable._rank by the byte walk, for 0 <= d < 2^64 with
+    m = popcount(d): from d's top block down, each block's pattern reads its
+    run start. d = 0 walks from block 7, whose row 0 starts at 0."""
+    x = 0
+    for h, tables in (_byte_walks or _build_byte_walks())[(d.bit_length() - 1) >> 3]:
+        p = d >> h & 0xFF
+        x += tables[m][p]
+        m -= p.bit_count()
+        if not m:
+            return x
+
+
+# The byte-wide bank: lines 0..63 in blocks of 8, built on the first call of
+# a byte walk, as no trace runs these kernels.
 _byte_walks: tuple = ()
 
 
@@ -219,7 +206,7 @@ def _build_byte_walks() -> tuple:
     """
     global _byte_walks
     blocks = []
-    for h in range(0, _BYTE_LINES, 8):
+    for h in range(0, 64, 8):
         row, tables = [0] * 256, []
         for r in range(h + 9):
             tops = [comb(i, r) for i in range(h, h + 8)]

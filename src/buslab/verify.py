@@ -26,7 +26,7 @@ from .codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from .combinatorics import BinomialTable
+from .combinatorics import BinomialTable, _byte_rank, _byte_unrank
 from .simulator import exact_average_distance
 
 __all__ = ["CheckResult", "SCOPES", "run_checks"]
@@ -44,21 +44,24 @@ class CheckResult:
 
 
 def check_rank_bijection() -> CheckResult:
-    """Unrank must invert rank and walk subsets in colex order, for every n <= RANK_MAX_N."""
+    """Unrank must invert rank and walk subsets in colex order, for every
+    n <= RANK_MAX_N, by the pulse walk and by the byte walk."""
     table = BinomialTable(RANK_MAX_N)
+    walks = {"unrank": (table._unrank, table._rank), "byte unrank": (_byte_unrank, _byte_rank)}
     checked = 0
     for n in range(RANK_MAX_N + 1):
         for m in range(n + 1):
             expected = sorted(combinations(range(n), m), key=lambda t: t[::-1])
             for x, subset in enumerate(expected):
-                d = table.unrank(x, m, n)
                 want = sum(1 << s for s in subset)
-                if d != want:
-                    return CheckResult(
-                        "rank", False, f"unrank({x},{m},{n}) = {d:#b}, want {want:#b}"
-                    )
-                if table.rank(d) != x:
-                    return CheckResult("rank", False, f"rank(unrank({x},{m},{n})) != {x}")
+                for walk, (unrank, rank) in walks.items():
+                    d = unrank(x, m, n, 0)
+                    if d != want:
+                        return CheckResult(
+                            "rank", False, f"{walk}({x},{m},{n}) = {d:#b}, want {want:#b}"
+                        )
+                    if rank(d, m) != x:
+                        return CheckResult("rank", False, f"rank({walk}({x},{m},{n})) != {x}")
                 checked += 1
     return CheckResult("rank", True, f"bijection holds for n <= {RANK_MAX_N} ({checked} patterns)")
 

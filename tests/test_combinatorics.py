@@ -100,8 +100,9 @@ class TestRankUnrank:
 
 
 class TestByteWalk:
-    """The byte-wide bank against the pulse walk, which places one pulse per
-    step, and against the math.comb oracles."""
+    """The byte walk against the pulse walk, which places one pulse per step,
+    and against the math.comb oracles: each test calls both kernels directly,
+    _byte_unrank/_byte_rank and a table's _unrank/_rank, at every pulse count."""
 
     def test_each_row_is_the_run_starts_then_the_next_start(self):
         # a possible pattern P starts its run at the sum of C(h + p_t, r - |P| + t);
@@ -122,49 +123,66 @@ class TestByteWalk:
                 assert row.tolist() == want, (h, r)
 
     @pytest.mark.parametrize("n", [64, 63, 32, 20])
-    def test_random_ranks_match_the_pulse_walk(self, n, monkeypatch):
-        table, rnd = BinomialTable(64), random.Random(n)
-        cases = [(rnd.randrange(math.comb(n, m)), m) for m in range(n + 1) for _ in range(20)]
-        words = [table.unrank(x, m, n) for x, m in cases]
-        ranks = [table.rank(d) for d in words]
-        monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)
-        assert words == [table.unrank(x, m, n) for x, m in cases]
-        assert ranks == [x for x, _ in cases] == [table.rank(d) for d in words]
-        assert all(d.bit_count() == m and d >> n == 0 for d, (_, m) in zip(words, cases))
+    def test_random_ranks_match_the_pulse_walk(self, n):
+        table, rnd = BinomialTable(n), random.Random(n)
+        for m in range(n + 1):
+            for x in (rnd.randrange(math.comb(n, m)) for _ in range(20)):
+                d, state = table._unrank(x, m, n, 0), rnd.getrandbits(n)
+                assert d.bit_count() == m and d >> n == 0
+                assert combinatorics._byte_unrank(x, m, n, state) == state ^ d
+                assert combinatorics._byte_rank(d, m) == table._rank(d, m) == x
 
-    def test_exhaustive_small_tables_match_the_pulse_walk(self, monkeypatch):
+    def test_exhaustive_small_tables_match_the_pulse_walk(self):
         table = BinomialTable(12)
-        cases = [(x, m, n) for n in range(13) for m in range(n + 1) for x in range(math.comb(n, m))]
-        words = [table.unrank(*c) for c in cases]
-        ranks = [table.rank(d) for d in words]
-        monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)
-        assert words == [table.unrank(*c) for c in cases]
-        assert ranks == [x for x, _, _ in cases]
+        for n in range(13):
+            for m in range(n + 1):
+                for x, subset in enumerate(colex_subsets(n, m)):
+                    d = mask(subset)
+                    assert table._unrank(x, m, n, 0) == combinatorics._byte_unrank(x, m, n, 0) == d
+                    assert table._rank(d, m) == combinatorics._byte_rank(d, m) == x
 
     @pytest.mark.parametrize("n", [20, 32, 63, 64])
     def test_words_at_the_edges_of_each_tier_and_walk(self, n):
-        # every pulse count from n // 5 (rank's choice of walk) past n // 4 + 1
-        # (unrank's), at the first two and last two ranks of its tier
+        # every pulse count, at the first two, middle and last two ranks of its tier
         table = BinomialTable(n)
-        for m in range(n // 5 - 1, n // 4 + 4):
+        for m in range(n + 1):
             size = math.comb(n, m)
-            for x in (0, 1, size // 2, size - 2, size - 1):
-                d = table.unrank(x, m, n)
-                assert d.bit_count() == m and d >> n == 0
-                assert colex_rank(d) == x == table.rank(d)
-            assert table.unrank(0, m, n) == (1 << m) - 1
-            assert table.unrank(size - 1, m, n) == ((1 << m) - 1) << (n - m)
+            for x in {v % size for v in (0, 1, size // 2, -2, -1)}:
+                d = combinatorics._byte_unrank(x, m, n, 0)
+                assert d == table._unrank(x, m, n, 0) and d.bit_count() == m and d >> n == 0
+                assert colex_rank(d) == x == combinatorics._byte_rank(d, m) == table._rank(d, m)
+            assert combinatorics._byte_unrank(0, m, n, 0) == (1 << m) - 1
+            assert combinatorics._byte_unrank(size - 1, m, n, 0) == ((1 << m) - 1) << (n - m)
+
+    def test_the_first_and_last_word_of_every_run(self):
+        # each possible entry of every row is the first rank of its pattern's run: the
+        # block's pattern over the lowest lines below it, or over the highest for the last
+        table = BinomialTable(64)
+        for h, tables in combinatorics._build_byte_walks()[-1]:
+            for r, row in enumerate(tables):
+                for p in range(256):
+                    low = r - p.bit_count()
+                    if not 0 <= low <= h:
+                        continue
+                    first, last = p << h | (1 << low) - 1, p << h | ((1 << low) - 1) << (h - low)
+                    for d in (first, last):
+                        x = table._rank(d, r)
+                        assert combinatorics._byte_rank(d, r) == x
+                        assert combinatorics._byte_unrank(x, r, h + 8, 0) == d
+                    assert table._rank(first, r) == row[p]
 
     def test_the_bank_is_built_on_the_first_dense_word(self, monkeypatch):
+        # the pulse walk never reads the bank, at any density: the first byte
+        # walk builds it, and every later one shares it
         monkeypatch.setattr(combinatorics, "_byte_walks", ())
         table = BinomialTable(64)
-        assert table.unrank(5, 3, 64) == table.unrank(5, 3, 64)
-        assert table.rank(0b1011 << 40) == colex_rank(0b1011 << 40)
-        assert combinatorics._byte_walks == ()  # sparse words: the pulse walk alone
         assert table.unrank(7, 40, 64).bit_count() == 40
+        assert table.rank((1 << 40) - 1) == 0
+        assert combinatorics._byte_walks == ()
+        assert combinatorics._byte_rank(0, 0) == 0
         walks = combinatorics._byte_walks
         assert len(walks) == 8
-        table.rank((1 << 40) - 1)
+        assert combinatorics._byte_unrank(7, 40, 64, 0) == table.unrank(7, 40, 64)
         assert combinatorics._byte_walks is walks
 
 

@@ -172,6 +172,27 @@ class TestLinearCodeValidation:
         with pytest.raises(ValueError, match="^bad: parity rows are not linearly independent$"):
             LinearCode(name="bad", length=3, h_rows=(0b011, 0b011))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, np.uint64])
+    def test_numpy_ints_are_stored_as_python_ints(self, dtype):
+        code = make_hamming(3)
+        again = LinearCode(code.name, dtype(code.length), tuple(map(dtype, code.h_rows)))
+        assert again == code and all(type(v) is int for v in (again.length, *again.h_rows))
+        # a codec of its own, not the cached one of the equal spec
+        codec = CosetCodec(coset_spec(again))
+        assert [codec.encode_int(0, u) for u in range(8)] == [
+            coset_spec(code).codec.encode_int(0, u) for u in range(8)]
+        assert codec.decode_int(0b1010101, codec.encode_int(0b1010101, 5)) == 5
+        # 1 << 70 does not wrap
+        wide = LinearCode("wide", dtype(70), (1 << 69 | 1,))
+        assert (type(wide.length), wide.dimension) == (int, 69)
+
+    def test_floats_are_not_ints(self):
+        code = make_hamming(3)
+        with pytest.raises(TypeError):
+            LinearCode(code.name, float(code.length), code.h_rows)
+        with pytest.raises(TypeError):
+            LinearCode(code.name, code.length, (float(code.h_rows[0]), *code.h_rows[1:]))
+
     def test_independence_check_is_elimination_only(self):
         # 15 rows on 32,767 lines: no pass over every line, as a kernel basis takes
         code = make_hamming(15)

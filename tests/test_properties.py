@@ -32,7 +32,7 @@ from buslab.codecs import (
     ppm0_spec,
     uncoded_spec,
 )
-from buslab.combinatorics import BinomialTable, Word
+from buslab.combinatorics import BinomialTable, Word, _byte_rank, _byte_unrank
 from buslab.simulator import exact_average_distance
 from buslab.verify import _roundtrip_specs
 
@@ -80,8 +80,9 @@ class TestRankOracle:
         x, m, n = xmn
         expected = _mask(colex_unrank(x, m, n))
         assert TABLE.unrank(x, m, n) == expected
-        # the kernel toggles the pulses onto its start word
+        # each walk's kernel toggles the pulses onto its start word
         assert TABLE._unrank(x, m, n, start) == start ^ expected
+        assert _byte_unrank(x, m, n, start) == start ^ expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.sets(st.integers(0, 63), max_size=64))
@@ -89,6 +90,7 @@ class TestRankOracle:
         positions = tuple(sorted(lines))
         expected = colex_rank(positions)
         assert TABLE.rank(_mask(positions)) == expected
+        assert _byte_rank(_mask(positions), len(positions)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(ranked_subsets())
@@ -110,6 +112,7 @@ class TestRankOracle:
         assert TABLE.unrank(0, 0, n) == _mask(colex_unrank(0, 0, n)) == 0
         assert TABLE.rank(0) == colex_rank(()) == 0
         assert TABLE._unrank(0, 0, n, (1 << n) - 1) == (1 << n) - 1
+        assert _byte_unrank(0, 0, n, (1 << n) - 1) == (1 << n) - 1 and _byte_rank(0, 0) == 0
 
     def test_rank_rejects_words_wider_than_the_table(self):
         table = BinomialTable(8)

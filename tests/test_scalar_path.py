@@ -309,40 +309,61 @@ def test_corrupted_word_errors_keep_their_texts(spec, x, text):
 
 
 @pytest.mark.parametrize("k,b", [(64, 0), (63, 1), (32, 0), (20, 0)])
-def test_dense_words_decode_and_encode_as_on_the_pulse_walk(k, b, monkeypatch):
-    codec, rnd = optimal_spec(k, b).codec, random.Random(k)
-    pairs = [(rnd.getrandbits(k + b), rnd.getrandbits(k)) for _ in range(2000)]
-    words = [codec.encode_int(s, u) for s, u in pairs]
-    assert [codec.decode_int(s, x) for (s, _), x in zip(pairs, words)] == [u for _, u in pairs]
-    monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)  # no word takes the byte walk
-    assert words == [codec.encode_int(s, u) for s, u in pairs]
-    assert [codec.decode_int(s, x) for (s, _), x in zip(pairs, words)] == [u for _, u in pairs]
+def test_dense_words_decode_and_encode_as_on_the_pulse_walk(k, b):
+    # the codec's byte walk against a table's pulse walk, called directly, at
+    # every pulse count: the first and last info words of its tier and 20 random ones
+    n = k + b
+    codec, table, rnd = optimal_spec(k, b).codec, BinomialTable(n), random.Random(k)
+    assert codec._unrank is combinatorics._byte_unrank
+    for m in range(codec.d_max + 1):
+        base, end = codec._bases[m], min(codec._bases[m + 1], 1 << k)
+        for u in {base, end - 1, *(rnd.randrange(base, end) for _ in range(20))}:
+            state = rnd.getrandbits(n)
+            x = codec.encode_int(state, u)
+            assert x == table._unrank(u - base, m, n, state)
+            assert table._rank(x ^ state, m) == u - base
+            assert codec.decode_int(state, x) == u
 
 
 @pytest.mark.parametrize("k,b,dense", [
-    (11, 12, False), (24, 16, False), (40, 24, False), (12, 12, False),
-    (64, 0, True), (63, 1, True), (32, 0, True), (20, 0, True),
+    (11, 12, False), (24, 16, False), (40, 24, False), (12, 12, False), (50, 14, False),
+    (12, 4, False), (64, 0, True), (63, 1, True), (32, 0, True), (20, 0, True), (51, 13, True),
+    (13, 3, True),
 ])
 def test_only_a_codec_with_dense_words_chooses_a_walk_per_word(k, b, dense):
-    # d_max > n // 4 + 1: some word takes the byte walk; else the pulse walks, bound alone
+    # the walk is chosen per codec, once, for every word: past d_max = n // 4 + 1
+    # the byte walk, else the pulse walk of the codec's own table
     codec = optimal_spec(k, b).codec
     assert (codec.d_max > (k + b) // 4 + 1) == dense
-    kernels = (BinomialTable._unrank, BinomialTable._rank) if dense else (
-        BinomialTable._pulse_unrank, BinomialTable._pulse_rank)
-    assert (codec._unrank.__func__, codec._rank.__func__) == kernels
+    if dense:
+        assert (codec._unrank, codec._rank) == (combinatorics._byte_unrank, combinatorics._byte_rank)
+    else:
+        table = codec._unrank.__self__
+        assert (codec._unrank, codec._rank) == (table._unrank, table._rank)
+        assert type(table) is BinomialTable and table.n_max == k + b
 
 
-def test_63_1_corrupted_word_texts_are_the_pulse_walks(monkeypatch):
+def test_a_dense_codec_builds_no_binomial_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(codecs, "BinomialTable", lambda n: built.append(n) or BinomialTable(n))
+    for k, b in ((64, 0), (51, 13), (13, 3), (50, 14), (12, 4), (4, 11)):
+        codec, u = codecs.OptimalCodec(optimal_spec(k, b)), (1 << k) - 1
+        assert codec.decode_int(0, codec.encode_int(0, u)) == u
+    assert built == [64, 16]  # (50, 14) and (12, 4); ppm0's (4, 11) takes the single-pulse kernels
+
+
+def test_63_1_corrupted_word_texts_are_the_pulse_walks():
     # (63, 1) sends 2^63 words on 64 lines: every word of up to 31 pulses and the
     # first half of the C(64, 32) words of 32, so colex rank C(64, 32) / 2 is the first corrupt one
-    codec, half = optimal_spec(63, 1).codec, comb(64, 32) // 2
-    first_out = BinomialTable(64).unrank(half, 32, 64)
+    codec, table, half = optimal_spec(63, 1).codec, BinomialTable(64), comb(64, 32) // 2
+    first_out = table.unrank(half, 32, 64)
     alternate, top = int("10" * 32, 2), ((1 << 32) - 1) << 32
 
     def colex(d):
         return sum(comb(s, j) for j, s in enumerate((s for s in range(64) if d >> s & 1), 1))
 
     assert colex(first_out) == half and colex(alternate) > half
+    assert combinatorics._byte_unrank(half, 32, 64, 0) == first_out
     cases = [(1 << 33) - 1, first_out, alternate, top, (1 << 64) - 1]
     texts = [_message(codec.decode_int, 0, x) for x in cases]
     assert texts == [
@@ -352,9 +373,10 @@ def test_63_1_corrupted_word_texts_are_the_pulse_walks(monkeypatch):
     ]
     below = alternate >> 1  # the 32 even lines: inside the codebook
     assert codec.decode_int(0, below) == (1 << 63) - half + colex(below)
-    monkeypatch.setattr(combinatorics, "_BYTE_LINES", 0)  # every word on the pulse walk
-    assert texts == [_message(codec.decode_int, 0, x) for x in cases]
-    assert BinomialTable(64).unrank(half, 32, 64) == first_out
+    pulse = copy.copy(codec)  # the same codec on the pulse walk
+    pulse._unrank, pulse._rank = table._unrank, table._rank
+    assert texts == [_message(pulse.decode_int, 0, x) for x in cases]
+    assert pulse.decode_int(0, below) == codec.decode_int(0, below)
 
 
 def test_a_trace_builds_no_byte_bank():

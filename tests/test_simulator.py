@@ -379,7 +379,7 @@ class TestParts:
         during, at_exit = proc.stdout.splitlines()
         assert during == at_exit
 
-    def test_import_leaves_the_pool_module_out(self):
+    def test_import_leaves_concurrent_futures_out(self):
         # concurrent.futures pulls in logging (about 12 ms), and no trace needs it
         proc = _run_python("import sys, buslab, buslab.cli, buslab.verify\n"
                            "print('concurrent.futures' in sys.modules)")
