@@ -562,7 +562,7 @@ class OptimalCodec(_DifferentialCodec):
         self._floors = np.array(self._bases[:self.d_max + 1], np.uint64)
         if self.d_max == 1:
             self._encode, self._decode = self._pulse_encode, self._pulse_decode
-        elif self.d_max > spec.n // 4 + 1:  # dense words, on n <= 64 lines: no table
+        elif self.d_max > spec.n // 4 + 1:  # no table: n <= 64, the byte bank's lines
             self._unrank, self._rank = _byte_unrank, _byte_rank
         else:
             table = BinomialTable(spec.n)
@@ -584,7 +584,7 @@ class OptimalCodec(_DifferentialCodec):
         m = d.bit_count()
         if m > self.d_max:
             raise CorruptedWordError(f"differential weight {m} exceeds d_max={self.d_max}")
-        rank = self._rank(d, m)  # d < 2^n, n <= the table's n_max, or 64 on the byte walk
+        rank = self._rank(d, m)  # d < 2^n, with n the table's n_max or at most 64
         u = self._bases[m] + rank
         if u >= self._size:
             raise CorruptedWordError(f"weight-{m} rank {rank} is outside the emitted codebook")
