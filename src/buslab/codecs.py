@@ -315,6 +315,8 @@ class CodecSpec:
     code: LinearCode | None = None
 
     def __post_init__(self):
+        if not isinstance(self.family, Family):  # before any lookup keyed by it
+            raise TypeError(f"family must be a Family, got {self.family!r}")
         # Python ints, as Codec.encode_int takes them: no numpy scalar, no float
         object.__setattr__(self, "k", index(self.k))
         object.__setattr__(self, "b", index(self.b))

@@ -10,11 +10,13 @@ trace can be split into shards with independently derived child seeds.
 Each word is the top k bits of PCG64's next raw 32-bit (uint32, k <= 32) or
 64-bit output, exactly the stream of Generator.integers(0, 2**k, uint64).
 
-A trace lays its shards' words end to end, in shard order; if they make at
-least 4 chunks per CPU, it cuts them into up to one part per CPU, each cut
-at an even shard-local word, so a part is a list of runs of shard words. A
-run that starts inside its shard advance()s the shard's PCG64 past the raw
-outputs before it, and every part draws exactly the serial stream's words.
+A trace lays its shards' words end to end, in shard order, and holds one
+int per shard, the word it starts at; if they make at least 4 chunks per
+CPU, it cuts them into up to one part per CPU, each cut at an even
+shard-local word, so a part is a range of trace words. A part seeds each
+shard when its run is reached; a run that starts inside its shard
+advance()s the shard's PCG64 past the raw outputs before it, and every part
+draws exactly the serial stream's words.
 Part 0 runs on the calling thread and each other part on a thread started
 for it; the caller waits for every part, adds their histograms in part order
 and builds the counters, trace_counters included, once, so every count is
@@ -28,10 +30,9 @@ from __future__ import annotations
 
 import _thread
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import index, mul
 
 import numpy as np
@@ -139,20 +140,22 @@ def _draw(bitgen: np.random.PCG64, k: int, size: int) -> np.ndarray:
     return us
 
 
-def _part_histogram(codec: Codec, runs, chunk: int) -> np.ndarray:
-    """int64 step counts of (seed, start, stop) runs of shard words start..stop-1,
-    start 0 or even, in one loop: a run's last chunk lives on while the next draws."""
+def _part_histogram(codec: Codec, seed: int, starts, lo: int, hi: int, chunk: int) -> np.ndarray:
+    """int64 step counts of trace words lo..hi-1, lo at an even shard-local word,
+    where shard i holds words starts[i]..starts[i+1]-1 and is seeded as its run
+    is reached, in one loop: a run's last chunk lives on while the next draws."""
     k = codec.spec.k
     hist = 0
-    for seed, start, stop in runs:
-        bitgen = np.random.PCG64(seed)
+    for i in range(bisect_right(starts, lo) - 1, bisect_left(starts, hi)):
+        start, stop = max(lo, starts[i]) - starts[i], min(hi, starts[i + 1]) - starts[i]
+        bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,)))
         prev = 0
         if start:
             # words start-2 and start-1 fill one raw output (k <= 32) or two
             bitgen.advance((start - 2) // 2 if k <= 32 else start - 2)
             prev = int(_draw(bitgen, k, 2)[1])
-        for lo in range(start, stop, chunk):
-            us = _draw(bitgen, k, min(chunk, stop - lo))
+        for w in range(start, stop, chunk):
+            us = _draw(bitgen, k, min(chunk, stop - w))
             hist = hist + codec.step_histogram(us, prev)
             prev = int(us[-1])
     return hist
@@ -162,34 +165,31 @@ def run_trace(cfg: TraceConfig) -> TransitionStats:
     """Feed trace_length uniform info words through the codec and count.
 
     Shard i of cfg.shards is seeded by SeedSequence(cfg.seed, spawn_key=(i,)),
-    spawn's i-th child built directly, and starts from the all-zero bus. A
-    trace of at least 4 chunks (2^19 bytes of words each) per CPU runs in
-    parts as the module docstring sets out, with the same result, count for
-    count, on any number of CPUs. A part's error is raised here once every
-    part has stopped.
+    spawn's i-th child built directly when its run is reached, and starts
+    from the all-zero bus; the trace holds one int per shard. A trace of at
+    least 4 chunks (2^19 bytes of words each) per CPU runs in parts, ranges
+    of trace words, as the module docstring sets out, with the same result,
+    count for count, on any number of CPUs. A part's error is raised here
+    once every part has stopped.
     """
     codec, length = cfg.spec.codec, cfg.trace_length
     chunk = _CHUNK if codec.spec.k <= 32 else _CHUNK // 2
     base, extra = divmod(length, cfg.shards)
     # shard i runs the trace's words starts[i]..starts[i+1]-1
     starts = [i * base + min(i, extra) for i in range(cfg.shards + 1)]
-    shards = [(np.random.SeedSequence(cfg.seed, spawn_key=(i,)), a, b)
-              for i, (a, b) in enumerate(zip(starts, starts[1:]))]
     parts = min(_CPUS, -(-length // chunk) // _MIN_PART_CHUNKS)
     if parts <= 1:
-        hist = _part_histogram(codec, [(sq, 0, b - a) for sq, a, b in shards], chunk)
+        hist = _part_histogram(codec, cfg.seed, starts, 0, length, chunk)
     else:
         # part j runs words cuts[j]..cuts[j+1]-1, each cut rounded down to an even
         # shard-local word, where _part_histogram's advance() is exact at any k
         cuts = [p - (p - starts[bisect_right(starts, p) - 1]) % 2
                 for p in (j * length // parts for j in range(parts + 1))]
-        plan = [[(sq, max(lo, a) - a, min(hi, b) - a) for sq, a, b in shards if lo < b and a < hi]
-                for lo, hi in zip(cuts, cuts[1:])]
         hists = [0] * parts
 
         def part(j, stop, done=None):
             try:
-                hists[j] = _part_histogram(codec, chain(*plan[j:stop]), chunk)
+                hists[j] = _part_histogram(codec, cfg.seed, starts, cuts[j], cuts[stop], chunk)
             except BaseException as e:  # raised by the caller once every part has stopped
                 hists[j] = e
             finally:

@@ -33,7 +33,7 @@ __all__ = ["CheckResult", "SCOPES", "run_checks"]
 
 RANK_MAX_N = 12
 ROUNDTRIP_STATES, ROUNDTRIP_SEED = 100, 20260808
-OPTIMAL_MAX_K, OPTIMAL_MAX_B, OPTIMAL_MAX_N = 10, 8, 18
+OPTIMAL_MAX_K, OPTIMAL_MAX_B = 10, 8
 
 
 @dataclass(frozen=True)
@@ -148,18 +148,15 @@ def _greedy_weights(k: int, n: int) -> tuple[int, int]:
 
 def check_optimal_weight_law() -> CheckResult:
     """Closed form == codec steps == exact_average_distance == greedy sort ==
-    sweep row, on the grid k <= OPTIMAL_MAX_K, b <= OPTIMAL_MAX_B, n <= OPTIMAL_MAX_N."""
+    sweep row, on the grid k <= OPTIMAL_MAX_K, b <= OPTIMAL_MAX_B."""
     cells = 0
     for k in range(1, OPTIMAL_MAX_K + 1):
         for b, row in zip(range(OPTIMAL_MAX_B + 1), analytics.sweep(k, OPTIMAL_MAX_B)):
-            n = k + b
-            if n > OPTIMAL_MAX_N:
-                break
             spec = optimal_spec(k, b)
             closed = analytics.d_opt(k, b)
             codec_mean = _enumerated_mean(spec)
             public = exact_average_distance(spec).exact_mean
-            dm, total = _greedy_weights(k, n)
+            dm, total = _greedy_weights(k, k + b)
             greedy = Fraction(total, 1 << k)
             if not (closed == codec_mean == public == greedy and row == (b, dm, total)):
                 return CheckResult(

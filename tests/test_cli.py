@@ -165,6 +165,23 @@ class TestSimulate:
         second.pop("elapsed_s")
         assert first == second
 
+    def test_optimal_text_prints_the_clock_lines_of_its_json_run(self, capsys):
+        args = ("simulate", "optimal", "--k", "8", "--b", "4", "--length", "20000", "--seed", "3")
+        code, text, _ = run_cli(capsys, *args)
+        assert code == 0
+        data = json.loads(run_cli(capsys, *args, "--json")[1])
+        assert data["baseline_clock_cycles"] == 12 * 20000
+        lines = text.splitlines()
+        assert (f"  modulator clocks        {data['clock_cycles']} "
+                f"(bit-serial baseline {data['baseline_clock_cycles']})") in lines
+        assert f"  comparisons/additions   {data['comparisons']}/{data['additions']}" in lines
+
+    @pytest.mark.parametrize("argv", [("ppm0", "--k", "4"), ("dbi", "--k", "6")], ids=["ppm0", "dbi"])
+    def test_other_families_print_no_clock_lines(self, capsys, argv):
+        code, text, _ = run_cli(capsys, "simulate", *argv, "--length", "2000", "--seed", "3")
+        assert code == 0 and text.startswith(f"simulated {argv[0]} ")
+        assert "modulator clocks" not in text and "comparisons/additions" not in text
+
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -49,6 +49,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CodecSpec(Family.COSET, 11, 12)
 
+    def test_only_a_coset_spec_takes_a_code(self):
+        with pytest.raises(ValueError, match=r"^optimal spec does not take a linear code$"):
+            CodecSpec(Family.OPTIMAL_MPPM, 3, 4, make_hamming(3))
+
+    def test_a_coset_spec_spans_its_code(self):
+        with pytest.raises(ValueError, match=r"^coset n=8 != code length 7$"):
+            CodecSpec(Family.COSET, 3, 5, make_hamming(3))
+
     def test_n_property(self):
         assert optimal_spec(11, 12).n == 23
         assert ppm0_spec(4).n == 15

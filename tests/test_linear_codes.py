@@ -186,6 +186,11 @@ class TestLinearCodeValidation:
         wide = LinearCode("wide", dtype(70), (1 << 69 | 1,))
         assert (type(wide.length), wide.dimension) == (int, 69)
 
+    @pytest.mark.parametrize("row", [0b1000, -1])
+    def test_a_row_past_the_lines_is_rejected(self, row):
+        with pytest.raises(ValueError, match=rf"^bad: parity row {row:#x} out of range$"):
+            LinearCode(name="bad", length=3, h_rows=(0b011, row))
+
     def test_floats_are_not_ints(self):
         code = make_hamming(3)
         with pytest.raises(TypeError):

@@ -51,6 +51,20 @@ def test_every_family_has_one_codec_class(family):
     assert type(make_codec(spec)) is cls
 
 
+@pytest.mark.parametrize(
+    "family,k,b,code",
+    [("optimal", 3, 2, None), (None, 3, 2, None), ("coset", 3, 4, make_hamming(3))],
+    ids=["name", "none", "name-with-code"],
+)
+def test_a_family_must_be_a_family_member(family, k, b, code):
+    with pytest.raises(TypeError, match=rf"^family must be a Family, got {family!r}$"):
+        CodecSpec(family, k, b, code)
+    for member in Family:  # each member builds, the name's included
+        code = make_hamming(3) if member is Family.COSET else None
+        b = _FAMILY_CODECS[member].required_b(3)
+        assert CodecSpec(member, 3, 4 if b is None else b, code).family is member
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_the_range_check_lives_in_codec_and_the_families_keep_only_kernels(family):
     cls = _FAMILY_CODECS[family]

@@ -52,20 +52,53 @@ class TestRunTrace:
         cfg = TraceConfig(spec=optimal_spec(8, 8), trace_length=30_002, seed=3, shards=4)
         codec = make_codec(cfg.spec)
         seeds = np.random.SeedSequence(3).spawn(4)
-        lengths = (7_501, 7_501, 7_500, 7_500)
-        parts = [_part_histogram(codec, [(sq, 0, ln)], simulator._CHUNK)
-                 for ln, sq in zip(lengths, seeds)]
+        starts = [0, 7_501, 15_002, 22_502, 30_002]
+        parts = [_part_histogram(codec, 3, starts, a, b, simulator._CHUNK)
+                 for a, b in zip(starts, starts[1:])]
+        for sq, part, a, b in zip(seeds, parts, starts, starts[1:]):
+            words = _integers(sq, 8, b - a)
+            assert np.array_equal(part, codec.step_histogram(words, 0))
         assert len({len(p) for p in parts}) == 1
         hist = parts[0] + parts[1] + parts[2] + parts[3]
         stats = run_trace(cfg)
         assert stats.weight_histogram == hist.tolist()
         pulses = int(hist @ np.arange(len(hist)))
         assert stats.total_transitions == pulses
-        assert stats.words_sent == sum(lengths) == 30_002
+        assert stats.words_sent == starts[-1] == 30_002
         # the optimal modulator's counters, applied once to the summed trace
         assert (stats.clock_cycles_total, stats.comparisons_total, stats.additions_total) == (
             pulses, 16 * pulses + (codec.d_max + 1) * 30_002, 2 * pulses
         )
+
+    @pytest.mark.parametrize(
+        "spec", [uncoded_spec(16), optimal_spec(11, 12), optimal_spec(40, 24), uncoded_spec(64)],
+        ids=lambda s: f"{s.family.value}-{s.k}",
+    )
+    def test_word_ranges_add_up_to_the_whole_trace(self, spec):
+        # shards of 3,334, 3,334 and 3,333 words; the ranges start at shard 0's
+        # word 3,000 and shard 2's word 332, and the last holds 3,001 words
+        codec, starts = make_codec(spec), [0, 3_334, 6_668, 10_001]
+        whole = _part_histogram(codec, 5, starts, 0, 10_001, 1 << 8)
+        parts = [_part_histogram(codec, 5, starts, lo, hi, 1 << 8)
+                 for lo, hi in ((0, 3_000), (3_000, 7_000), (7_000, 10_001))]
+        assert np.array_equal(parts[0] + parts[1] + parts[2], whole)
+        assert whole.tolist() == run_trace(TraceConfig(spec, 10_001, 5, 3)).weight_histogram
+
+    def test_each_shard_is_seeded_as_its_run_is_drawn(self, monkeypatch):
+        events, seed_sequence, draw = [], np.random.SeedSequence, simulator._draw
+
+        def seeding(entropy, spawn_key=()):
+            events.append(("seed", *spawn_key))
+            return seed_sequence(entropy, spawn_key=spawn_key)
+
+        def drawing(bitgen, k, size):
+            events.append(("draw",))
+            return draw(bitgen, k, size)
+
+        monkeypatch.setattr(np.random, "SeedSequence", seeding)
+        monkeypatch.setattr(simulator, "_draw", drawing)
+        run_trace(TraceConfig(uncoded_spec(8), 9, seed=1, shards=3))
+        assert events == [("seed", 0), ("draw",), ("seed", 1), ("draw",), ("seed", 2), ("draw",)]
 
     def test_histogram_accounts_for_every_word(self):
         for spec in (uncoded_spec(9), dbi_spec(6), optimal_spec(7, 5)):
@@ -303,10 +336,10 @@ class TestParts:
     @pytest.mark.parametrize("k", [16, 33, 64])
     @pytest.mark.parametrize("length,plan", [
         # 3 shards of 101 words: both cuts fall on a shard end
-        (303, [[(0, 0, 101)], [(1, 0, 101)], [(2, 0, 101)]]),
+        (303, [(0, 101), (101, 202), (202, 303)]),
         # shards of 101, 100 and 100 words: cut 1 falls on shard 0's last word,
-        # cut 2 on shard 1's odd word 99 and rounds down to 98
-        (301, [[(0, 0, 100)], [(0, 100, 101), (1, 0, 98)], [(1, 98, 100), (2, 0, 100)]]),
+        # word 100, cut 2 on shard 1's odd word 99 and rounds down to 98, word 199
+        (301, [(0, 100), (100, 199), (199, 301)]),
     ])
     def test_cuts_fall_on_even_shard_local_words(self, cpus, monkeypatch, k, length, plan):
         monkeypatch.setattr(simulator, "_CHUNK", 1 << 6)
@@ -317,10 +350,9 @@ class TestParts:
         cpus(3)
         kernel, seen = simulator._part_histogram, []
 
-        def recording(codec, runs, chunk):
-            runs = list(runs)
-            seen.append([(sq.spawn_key[0], start, stop) for sq, start, stop in runs])
-            return kernel(codec, runs, chunk)
+        def recording(codec, seed, starts, lo, hi, chunk):
+            seen.append((lo, hi))
+            return kernel(codec, seed, starts, lo, hi, chunk)
 
         monkeypatch.setattr(simulator, "_part_histogram", recording)
         assert run_trace(cfg) == serial
@@ -602,6 +634,21 @@ class TestBudgets:
             tracemalloc.stop()
         assert stats.words_sent == 1 << 18
         assert peak < 4 * 2**20
+
+    def test_a_trace_holds_one_int_per_shard(self):
+        # each shard is seeded as its run is drawn: a 2-CPU x86 host peaked at
+        # 0.19 MiB, and at 2.57 MiB while every shard's SeedSequence and run
+        # were built up front
+        cfg = TraceConfig(spec=optimal_spec(11, 12), trace_length=5_000, seed=1, shards=5_000)
+        run_trace(TraceConfig(cfg.spec, 2, seed=1))  # build the codec first
+        tracemalloc.start()
+        try:
+            stats = run_trace(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.words_sent == sum(stats.weight_histogram) == 5_000
+        assert peak < 2**20
 
     def test_sixteen_shards_at_the_widest_bus_build_one_histogram(self):
         # shards add their numpy histograms before the one public list is
