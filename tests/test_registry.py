@@ -59,10 +59,10 @@ def test_every_family_has_one_codec_class(family):
 def test_a_family_must_be_a_family_member(family, k, b, code):
     with pytest.raises(TypeError, match=rf"^family must be a Family, got {family!r}$"):
         CodecSpec(family, k, b, code)
-    for member in Family:  # each member builds, the name's included
-        code = make_hamming(3) if member is Family.COSET else None
-        b = _FAMILY_CODECS[member].required_b(3)
-        assert CodecSpec(member, 3, 4 if b is None else b, code).family is member
+    for member in Family:  # every member still builds
+        required = _FAMILY_CODECS[member].required_b(3)
+        hamming = make_hamming(3) if member is Family.COSET else None
+        assert CodecSpec(member, 3, 4 if required is None else required, hamming).family is member
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
