@@ -157,8 +157,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_for(args)
     family = spec.family.value
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.length < 1:  # before TraceConfig, whose texts name its own fields
+        raise ValueError(f"--length must be >= 1, got {args.length}")
+    if not 1 <= args.jobs <= args.length:
+        raise ValueError(f"--jobs must be in 1..{args.length} (--length), got {args.jobs}")
     cfg = TraceConfig(spec=spec, trace_length=args.length, seed=args.seed, shards=args.jobs)
     start = time.perf_counter()
     stats = run_trace(cfg)

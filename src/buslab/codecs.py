@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import index
@@ -633,6 +633,9 @@ class CosetCodec(_DifferentialCodec):
       leader's top line, an array('H'), or 'I' past 65,535 lines, and a
       read walks the top lines down to syndrome 0, one step per line.
       Hamming(16)'s top lines take 128 KiB.
+    Decode XORs H's columns at the toggled lines: by 8-line blocks, from a
+    table of each pattern's XOR, if n <= 64 and the heaviest leader has a
+    line per block (repetition, Golay, Hamming(2..3)); else line by line.
     """
 
     @classmethod
@@ -657,7 +660,12 @@ class CosetCodec(_DifferentialCodec):
         super().__init__(spec)
         self._leaders, self.weights = _build_coset_leaders(spec.code)
         self._heaviest = int(self.weights.max())
-        self._lines = spec.code.line_syndromes
+        self._lines = lines = spec.code.line_syndromes
+        self._blocks = ()  # decode's tables, one per 8-line block from line 0 up
+        if spec.n <= _WORD_LINES and self._heaviest >= -(-spec.n // 8):  # a line per block
+            # by doubling: each line's column XORed onto every pattern so far
+            self._blocks = [reduce(lambda t, c: t + [v ^ c for v in t], lines[h:h + 8], [0])
+                            for h in range(0, spec.n, 8)]
         # leaders that never get lighter as the syndrome rises (every Hamming code's) are
         # tiers of consecutive info words: optimal's count, from each weight's first syndrome
         sums = np.searchsorted(self.weights, np.arange(self._heaviest + 1), "right")
@@ -671,9 +679,15 @@ class CosetCodec(_DifferentialCodec):
         return self._leaders[u] ^ state
 
     def _decode(self, state: int, x: int) -> int:
-        d = x ^ state  # an emitted word toggles a leader: at most covering-radius lines
+        d, s = x ^ state, 0  # an emitted word toggles a leader: at most covering-radius lines
+        # a branch, not a _decode bound per instance: one in the instance's dict keeps
+        # decode()'s call site from specializing, and the next op's pairs ran 2-5% slower
+        if self._blocks:
+            for table in self._blocks:
+                s ^= table[d & 255]
+                d >>= 8
+            return s
         lines = self._lines
-        s = 0
         while d:
             i = d.bit_length() - 1
             s ^= lines[i]

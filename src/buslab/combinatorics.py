@@ -86,15 +86,16 @@ class BinomialTable:
 
     Column l lists C(i, l) for i = 0..n_max: zero for i < l, then strictly
     increasing, so it is sorted and a comparator bank can search it. The
-    run of m pulses is columns m down to 2, built once per table. rank and
-    unrank work on bitmask words (bit s set for a pulse on line s): each
-    takes index() of its arguments, as Word does, and checks them, then runs
-    the unchecked kernel _rank/_unrank. An optimal codec with sparse words
-    binds _unrank and _rank once and calls them per word: its tier bisect
-    and Codec's range check bound their arguments.
+    run of m pulses is columns m down to 2, and _bits[i] is line i's mask
+    1 << i, both built once per table: a kernel step reads its line's mask.
+    rank and unrank work on bitmask words (bit s set for a pulse on line s):
+    each takes index() of its arguments, as Word does, and checks them, then
+    runs the unchecked kernel _rank/_unrank. An optimal codec with sparse
+    words binds _unrank and _rank once and calls them per word: its tier
+    bisect and Codec's range check bound their arguments.
     """
 
-    __slots__ = ("n_max", "_runs")
+    __slots__ = ("n_max", "_runs", "_bits")
 
     def __init__(self, n_max: int):
         n_max = index(n_max)
@@ -109,6 +110,7 @@ class BinomialTable:
             col = tuple(accumulate(col[:-1], initial=0))
             cols.append(col)
         self._runs = tuple(tuple(cols[m:1:-1]) for m in lines)
+        self._bits = tuple(1 << i for i in range(n_max))
 
     def unrank(self, x: int, m: int, n: int) -> int:
         """Bitmask of the m-subset of {0..n-1} with colex rank x: the checks,
@@ -130,11 +132,12 @@ class BinomialTable:
         column l, bounded by the line of pulse l + 1 (n holds it), since the
         remainder is then below C(that line, l). Pulse 1 sits on the line the
         remainder names, as C(i, 1) = i."""
+        bits = self._bits
         for col in self._runs[m]:
             n = bisect_right(col, x, 0, n) - 1
-            d ^= 1 << n
+            d ^= bits[n]
             x -= col[n]
-        return d ^ (1 << x) if m else d
+        return d ^ bits[x] if m else d
 
     def rank(self, d: int) -> int:
         """Colex rank of the pulse pattern d among the subsets of its weight:
@@ -149,11 +152,11 @@ class BinomialTable:
     def _rank(self, d: int, m: int) -> int:
         """rank's kernel, for 0 <= d < 2^n_max with m = popcount(d): pulses
         m..2 read their columns, and pulse 1 adds its own line."""
-        x = 0
+        x, bits = 0, self._bits
         for col in self._runs[m]:
             i = d.bit_length() - 1
             x += col[i]
-            d ^= 1 << i
+            d ^= bits[i]
         return x + d.bit_length() - 1 if m else 0
 
 

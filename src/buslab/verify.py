@@ -6,6 +6,7 @@ independent counting oracle) rather than trusting the code path it audits.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -141,13 +142,17 @@ def _enumerated_mean(spec: CodecSpec) -> Fraction:
 
 def _greedy_weights(k: int, n: int) -> tuple[int, int]:
     """(d_max, 2^k * mean weight) of the 2^k lowest-weight n-tuples, by
-    sorting all weights."""
-    low = sorted(v.bit_count() for v in range(1 << n))[: 1 << k]
-    return low[-1], sum(low)
+    counting all 2^n words by weight, then taking the lightest 2^k."""
+    counts, left, total = Counter(map(int.bit_count, range(1 << n))), 1 << k, 0
+    for w in range(n + 1):
+        take = min(counts[w], left)
+        left, total = left - take, total + w * take
+        if not left:
+            return w, total
 
 
 def check_optimal_weight_law() -> CheckResult:
-    """Closed form == codec steps == exact_average_distance == greedy sort ==
+    """Closed form == codec steps == exact_average_distance == greedy count ==
     sweep row, on the grid k <= OPTIMAL_MAX_K, b <= OPTIMAL_MAX_B."""
     cells = 0
     for k in range(1, OPTIMAL_MAX_K + 1):

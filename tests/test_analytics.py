@@ -58,6 +58,12 @@ class TestDmax:
     def test_smallest_case(self):
         assert analytics.d_max(1, 1) == 1
 
+    @pytest.mark.parametrize("name", ["d_max", "d_opt", "sweep"])
+    def test_negative_b_is_rejected_before_any_codec(self, name):
+        # the closed forms' own check, not Codec.check's text of the same words
+        with pytest.raises(ValueError, match=r"^b=-1 must be >= 0$"):
+            list(analytics.sweep(4, -1)) if name == "sweep" else getattr(analytics, name)(4, -1)
+
 
 class TestDopt:
     def test_golay_value(self):

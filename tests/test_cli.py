@@ -247,6 +247,18 @@ class TestSimulate:
         assert code == 2
         assert "--jobs" in err
 
+    def test_zero_length_exits_2_naming_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "optimal", "--k", "3", "--b", "2",
+                                 "--length", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --length must be >= 1, got 0\n"
+
+    def test_more_jobs_than_words_exits_2_naming_both_flags(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "optimal", "--k", "3", "--b", "2",
+                                 "--length", "3", "--jobs", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: --jobs must be in 1..3 (--length), got 5\n"
+
     def test_negative_seed_exits_2_naming_the_seed(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "uncoded", "--k", "8", "--seed", "-1")
         assert code == 2

@@ -9,6 +9,7 @@ from buslab.codecs import (
     CorruptedWordError,
     Family,
     coset_spec,
+    coset_spec_for,
     dbi_spec,
     decode,
     encode,
@@ -56,6 +57,21 @@ class TestSpecValidation:
     def test_a_coset_spec_spans_its_code(self):
         with pytest.raises(ValueError, match=r"^coset n=8 != code length 7$"):
             CodecSpec(Family.COSET, 3, 5, make_hamming(3))
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_1_is_rejected_by_the_spec(self, k):
+        # optimal's check would pass b = 2: the spec's own k check raises
+        with pytest.raises(ValueError, match=rf"^k={k} must be >= 1$"):
+            CodecSpec(Family.OPTIMAL_MPPM, k, 2)
+
+    @pytest.mark.parametrize("k, b", [(3, 2), (1, 0), (11, 11)])
+    def test_coset_spec_for_names_the_stock_constructions(self, k, b):
+        with pytest.raises(ValueError) as exc:
+            coset_spec_for(k, b)
+        assert str(exc.value) == (
+            f"no stock coset construction for k={k}, b={b}; "
+            "supported: b=1 (repetition), b=2^k-1-k (hamming), (11,12) (golay)"
+        )
 
     def test_n_property(self):
         assert optimal_spec(11, 12).n == 23

@@ -3,8 +3,10 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import xor
 
 import numpy as np
 import pytest
@@ -392,3 +394,54 @@ class TestCosetLeaders:
             coset_spec(code)
         assert str(exc.value) == "repetition(18,1): 17 syndrome bits exceed the 16-bit table cap"
         assert make_codec.cache_info() == before
+
+
+def identity_code(n):
+    """16 identity columns, then n - 16 zero ones: syndrome s's leader is s
+    itself, so the heaviest leader has all 16 lines."""
+    return code_from_columns(f"identity({n})", [1 << r for r in range(16)] + [0] * (n - 16), 16)
+
+
+BLOCK_DECODED = [*map(make_repetition, range(2, 18)), make_golay23(), *map(make_hamming, (2, 3)),
+                 shortened_hamming(8), shortened_hamming(9), identity_code(64)]
+WALK_DECODED = [*map(make_hamming, range(4, 17)), random_code(300, 16, 1), random_code(1000, 16, 1),
+                shortened_hamming(15), identity_code(65)]
+
+
+class TestCosetDecode:
+    @pytest.mark.parametrize(
+        "code, blocks",
+        [(c, True) for c in BLOCK_DECODED] + [(c, False) for c in WALK_DECODED],
+        ids=lambda v: v.name if isinstance(v, LinearCode) else ("blocks" if v else "walk"),
+    )
+    def test_the_decode_reads_only_the_length_and_the_heaviest_leader(self, monkeypatch, code,
+                                                                      blocks):
+        # byte blocks for a code of at most 64 lines whose heaviest leader has
+        # a line per 8-line block, else the column walk: Hamming(4..16)'s
+        # leaders are one line, and no table is built past 64 lines, where
+        # identity(65)'s 16-line leaders would qualify
+        codec = coset_spec(code).codec
+        n = code.length
+        assert (n <= 64 and codec._heaviest >= -(-n // 8)) == blocks
+        assert bool(codec._blocks) == blocks
+        assert "_decode" not in vars(codec)  # the class's one kernel, for every codec
+        rnd = random.Random(n)
+        for u in [0, (1 << code.syndrome_bits) - 1, *(rnd.getrandbits(code.syndrome_bits)
+                                                      for _ in range(100))]:
+            state = rnd.getrandbits(n)
+            assert codec._decode(state, codec._encode(state, u)) == u
+        if not blocks:
+            return
+        # table j holds the columns' XOR for each pattern on lines 8j..8j+7,
+        # with 2^(its lines) entries in a partial top block
+        cols = code.line_syndromes
+        assert len(codec._blocks) == -(-n // 8)
+        for j, table in enumerate(codec._blocks):
+            width = min(8, n - 8 * j)
+            assert table == [reduce(xor, (cols[8 * j + i] for i in range(width) if p >> i & 1), 0)
+                             for p in range(1 << width)]
+        # with no columns to walk, every word still decodes: by the tables alone
+        monkeypatch.setattr(codec, "_lines", None)
+        for d in [0, (1 << n) - 1, *(rnd.getrandbits(n) for _ in range(200))]:
+            state = rnd.getrandbits(n)
+            assert codec._decode(state, state ^ d) == code.syndrome(d)

@@ -78,7 +78,7 @@ def test_coset_fails_on_a_wrong_leader(capsys, monkeypatch):
 
 def test_optimal_fails_on_a_wrong_closed_form(capsys, monkeypatch):
     # exact_average_distance reads d_opt too, so the codec's steps and the
-    # greedy sort disagree with both
+    # greedy count disagree with both
     d_opt = analytics.d_opt
     monkeypatch.setattr(analytics, "d_opt", lambda k, b: d_opt(k, b) + ((k, b) == (3, 2)))
     _fails(capsys, "optimal", verify.check_optimal_weight_law,
@@ -93,3 +93,9 @@ def test_all_reports_the_one_failing_check(capsys, monkeypatch):
     assert [line.split()[:2] for line in out[:4]] == [
         ["PASS", "rank"], ["PASS", "roundtrip"], ["FAIL", "coset"], ["PASS", "optimal"]]
     assert out[4:] == ["3/4 checks passed"]
+
+
+def test_an_unknown_scope_is_rejected():
+    with pytest.raises(ValueError) as exc:
+        verify.run_checks("nope")
+    assert str(exc.value) == "unknown scope 'nope'; choose from ['all', 'coset', 'optimal', 'rank', 'roundtrip']"
