@@ -17,7 +17,7 @@ import pytest
 from buslab.codecs import CorruptedWordError, optimal_spec
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC_LINE_BUDGET = 1974
+SRC_LINE_BUDGET = 1998
 
 # (command arguments, sha256 of its stdout, newline-terminated)
 PINS = {
